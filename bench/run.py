@@ -1,10 +1,11 @@
 """routeirl benchmark: one workload per process.
 
-    python3 bench/run.py --workload train-maxent --seed 1 --seconds 30 --trace 0
+    python3 bench/run.py --workload train-maxent --seed 1 --seconds 45 --trace 0
 
 With ``--trace 0`` the last line of stdout is the end-to-end result, measured
-with tracing off; with ``--trace 1`` it is the per-layer result of a traced
-replay of the same operations.  The line before it records inputs and
+with tracing off and scaled to a reference host speed (see speed.py); with
+``--trace 1`` it is the per-layer result of a traced replay of the same
+operations, in raw times.  The line before it records inputs and
 environment.  See bench/README.md.
 """
 from __future__ import annotations
@@ -53,6 +54,7 @@ def main(argv=None) -> int:
     import numpy
     import scipy
     import routeirl
+    import speed
     import tracing
     import workloads
     import_s = time.perf_counter() - t0
@@ -62,11 +64,15 @@ def main(argv=None) -> int:
 
     workdir = ROOT / ".bench_work" / f"{args.workload}-{os.getpid()}"
     wl = workloads.WORKLOADS[args.workload](args.seed, workdir)
+    setup_speed = speed.HostSpeed()
+    setup_speed.sample(import_s)
 
     def timed(step) -> float:
         t = time.perf_counter()
         step()
-        return time.perf_counter() - t
+        dt = time.perf_counter() - t
+        setup_speed.sample(dt)
+        return dt
 
     try:
         builds = [timed(wl.build)]
@@ -93,11 +99,13 @@ def main(argv=None) -> int:
             units = tracing.layer_metric_units()
             tracer.write(ROOT / ".bench_out" / f"trace-{args.workload}-{args.seed}.jsonl")
             runs = (untraced, traced)
+            raw = None
         else:
             out = wl.run(seconds=args.seconds)
             wl.finish(out)
             metrics = wl.end_to_end(out)
-            metrics["setup_s"] = setup_s
+            metrics["setup_s"] = setup_s * setup_speed.scale()
+            raw = {**wl.end_to_end(out, normalised=False), "setup_s": setup_s}
             metrics["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
             units = workloads.METRIC_UNITS
             runs = (out,)
@@ -120,6 +128,9 @@ def main(argv=None) -> int:
         "setup": {"import_s": import_s, "warm_s": warm_s, "build_s": builds,
                   "prepare_s": prepare_s},
         "operations": {k: v for r in runs for k, v in r.ops.items()},
+        "run_s": [r.wall_s for r in runs],
+        "ref_unit_ms": {"setup": setup_speed.unit_ms(), "run": runs[0].host.unit_ms()},
+        "raw": raw,
         "inputs": wl.info,
     }
     print(json.dumps({"info": info}, default=str))

@@ -12,7 +12,9 @@ import routeirl
 import routeirl.algorithms
 import routeirl.planners
 import routeirl.training
+from speed import REF_UNIT_S
 from tracing import Tracer, minibatch_destinations, repeat_share, self_times
+from workloads import Outcome
 
 ROOT = Path(__file__).resolve().parents[2]
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -68,6 +70,15 @@ def test_replay_matches_the_minibatches_train_expert_draws(monkeypatch):
 
 def test_repeat_share_counts_later_occurrences():
     assert repeat_share([[1, 2, 1, 1], [3, 4, 5, 6]]) == 2 / 8
+
+
+def test_normalised_time_scales_by_the_reference_unit():
+    out = Outcome()
+    # units took twice REF_UNIT_S: a host half as fast as the reference
+    out.host.seconds, out.host.units = 2 * REF_UNIT_S * 10, 10
+    out.measure("sweep.grads_per_s.h0", 8, 0.1)
+    assert out.seconds("sweep.grads_per_s.h0", normalised=False) == pytest.approx(0.1)
+    assert out.seconds("sweep.grads_per_s.h0", normalised=True) == pytest.approx(0.05)
 
 
 def run_bench(*args, cwd=ROOT):

@@ -1,4 +1,5 @@
-"""The three benchmark workloads.
+"""The three benchmark workloads.  BENCHMARK.json runs train-maxent and
+cli-pipeline; horizon-sweep runs by hand (see README.md).
 
 Every workload measures the same end-to-end metrics on its own problem, so a
 change is judged per (workload, metric) pair:
@@ -11,10 +12,12 @@ change is judged per (workload, metric) pair:
   {0, 1, 10, 100, inf}, in minibatches of 8.
 
 Rates are work done over time spent, summed over every operation of that
-kind in the run.  Operation kinds are interleaved across the whole run by
-time share, so each metric averages over the same stretch of machine time:
-the host's speed drifts by tens of percent within seconds, and a per-kind
-block at the end of a run would see one state only.
+kind in the run.  Operations are short (mostly well under a second: one
+minibatch at one horizon, a train chunk of ten steps, a slice of samples or
+eval demos) and their kinds are interleaved across the whole run by time
+share, so every metric averages over the whole run: the host's speed drifts
+by tens of percent within seconds, and a kind measured in a few long
+operations would see a few speed states only.
 
 Every operation gets its own weight vector (or seed), so nothing computed for
 one operation is valid for the next.  Timed weights are certified feasible
@@ -27,12 +30,14 @@ Why these three:
 
 - ``train-maxent`` is the paper's synthetic-recovery experiment (criterion 9,
   shortened): small graph, far from the feasibility boundary, destinations
-  that almost never repeat inside a minibatch.  Its job is 100 maxent
-  optimizer steps at batch 8, nearly all converged backward passes.
+  that almost never repeat inside a minibatch.  Its job is maxent training
+  at batch 8 (reported per 100 optimizer steps), nearly all converged
+  backward passes.
 - ``horizon-sweep`` is the paper's cost-versus-horizon trade-off near the
   feasibility boundary (lambda_max about 0.945), with destinations drawn from a
   fixed set of four, so half of each minibatch repeats a destination.  Its
-  job is one minibatch at each of the five horizons.
+  job is one minibatch at each of the five horizons (the sum of the mean
+  minibatch times).
 - ``cli-pipeline`` is the only workload whose time goes largely to graph
   generation and compression, file I/O, sharding and spectral diagnosis.  Its
   job is the in-process ``gen-grid -> compress -> train -> eval -> diagnose``
@@ -42,6 +47,7 @@ Why these three:
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 import json
 import math
@@ -56,6 +62,7 @@ import scipy.sparse as sp
 
 import routeirl as rl
 import routeirl.cli as rl_cli
+import speed
 from tracing import minibatch_destinations, repeat_share
 
 BATCH = 8
@@ -106,11 +113,17 @@ class Outcome:
     problems: list = field(default_factory=list)
     plan: list = field(default_factory=list)
     wall_s: float = 0.0
+    host: speed.HostSpeed = field(default_factory=speed.HostSpeed)
 
     def measure(self, metric: str, work: float, seconds: float) -> None:
         self.work[metric] += work
         self.time[metric] += seconds
         self.ops[metric] += 1
+
+    def seconds(self, metric: str, normalised: bool) -> float:
+        """Time spent on `metric`, scaled to the reference host speed if
+        `normalised`."""
+        return self.time[metric] * (self.host.scale() if normalised else 1.0)
 
     def check(self, what: str, ok: bool, detail: str = "") -> bool:
         self.attempted += 1
@@ -137,10 +150,10 @@ def finite(x) -> bool:
 class Workload:
     name = ""
     job_metric = ""
+    job_unit = 1           # job_s is seconds per this much `job_metric` work
     shares: dict = {}      # kind -> share of the run's time
     min_ops: dict = {}     # kind -> operations every run makes
     max_ops: dict = {}     # kind -> most operations a run makes
-    fixed_ops: tuple = ()  # operations made first, in order
     eval_size = 0
     equivalence_demos = BATCH
 
@@ -176,11 +189,15 @@ class Workload:
         return self.problem()[1]
 
     # -- operations shared by all workloads --------------------------------
+    @functools.cached_property
+    def by_length(self) -> list:
+        return sorted(self.problem()[1], key=lambda t: len(t.edges))
+
     def minibatch(self, i: int) -> list:
         """One demo from each eighth of the demos ordered by length.  A demo's
         cost grows with its length; drawing by length keeps the cost of a
         minibatch alike across seeds."""
-        demos = sorted(self.problem()[1], key=lambda t: len(t.edges))
+        demos = self.by_length
         rng = np.random.default_rng(sub_seed(self.seed, 1, i))
         return [demos[int(rng.choice(part))]
                 for part in np.array_split(np.arange(len(demos)), BATCH)]
@@ -190,23 +207,21 @@ class Workload:
         rng = np.random.default_rng(sub_seed(self.seed, 2, *keys))
         return w0 - WEIGHT_JITTER * rng.random(w0.shape[0])
 
-    def op_sweep(self, i: int, out: Outcome) -> None:
+    def op_sweep(self, h_index: int, i: int, out: Outcome) -> None:
+        """Minibatch i at one horizon; every horizon walks the same minibatches."""
+        label, horizon = HORIZONS[h_index]
         g = self.problem()[0]
         batch = self.minibatch(i)
-        round_s = 0.0
-        for h_index, (label, horizon) in enumerate(HORIZONS):
-            model = rl.LinearReward(self.weights(i, h_index))
-            cfg = rl.IrlConfig(algorithm="receding_horizon", horizon=horizon)
-            t0 = time.perf_counter()
-            reps = [out.call(f"sweep {label}", rl.demo_gradient, model, g, d, cfg)
-                    for d in batch]
-            dt = time.perf_counter() - t0
-            round_s += dt
-            bad = [r.reason or "non-finite gradient" for r in reps
-                   if r.skipped or not finite(r.gradient)]
-            if out.check(f"sweep {label} minibatch {i}", not bad, "; ".join(bad)):
-                out.measure(f"sweep.grads_per_s.{label}", len(batch), dt)
-        out.measure("round", 1, round_s)
+        model = rl.LinearReward(self.weights(i, h_index))
+        cfg = rl.IrlConfig(algorithm="receding_horizon", horizon=horizon)
+        t0 = time.perf_counter()
+        reps = [out.call(f"sweep {label}", rl.demo_gradient, model, g, d, cfg)
+                for d in batch]
+        dt = time.perf_counter() - t0
+        bad = [r.reason or "non-finite gradient" for r in reps
+               if r.skipped or not finite(r.gradient)]
+        if out.check(f"sweep {label} minibatch {i}", not bad, "; ".join(bad)):
+            out.measure(f"sweep.grads_per_s.{label}", len(batch), dt)
 
     def op_eval(self, i: int, out: Outcome) -> None:
         g, _, _, merge_map = self.problem()
@@ -244,8 +259,11 @@ class Workload:
 
     # -- the timed run -----------------------------------------------------
     def ops(self) -> dict:
-        return {"job": self.op_job, "sample": self.op_sample,
-                "eval": self.op_eval, "sweep": self.op_sweep}
+        kinds = {"job": getattr(self, "op_job", None), "sample": self.op_sample,
+                 "eval": self.op_eval}
+        for h_index, (label, _) in enumerate(HORIZONS):
+            kinds[f"sweep.{label}"] = functools.partial(self.op_sweep, h_index)
+        return {k: kinds[k] for k in self.shares}
 
     def run(self, seconds: float | None = None, plan: list | None = None) -> Outcome:
         """Make operations until `seconds` have passed and every kind has its
@@ -262,17 +280,17 @@ class Workload:
                 self.tracer.op = len(out.plan)
             t0 = time.perf_counter()
             ops[kind](counts[kind], out)
-            spent[kind] += time.perf_counter() - t0
+            dt = time.perf_counter() - t0
+            spent[kind] += dt
             counts[kind] += 1
             out.plan.append(kind)
+            out.host.sample(dt)
 
         try:
             if plan is not None:
                 for kind in plan:
                     do(kind)
             else:
-                for kind in self.fixed_ops:
-                    do(kind)
                 while True:
                     over = time.perf_counter() - start >= seconds
                     pool = [k for k in self.shares
@@ -290,11 +308,17 @@ class Workload:
         """Untimed checks and input facts after the run."""
         self.check_equivalences(out)
 
-    def end_to_end(self, out: Outcome) -> dict:
-        def ratio(a, b):
-            return a / b if b > 0 else None
-        metrics = {name: ratio(out.work[name], out.time[name]) for name in RATES}
-        metrics["job_s"] = ratio(out.time[self.job_metric], out.work[self.job_metric])
+    def job_s(self, out: Outcome, normalised: bool) -> float | None:
+        """Seconds per unit of the workload's headline job."""
+        work = out.work[self.job_metric]
+        return self.job_unit * out.seconds(self.job_metric, normalised) / work if work else None
+
+    def end_to_end(self, out: Outcome, normalised: bool = True) -> dict:
+        """The timed metrics, scaled to the reference host speed (see
+        speed.py) if `normalised`, else raw."""
+        metrics = {name: out.work[name] / out.seconds(name, normalised)
+                   if out.time[name] > 0 else None for name in RATES}
+        metrics["job_s"] = self.job_s(out, normalised)
         return metrics
 
     def layer_extras(self) -> dict:
@@ -308,20 +332,27 @@ class Workload:
 class TrainMaxent(Workload):
     """Criterion 9, shortened: 10x10 random-feature grid (seed 11), truth
     weights (-1.7, -1.3), 5,000 sampled demos, one shard with 20% held out,
-    maxent at batch 8 from (-2.5, -2.5) in 100-step chunks.  The fit check
-    scores the model after 300 steps against the generator."""
+    maxent at batch 8 from (-2.5, -2.5) in 10-step chunks, each continuing
+    from the last.  The fit check scores the model after 300 steps against
+    the generator on the held-out demos.  Timed sampling draws 500 further
+    demos per operation; eval scores 50 held-out demos per operation."""
 
     name = "train-maxent"
-    job_metric = "chunk"
-    shares = {"job": 0.5, "sample": 0.15, "eval": 0.15, "sweep": 0.2}
-    min_ops = {"job": 3, "sample": 2, "eval": 2, "sweep": 3}
-    fixed_ops = ("sample",)
-    eval_size = 500
+    job_metric = "steps"
+    job_unit = 100
+    CHUNK = 10            # optimizer steps per train_expert call
+    FIT_CHUNKS = 30       # every run trains the same 300 steps from INIT
+    shares = {"job": 0.45, "sample": 0.12, "eval": 0.12, "sweep.h0": 0.05,
+              "sweep.h1": 0.05, "sweep.h10": 0.06, "sweep.h100": 0.07,
+              "sweep.hinf": 0.08}
+    min_ops = {"job": FIT_CHUNKS, "sample": 2, "eval": 2,
+               **{k: 2 for k in shares if "." in k}}
+    max_ops = {"job": FIT_CHUNKS}
+    eval_size = 50
     TRUTH = (-1.7, -1.3)
     INIT = (-2.5, -2.5)
     DEMOS = 5000
-    CHUNK = 100
-    FIT_CHUNKS = 3
+    SAMPLE = 500          # demos per timed sampling call
 
     def build(self):
         self.g = rl.gen_gridworld(10, 10, feature_spec="random", rng_seed=11)
@@ -330,11 +361,21 @@ class TrainMaxent(Workload):
         self.info["certified_bound"] = certify(self.g, self.w0)
         self.reset()
 
+    def prepare(self):
+        """The 5,000 training demos and the one-shard partition."""
+        demos = rl.sample_demonstrations(self.truth, self.g, self.DEMOS,
+                                         rng_seed=sub_seed(self.seed, 3))
+        shards, dropped = rl.partition_geographic(self.g, demos, 1, eval_fraction=0.2,
+                                                  rng_seed=sub_seed(self.seed, 4))
+        self.shard = shards[0]
+        # one shard is the whole graph, so later samples share its ids
+        if dropped or self.shard.subgraph.num_nodes != self.g.num_nodes or \
+                not np.array_equal(self.shard.edge_ids, np.arange(self.g.num_edges)):
+            raise RuntimeError("the single shard is not the whole graph")
+
     def reset(self):
-        self.shard = None
         self.model = rl.LinearReward(np.array(self.INIT))
         self.fitted = None
-        self.pool: list = []
         self.chunk_seeds: list[int] = []
         self.early_stopped = False
 
@@ -353,28 +394,15 @@ class TrainMaxent(Workload):
         return self.shard.subgraph, self.shard.demos, self.w0, None
 
     def eval_pool(self):
-        return self.pool
+        return self.shard.eval_demos
 
     def op_sample(self, i, out):
         t0 = time.perf_counter()
         demos = out.call("sample", rl.sample_demonstrations, self.truth, self.g,
-                         self.DEMOS, rng_seed=sub_seed(self.seed, 3, i))
+                         self.SAMPLE, rng_seed=sub_seed(self.seed, 3, i + 1))
         dt = time.perf_counter() - t0
-        if out.check(f"sample {i}", len(demos) == self.DEMOS, f"{len(demos)} demos"):
+        if out.check(f"sample {i}", len(demos) == self.SAMPLE, f"{len(demos)} demos"):
             out.measure("sample.demos_per_s", len(demos), dt)
-        if i > 0:
-            self.pool.extend(demos)
-            return
-        shards, dropped = out.call("partition", rl.partition_geographic, self.g, demos,
-                                   1, eval_fraction=0.2, rng_seed=sub_seed(self.seed, 4))
-        shard = shards[0]
-        # one shard is the whole graph, so later samples share its ids
-        same = (not dropped and shard.subgraph.num_nodes == self.g.num_nodes
-                and np.array_equal(shard.edge_ids, np.arange(self.g.num_edges)))
-        if not out.check("partition", same, "single shard is not the whole graph"):
-            raise Abort
-        self.shard = shard
-        self.pool = list(shard.eval_demos)
 
     def op_job(self, i, out):
         seed = sub_seed(self.seed, 5, i)
@@ -388,7 +416,7 @@ class TrainMaxent(Workload):
         self.early_stopped |= hist.early_stopped
         if out.check(f"train chunk {i}", not hist.early_stopped and
                      finite(model.get_params()), "early stop or non-finite weights"):
-            out.measure("chunk", 1, dt)
+            out.measure("steps", self.CHUNK, dt)
         self.model = model
         if i + 1 == self.FIT_CHUNKS:
             self.fitted = model
@@ -437,17 +465,14 @@ class HorizonSweep(Workload):
     fixed destinations, every minibatch two demos per destination."""
 
     name = "horizon-sweep"
-    job_metric = "round"
-    shares = {"sweep": 0.7, "sample": 0.15, "eval": 0.15}
-    min_ops = {"sample": 2, "eval": 2, "sweep": 5}
+    shares = {"sample": 0.12, "eval": 0.12, "sweep.h0": 0.08, "sweep.h1": 0.08,
+              "sweep.h10": 0.1, "sweep.h100": 0.2, "sweep.hinf": 0.3}
+    min_ops = {"sample": 2, "eval": 2, **{k: 2 for k in shares if "." in k}}
     eval_size = 64
     W0 = (-0.77, -0.77)
     TRUTH = (-1.5, -1.5)
     POOL = 64             # demos per destination for minibatches and eval
-    SAMPLE = 2000         # demos per timed sampling call
-
-    def ops(self):
-        return {"sample": self.op_sample, "eval": self.op_eval, "sweep": self.op_sweep}
+    SAMPLE = 500          # demos per timed sampling call
 
     def build(self):
         w = 20
@@ -499,6 +524,14 @@ class HorizonSweep(Workload):
         if out.check(f"sample {i}", ok, "demos do not match the requested pairs"):
             out.measure("sample.demos_per_s", len(demos), dt)
 
+    def job_s(self, out, normalised):
+        """One minibatch at every horizon: the sum over horizons of the mean
+        seconds per minibatch."""
+        keys = [f"sweep.grads_per_s.{label}" for label, _ in HORIZONS]
+        if not all(out.ops[k] for k in keys):
+            return None
+        return sum(out.seconds(k, normalised) / out.ops[k] for k in keys)
+
     def finish(self, out):
         super().finish(out)
         rew = rl.edge_rewards(rl.LinearReward(self.w0), self.g)
@@ -508,7 +541,7 @@ class HorizonSweep(Workload):
             lams.append(rl.dominant_eigenvalue(gv, rew).lambda_max)
             false_pos += min(rl.cheap_bounds(gv, rew)) >= 1.0 and lams[-1] < 1.0
         batches = [[t.nodes[-1] for t in self.minibatch(i)]
-                   for i in range(out.plan.count("sweep"))]
+                   for i in range(out.plan.count("sweep.h0"))]
         self.info.update({
             "nodes": self.g.num_nodes, "edges": self.g.num_edges,
             "max_out_degree": self.g.max_out_degree, "demos": len(self.pool),
@@ -528,15 +561,20 @@ class CliPipeline(Workload):
 
     name = "cli-pipeline"
     job_metric = "pipeline"
-    shares = {"job": 0.55, "sample": 0.1, "eval": 0.1, "sweep": 0.25}
-    min_ops = {"job": len(STAGES), "sample": 2, "eval": 2, "sweep": 4}
+    # the pipeline's stages are long (train about 15 s): a large share runs
+    # them early, so the run does not wait for a stage started near its end
+    shares = {"job": 0.48, "sample": 0.08, "eval": 0.12, "sweep.h0": 0.05,
+              "sweep.h1": 0.05, "sweep.h10": 0.06, "sweep.h100": 0.08,
+              "sweep.hinf": 0.08}
+    min_ops = {"job": len(STAGES), "sample": 2, "eval": 2,
+               **{k: 2 for k in shares if "." in k}}
     max_ops = {"job": len(STAGES)}
-    eval_size = 10
+    eval_size = 4
     equivalence_demos = 2
     TRUTH = (-1.5, -1.5)
     GRID_SEED = 3         # fixed, like the other workloads' graphs
     DEMOS = 200
-    SAMPLE = 100          # shortest-path demos per timed sampling call
+    SAMPLE = 25           # shortest-path demos per timed sampling call
     CONFIG = ("algorithm = receding_horizon\nhorizon = 10\nepochs = 2\n"
               "steps_per_epoch = 20\nwarmup = 10\nbatch_size = 8\n")
 
