@@ -2,10 +2,9 @@
 
 __version__ = "0.1.0"
 
-from .algorithms import (ALGORITHMS, GradientReport, IrlConfig, batch_gradient,
-                         birl_gradient, demo_gradient, maxent_gradient,
-                         mmp_gradient, receding_horizon_gradient,
-                         sample_demonstrations)
+from .algorithms import (GradientReport, IrlConfig, batch_gradient,
+                         demo_gradient, maxent_gradient,
+                         receding_horizon_gradient, sample_demonstrations)
 from .errors import InfeasibilityError, ValidationError
 from .graph import (GoalView, MergeMap, RoadGraph, Trajectory, build_graph,
                     compress_graph, compress_trajectory, expand_trajectory,
@@ -17,8 +16,7 @@ from .io import (load_graph, load_merge_map, load_trajectories, save_graph,
 from .metrics import Metrics, SignificanceResult, diff_of_proportions, evaluate
 from .planners import (Policy, RolloutResult, closed_form_forward,
                        dijkstra_values, greedy_path, greedy_policy,
-                       policy_from_values, power_iteration_backward,
-                       power_iteration_backward_linear, rollout,
+                       policy_from_values, power_iteration_backward, rollout,
                        softmax_backup, slot_rewards, trajectory_policy_nll)
 from .rewards import (CompositeReward, DenseNetReward, LinearReward,
                       RewardModel, SparsePerEdgeReward, backprop,

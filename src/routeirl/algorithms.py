@@ -1,15 +1,15 @@
 """Inverse-RL gradient estimators for goal-conditioned route choice.
 
-One family, four entry points:
+One receding-horizon estimator covers the classical family through its
+horizon H: H softmax backups from max-reward values, then a deterministic
+greedy tail.  ``demo_gradient`` resolves the configured algorithm name:
 
-- ``receding_horizon_gradient``: H softmax backups from max-reward values,
-  then a deterministic greedy tail.  The horizon trades gradient quality
-  against planning cost.
-- ``maxent_gradient``: fully converged softmax values (the H -> inf limit),
-  with selectable backward initialization.
-- ``birl_gradient``: one softmax step on top of max-reward values (H = 1).
-- ``mmp_gradient``: margin-augmented best-path matching (H = 0, no
-  temperature).
+- ``receding_horizon``: RH(H) at the configured horizon.
+- ``birl``: RH(1), one softmax step over max-reward values.
+- ``mmp``: RH(0) at temperature 1 on margin-augmented rewards, reporting
+  the margin loss instead of a likelihood.
+- ``maxent``: fully converged softmax values (the H -> inf limit), with
+  selectable backward initialization.
 
 All estimators return ascent directions: step the model parameters by
 ``+lr * gradient`` to increase demonstration likelihood (or decrease margin
@@ -18,16 +18,15 @@ loss).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import InfeasibilityError, ValidationError
 from .graph import GoalView, RoadGraph, Trajectory
-from .planners import (Policy, dijkstra_values, greedy_path, greedy_policy,
-                       policy_from_q, power_iteration_backward, rollout,
-                       slot_rewards, softmax_backup)
+from .planners import (Policy, dijkstra_values, greedy_policy, policy_from_q,
+                       power_iteration_backward, rollout, slot_rewards,
+                       softmax_backup, trajectory_nll)
 from .rewards import RewardModel, backprop, edge_rewards
 
 _ALGS = ("receding_horizon", "maxent", "birl", "mmp")
@@ -39,7 +38,7 @@ class IrlConfig:
     algorithm: str = "receding_horizon"
     horizon: float = 10.0          # receding_horizon only; nonnegative int or inf
     temperature: float = 1.0
-    margin: float = 1.0            # mmp only
+    margin: float = 1.0            # mmp only (RH(0) on margin-augmented rewards)
     init: str = "dijkstra"         # maxent backward initialization
     tol: float = 1e-9
     max_iters: int | None = None
@@ -87,19 +86,6 @@ def edge_mass_of(g: RoadGraph, edges) -> np.ndarray:
     return m
 
 
-def trajectory_nll(g: RoadGraph, traj: Trajectory,
-                   policy_at: "list[Policy] | Policy") -> float:
-    """-sum_t log pi_t(a_t | s_t); policies may vary per step."""
-    nll = 0.0
-    for t, e in enumerate(traj.edges):
-        pol = policy_at[t] if isinstance(policy_at, list) else policy_at
-        p = pol.probs[g.edge_src[e], g.edge_slot[e]]
-        if p <= 0.0:
-            return math.inf
-        nll -= math.log(p)
-    return nll
-
-
 def _check_demo(g: RoadGraph, traj: Trajectory) -> None:
     traj.validate(g)
     if len(traj.edges) < 1:
@@ -137,89 +123,43 @@ def maxent_gradient(model: RewardModel, g: RoadGraph, traj: Trajectory,
 
 
 # ---------------------------------------------------------------------------
-# one softmax step over max-reward values
-
-
-def birl_gradient(model: RewardModel, g: RoadGraph, traj: Trajectory,
-                  cfg: IrlConfig) -> GradientReport:
-    _check_demo(g, traj)
-    gv = GoalView(g, traj.nodes[-1])
-    r = edge_rewards(model, g)
-    v_best = dijkstra_values(gv, r)
-    origin = traj.nodes[0]
-    if np.isneginf(v_best[origin]):
-        return _skipped("origin cannot reach destination")
-    # softmax over optimal action values: Q = (r + v_best(s')) / T
-    rs = slot_rewards(gv, r)
-    tgt = np.where(gv.slot_valid, g.slot_target, 0)
-    q = (rs + v_best[tgt]) / cfg.temperature
-    q[~gv.slot_valid] = -np.inf
-    v_soft = logsumexp(q, axis=1)
-    v_soft[gv.destination] = 0.0
-    pol_soft = policy_from_q(gv, q, v_soft)
-    pol_greedy = greedy_policy(gv, r, v_best)
-    demo_states = state_mass(g, traj.nodes)
-    suffix_states = state_mass(g, traj.nodes[1:])
-    roll_theta = rollout(gv, [(pol_soft, 1), (pol_greedy, None)], demo_states)
-    roll_star = rollout(gv, [(pol_greedy, None)], suffix_states)
-    rho_star = roll_star.edge_mass + edge_mass_of(g, traj.edges)
-    residual = (rho_star - roll_theta.edge_mass) / cfg.temperature
-    grad = backprop(model, g, residual)
-    nll = trajectory_nll(g, traj, pol_soft)
-    return GradientReport(gradient=grad, nll=nll, converged=True,
-                          rollout_steps=roll_theta.steps + roll_star.steps,
-                          truncated=roll_theta.truncated or roll_star.truncated)
-
-
-# ---------------------------------------------------------------------------
-# margin-augmented best-path matching (temperature-free)
-
-
-def mmp_gradient(model: RewardModel, g: RoadGraph, traj: Trajectory,
-                 cfg: IrlConfig) -> GradientReport:
-    _check_demo(g, traj)
-    gv = GoalView(g, traj.nodes[-1])
-    r = edge_rewards(model, g)
-    margins = np.full(g.num_edges, cfg.margin)
-    margins[g.connector_flags] = 0.0
-    margins[list(traj.edges)] = 0.0
-    r_aug = r + margins
-    v_aug = dijkstra_values(gv, r_aug)
-    origin = traj.nodes[0]
-    if np.isneginf(v_aug[origin]):
-        return _skipped("origin cannot reach destination")
-    best = greedy_path(gv, r_aug, origin, v=v_aug)
-    if best is None:
-        return _skipped("greedy walk failed to reach the destination")
-    rho_tau = edge_mass_of(g, traj.edges)
-    rho_best = edge_mass_of(g, best.edges)
-    loss = float(r_aug @ rho_best - r @ rho_tau)
-    grad = backprop(model, g, rho_tau - rho_best)
-    return GradientReport(gradient=grad, loss=loss, converged=True,
-                          rollout_steps=len(best.edges))
-
-
-# ---------------------------------------------------------------------------
 # the general receding-horizon estimator
 
 
 def receding_horizon_gradient(model: RewardModel, g: RoadGraph,
-                              traj: Trajectory, cfg: IrlConfig) -> GradientReport:
+                              traj: Trajectory, cfg: IrlConfig, *,
+                              margin: float | None = None) -> GradientReport:
+    """RH(H) gradient; ``cfg.margin`` and ``cfg.algorithm`` are not read.
+
+    With ``margin`` (H=0 only) the planner sees rewards raised by ``margin``
+    on every edge but the connectors and the demo's own, and the report
+    carries the margin loss r_aug.rho_best - r.rho_demo instead of an NLL.
+    """
     _check_demo(g, traj)
     horizon = cfg.horizon
+    if margin is not None and horizon != 0:
+        raise ValidationError("a margin applies at horizon 0 only")
     gv = GoalView(g, traj.nodes[-1])
     r = edge_rewards(model, g)
-    v_best = dijkstra_values(gv, r)
+    r_plan = r
+    if margin is not None:
+        margins = np.full(g.num_edges, margin)
+        margins[g.connector_flags] = 0.0
+        margins[list(traj.edges)] = 0.0
+        r_plan = r + margins
+    v_best = dijkstra_values(gv, r_plan)
     origin = traj.nodes[0]
     if np.isneginf(v_best[origin]):
         return _skipped("origin cannot reach destination")
-    pol_greedy = greedy_policy(gv, r, v_best)
+    pol_greedy = greedy_policy(gv, r_plan, v_best)
     rs = slot_rewards(gv, r)
     backward_iters = 0
     pol_soft: Policy | None = None
+    v = v_best / cfg.temperature
+    v[gv.destination] = 0.0
     if math.isinf(horizon):
         v, backward_iters, conv = power_iteration_backward(
-            gv, r, temperature=cfg.temperature, init="dijkstra",
+            gv, r, temperature=cfg.temperature, init=v,
             tol=cfg.tol, max_iters=cfg.max_iters)
         if not conv:
             rep = _skipped("backward pass did not converge")
@@ -228,8 +168,6 @@ def receding_horizon_gradient(model: RewardModel, g: RoadGraph,
         q, v_pol = softmax_backup(gv, rs, v, cfg.temperature)
         pol_soft = policy_from_q(gv, q, v_pol)
     elif horizon >= 1:
-        v = v_best / cfg.temperature
-        v[gv.destination] = 0.0
         backward_iters = int(horizon)
         for _ in range(backward_iters):
             q, v = softmax_backup(gv, rs, v, cfg.temperature)
@@ -249,32 +187,39 @@ def receding_horizon_gradient(model: RewardModel, g: RoadGraph,
     roll_theta = rollout(gv, schedule(horizon), demo_states)
     roll_star = rollout(gv, schedule(horizon - 1 if horizon >= 1 else 0),
                         suffix_states)
-    rho_star = roll_star.edge_mass + edge_mass_of(g, traj.edges)
-    residual = (rho_star - roll_theta.edge_mass) / cfg.temperature
+    # at H=0 both rollouts are the same deterministic walks but for the one
+    # from the origin, so the origin's unit of mass must be absorbed
+    if horizon == 0 and roll_theta.absorbed_mass - roll_star.absorbed_mass < 1.0:
+        return _skipped("greedy walk failed to reach the destination")
+    rho_tau = edge_mass_of(g, traj.edges)
+    residual = (roll_star.edge_mass + rho_tau - roll_theta.edge_mass) / cfg.temperature
     grad = backprop(model, g, residual)
-
-    # diagnostic likelihood of the demo under the time-varying policy:
-    # softmax for the first `horizon` steps, greedy afterwards
-    per_step = [pol_soft if (pol_soft is not None and t < horizon) else pol_greedy
-                for t in range(len(traj.edges))]
-    nll = trajectory_nll(g, traj, per_step)
-    return GradientReport(gradient=grad, nll=nll, converged=True,
+    nll = loss = None
+    if margin is None:
+        # receding-horizon likelihood: every step under the planned policy
+        nll = trajectory_nll(g, traj, pol_greedy if pol_soft is None else pol_soft)
+    else:
+        rho_best = roll_theta.edge_mass - roll_star.edge_mass
+        loss = float(r_plan @ rho_best - r @ rho_tau)
+    return GradientReport(gradient=grad, nll=nll, loss=loss, converged=True,
                           backward_iters=backward_iters,
                           rollout_steps=roll_theta.steps + roll_star.steps,
                           truncated=roll_theta.truncated or roll_star.truncated)
 
 
-ALGORITHMS = {
-    "receding_horizon": receding_horizon_gradient,
-    "maxent": maxent_gradient,
-    "birl": birl_gradient,
-    "mmp": mmp_gradient,
-}
-
-
 def demo_gradient(model: RewardModel, g: RoadGraph, traj: Trajectory,
                   cfg: IrlConfig) -> GradientReport:
-    return ALGORITHMS[cfg.algorithm](model, g, traj, cfg)
+    """Resolve the algorithm name: ``birl`` is RH(1), ``mmp`` is RH(0) at
+    temperature 1 on margin-augmented rewards."""
+    if cfg.algorithm == "maxent":
+        return maxent_gradient(model, g, traj, cfg)
+    if cfg.algorithm == "birl":
+        return receding_horizon_gradient(model, g, traj, replace(cfg, horizon=1))
+    if cfg.algorithm == "mmp":
+        return receding_horizon_gradient(
+            model, g, traj, replace(cfg, horizon=0, temperature=1.0),
+            margin=cfg.margin)
+    return receding_horizon_gradient(model, g, traj, cfg)
 
 
 def batch_gradient(model: RewardModel, g: RoadGraph,

@@ -236,13 +236,12 @@ class MergeMap:
     """Tracks how compressed edges expand back into original edge ids.
 
     edge_expansion[e] lists the original edges a compressed edge stands for;
-    connector edges expand to nothing.  node_origin maps compressed node ids
-    back to original ids, node_image the surviving originals forward.  Maps
-    loaded from disk carry the expansion only and cannot compress.
+    connector edges expand to nothing.  node_image maps the surviving
+    original node ids forward.  Maps loaded from disk carry the expansion
+    only and cannot compress.
     """
 
     edge_expansion: list[tuple[int, ...]]
-    node_origin: np.ndarray
     node_image: dict[int, int]
     stages: list[tuple] = field(default_factory=list)
 
@@ -250,7 +249,6 @@ class MergeMap:
     def identity(cls, graph: RoadGraph) -> "MergeMap":
         return cls(
             edge_expansion=[(e,) for e in range(graph.num_edges)],
-            node_origin=np.arange(graph.num_nodes, dtype=np.int64),
             node_image={s: s for s in range(graph.num_nodes)},
             stages=[],
         )
@@ -300,14 +298,12 @@ def compose_merge_maps(first: MergeMap, second: MergeMap) -> MergeMap:
     """first maps original->mid, second maps mid->final."""
     expansion = [first.expand_edges(second.edge_expansion[e])
                  for e in range(len(second.edge_expansion))]
-    node_origin = first.node_origin[second.node_origin]
     node_image = {}
     for orig, mid in first.node_image.items():
         if mid in second.node_image:
             node_image[orig] = second.node_image[mid]
     return MergeMap(
         edge_expansion=expansion,
-        node_origin=node_origin,
         node_image=node_image,
         stages=first.stages + second.stages,
     )
@@ -396,7 +392,6 @@ def split_high_degree(g: RoadGraph, v_cap: int) -> tuple[RoadGraph, MergeMap]:
     realization = {e: tuple(prefix[e] + [e]) for e in range(g.num_edges)}
     mmap = MergeMap(
         edge_expansion=expansion,
-        node_origin=np.asarray(node_origin, dtype=np.int64),
         node_image={s: s for s in range(g.num_nodes)},
         stages=[("split", realization)],
     )
@@ -502,7 +497,6 @@ def merge_chains(g: RoadGraph, protected: Iterable[int] = ()) -> tuple[RoadGraph
     out = build_graph(node_records, edge_records, connector_edge_ids=connector_ids)
     mmap = MergeMap(
         edge_expansion=expansion,
-        node_origin=np.asarray(surviving_nodes, dtype=np.int64),
         node_image=node_new,
         stages=[("merge", (chain_by_first, surviving_edge_map))],
     )

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from pathlib import Path
 
-import numpy as np
-
 from .errors import ValidationError
 from .graph import MergeMap, RoadGraph, Trajectory, build_graph
 
@@ -106,7 +104,6 @@ def load_merge_map(path: str | Path) -> MergeMap:
         raise ValidationError(f"{path}: merge map edge ids must be 0..{n - 1}")
     return MergeMap(
         edge_expansion=[records[e] for e in range(n)],
-        node_origin=np.zeros(0, dtype=np.int64),
         node_image={},
         stages=[],
     )

@@ -2,11 +2,11 @@
 
 Everything here works on the padded (num_nodes, max_out_degree) slot layout:
 log-domain backups, deterministic max-reward values, stochastic policies, and
-forward mass propagation.  Log-space is the default numeric regime; a
-linear-space power iteration is provided for comparison at reduced precision.
+forward mass propagation.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -16,7 +16,7 @@ from scipy.sparse.csgraph import NegativeCycleError, bellman_ford, dijkstra
 from scipy.special import logsumexp
 
 from .errors import InfeasibilityError, ValidationError
-from .graph import GoalView, Trajectory
+from .graph import GoalView, RoadGraph, Trajectory
 
 
 def _default_iters(num_nodes: int) -> int:
@@ -90,14 +90,6 @@ def softmax_backup(gv: GoalView, rew_slots: np.ndarray, v_prev: np.ndarray,
     v = logsumexp(q, axis=1)
     v[gv.destination] = 0.0
     return q, v
-
-
-def max_backup(gv: GoalView, rew_slots: np.ndarray, v_prev: np.ndarray) -> np.ndarray:
-    q = rew_slots + v_prev[_safe_targets(gv)]
-    q[~gv.slot_valid] = -np.inf
-    v = np.max(q, axis=1, initial=-np.inf)
-    v[gv.destination] = 0.0
-    return v
 
 
 def onehot_values(gv: GoalView) -> np.ndarray:
@@ -193,18 +185,21 @@ def greedy_policy(gv: GoalView, rew: np.ndarray, v: np.ndarray) -> Policy:
     return Policy(probs=probs, destination=gv.destination, dead=dead, kind="greedy")
 
 
-def trajectory_policy_nll(gv: GoalView, rew: np.ndarray, v: np.ndarray,
-                          traj: Trajectory, temperature: float = 1.0) -> float:
-    """-log likelihood of a trajectory under the softmax policy implied by v."""
-    pol = policy_from_values(gv, rew, v, temperature)
-    g = gv.graph
+def trajectory_nll(g: RoadGraph, traj: Trajectory, pol: Policy) -> float:
+    """-sum_t log pi(a_t | s_t) over the trajectory's edges."""
     nll = 0.0
     for e in traj.edges:
         p = pol.probs[g.edge_src[e], g.edge_slot[e]]
         if p <= 0.0:
-            return float("inf")
-        nll -= float(np.log(p))
+            return math.inf
+        nll -= math.log(p)
     return nll
+
+
+def trajectory_policy_nll(gv: GoalView, rew: np.ndarray, v: np.ndarray,
+                          traj: Trajectory, temperature: float = 1.0) -> float:
+    """-log likelihood of a trajectory under the softmax policy implied by v."""
+    return trajectory_nll(gv.graph, traj, policy_from_values(gv, rew, v, temperature))
 
 
 def greedy_path(gv: GoalView, rew: np.ndarray, origin: int,
@@ -334,35 +329,3 @@ def closed_form_forward(gv: GoalView, pol: Policy,
     zin[~keep[rows_full]] = 0.0
     np.add.at(edge_mass, g.slot_edge[valid], zin * prob)
     return edge_mass
-
-
-def power_iteration_backward_linear(gv: GoalView, rew: np.ndarray, *,
-                                    temperature: float = 1.0,
-                                    dtype=np.float32, tol: float = 1e-6,
-                                    max_iters: int | None = None
-                                    ) -> tuple[np.ndarray, int, bool]:
-    """Linear-space twin of the log-domain backward pass: iterates
-    z <- A z on z = exp(v) in the requested dtype.  Exists to show where
-    reduced precision underflows; prefer the log-domain routine.
-    """
-    g = gv.graph
-    w = np.exp(slot_rewards(gv, rew) / temperature).astype(dtype)
-    w[~gv.slot_valid] = 0
-    tgt = _safe_targets(gv)
-    z = np.zeros(g.num_nodes, dtype=dtype)
-    z[gv.destination] = 1
-    if max_iters is None:
-        max_iters = _default_iters(g.num_nodes)
-    for it in range(1, max_iters + 1):
-        z_new = (w * z[tgt]).sum(axis=1, dtype=dtype).astype(dtype)
-        z_new[gv.destination] = 1
-        a = z_new.astype(np.float64)
-        b = z.astype(np.float64)
-        if not np.all(np.isfinite(a)):
-            return z_new, it, False
-        # per-component relative stability; a blanket norm test would stop
-        # while far-from-goal states are still orders of magnitude off
-        if np.all(np.abs(a - b) <= tol * a):
-            return z_new, it, True
-        z = z_new
-    return z, max_iters, False

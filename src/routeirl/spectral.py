@@ -34,7 +34,6 @@ class SpectralReport:
     classification: str
     iterations: int
     converged: bool
-    lambda2_ratio_estimate: float | None = None
 
 
 def classify(lam: float, band: float = DEFAULT_BAND) -> str:

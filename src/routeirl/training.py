@@ -356,11 +356,6 @@ def partition_geographic(g: RoadGraph, demos: list[Trajectory], m: int, *,
     return shards, dropped
 
 
-def globalize_trajectory(shard: Shard, traj: Trajectory) -> Trajectory:
-    return Trajectory(nodes=tuple(int(shard.node_ids[n]) for n in traj.nodes),
-                      edges=tuple(int(shard.edge_ids[e]) for e in traj.edges))
-
-
 def assemble_global(g: RoadGraph, shards: list[Shard],
                     models: list[RewardModel]) -> np.ndarray:
     """Global reward table: each edge scored by the expert owning the edge's

@@ -1,12 +1,22 @@
 """Reference implementations the tests check the fast code against.
 
 Everything here trades speed for obviousness: explicit walk enumeration,
-dense eigensolves, high-precision fixed points, central differences.
+dense eigensolves, high-precision fixed points, central differences, and the
+classical BIRL and MMP estimators written out independently of the
+receding-horizon estimator that the library runs them as.
 """
 import mpmath as mp
 import numpy as np
+from scipy.special import logsumexp
 
 from routeirl import RoadGraph, GoalView, build_graph
+from routeirl.algorithms import (GradientReport, IrlConfig, _check_demo,
+                                 _skipped, edge_mass_of, state_mass)
+from routeirl.graph import Trajectory
+from routeirl.planners import (dijkstra_values, greedy_path, greedy_policy,
+                               policy_from_q, rollout, slot_rewards,
+                               trajectory_nll)
+from routeirl.rewards import RewardModel, backprop, edge_rewards
 
 
 def diamond_graph() -> RoadGraph:
@@ -33,6 +43,19 @@ def loopy_graph() -> RoadGraph:
         (5, 3, 4, [1.0]),
         (6, 1, 4, [2.0]),
         (7, 0, 3, [1.5]),
+    ]
+    return build_graph(nodes, edges)
+
+
+def tie_loop_graph() -> RoadGraph:
+    """Zero-reward 2-cycle 0<->1 whose first slots tie with the exits to 2,
+    so the greedy walk from either cycle node circles forever."""
+    nodes = [(0, 0.0, 0.0), (1, 1.0, 0.0), (2, 0.5, 1.0)]
+    edges = [
+        (0, 0, 1, [0.0]),
+        (1, 1, 0, [0.0]),
+        (2, 0, 2, [0.0]),   # exit, second slot of node 0
+        (3, 1, 2, [0.0]),   # exit, second slot of node 1
     ]
     return build_graph(nodes, edges)
 
@@ -141,3 +164,109 @@ def fd_gradient(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
         xm[i] -= h
         g[i] = (f(xp) - f(xm)) / (2.0 * h)
     return g
+
+
+# ---------------------------------------------------------------------------
+# planners the library does not need
+
+
+def max_backup(gv: GoalView, rew_slots: np.ndarray, v_prev: np.ndarray) -> np.ndarray:
+    q = rew_slots + v_prev[np.where(gv.slot_valid, gv.graph.slot_target, 0)]
+    q[~gv.slot_valid] = -np.inf
+    v = np.max(q, axis=1, initial=-np.inf)
+    v[gv.destination] = 0.0
+    return v
+
+
+def power_iteration_backward_linear(gv: GoalView, rew: np.ndarray, *,
+                                    temperature: float = 1.0,
+                                    dtype=np.float32, tol: float = 1e-6,
+                                    max_iters: int | None = None
+                                    ) -> tuple[np.ndarray, int, bool]:
+    """Linear-space twin of the log-domain backward pass: iterates
+    z <- A z on z = exp(v) in the requested dtype.  Exists to show where
+    reduced precision underflows; prefer the log-domain routine.
+    """
+    g = gv.graph
+    w = np.exp(slot_rewards(gv, rew) / temperature).astype(dtype)
+    w[~gv.slot_valid] = 0
+    tgt = np.where(gv.slot_valid, g.slot_target, 0)
+    z = np.zeros(g.num_nodes, dtype=dtype)
+    z[gv.destination] = 1
+    if max_iters is None:
+        max_iters = max(100, 10 * g.num_nodes)
+    for it in range(1, max_iters + 1):
+        z_new = (w * z[tgt]).sum(axis=1, dtype=dtype).astype(dtype)
+        z_new[gv.destination] = 1
+        a = z_new.astype(np.float64)
+        b = z.astype(np.float64)
+        if not np.all(np.isfinite(a)):
+            return z_new, it, False
+        # per-component relative stability; a blanket norm test would stop
+        # while far-from-goal states are still orders of magnitude off
+        if np.all(np.abs(a - b) <= tol * a):
+            return z_new, it, True
+        z = z_new
+    return z, max_iters, False
+
+
+# ---------------------------------------------------------------------------
+# the classical estimators, written out on their own.  The library runs
+# `birl` as RH(1) and `mmp` as RH(0); these must never call it.
+
+
+def birl_gradient(model: RewardModel, g: RoadGraph, traj: Trajectory,
+                  cfg: IrlConfig) -> GradientReport:
+    """One softmax step over max-reward values (H = 1)."""
+    _check_demo(g, traj)
+    gv = GoalView(g, traj.nodes[-1])
+    r = edge_rewards(model, g)
+    v_best = dijkstra_values(gv, r)
+    origin = traj.nodes[0]
+    if np.isneginf(v_best[origin]):
+        return _skipped("origin cannot reach destination")
+    # softmax over optimal action values: Q = (r + v_best(s')) / T
+    rs = slot_rewards(gv, r)
+    tgt = np.where(gv.slot_valid, g.slot_target, 0)
+    q = (rs + v_best[tgt]) / cfg.temperature
+    q[~gv.slot_valid] = -np.inf
+    v_soft = logsumexp(q, axis=1)
+    v_soft[gv.destination] = 0.0
+    pol_soft = policy_from_q(gv, q, v_soft)
+    pol_greedy = greedy_policy(gv, r, v_best)
+    demo_states = state_mass(g, traj.nodes)
+    suffix_states = state_mass(g, traj.nodes[1:])
+    roll_theta = rollout(gv, [(pol_soft, 1), (pol_greedy, None)], demo_states)
+    roll_star = rollout(gv, [(pol_greedy, None)], suffix_states)
+    rho_star = roll_star.edge_mass + edge_mass_of(g, traj.edges)
+    residual = (rho_star - roll_theta.edge_mass) / cfg.temperature
+    grad = backprop(model, g, residual)
+    nll = trajectory_nll(g, traj, pol_soft)
+    return GradientReport(gradient=grad, nll=nll, converged=True,
+                          rollout_steps=roll_theta.steps + roll_star.steps,
+                          truncated=roll_theta.truncated or roll_star.truncated)
+
+
+def mmp_gradient(model: RewardModel, g: RoadGraph, traj: Trajectory,
+                 cfg: IrlConfig) -> GradientReport:
+    """Margin-augmented best-path matching (H = 0, no temperature)."""
+    _check_demo(g, traj)
+    gv = GoalView(g, traj.nodes[-1])
+    r = edge_rewards(model, g)
+    margins = np.full(g.num_edges, cfg.margin)
+    margins[g.connector_flags] = 0.0
+    margins[list(traj.edges)] = 0.0
+    r_aug = r + margins
+    v_aug = dijkstra_values(gv, r_aug)
+    origin = traj.nodes[0]
+    if np.isneginf(v_aug[origin]):
+        return _skipped("origin cannot reach destination")
+    best = greedy_path(gv, r_aug, origin, v=v_aug)
+    if best is None:
+        return _skipped("greedy walk failed to reach the destination")
+    rho_tau = edge_mass_of(g, traj.edges)
+    rho_best = edge_mass_of(g, best.edges)
+    loss = float(r_aug @ rho_best - r @ rho_tau)
+    grad = backprop(model, g, rho_tau - rho_best)
+    return GradientReport(gradient=grad, loss=loss, converged=True,
+                          rollout_steps=len(best.edges))

@@ -26,7 +26,8 @@ from routeirl.spectral import (classify, convergence_rate_probe,
                                dominant_eigenvalue, loss_surface_scan)
 from routeirl.training import TrainConfig, partition_geographic, train_expert
 
-from oracles import diamond_graph, enumerate_simple_paths, loopy_graph
+from oracles import (birl_gradient, diamond_graph, enumerate_simple_paths,
+                     loopy_graph, mmp_gradient)
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:
@@ -89,9 +90,9 @@ def test_criterion_01_reduction_triangle():
                     algorithm="receding_horizon", horizon=1, **common)),
                 "hH": demo_gradient(model, g, demo, IrlConfig(
                     algorithm="receding_horizon", horizon=horizon, **common)),
-                "mmp": demo_gradient(model, g, demo, IrlConfig(
+                "mmp": mmp_gradient(model, g, demo, IrlConfig(
                     algorithm="mmp", margin=0.0, **common)),
-                "birl": demo_gradient(model, g, demo, IrlConfig(
+                "birl": birl_gradient(model, g, demo, IrlConfig(
                     algorithm="birl", **common)),
                 "maxent": demo_gradient(model, g, demo, IrlConfig(
                     algorithm="maxent", init="dijkstra", **common)),

@@ -15,8 +15,12 @@ from routeirl import (
     gen_gridworld,
     sample_demonstrations,
 )
+import oracles
+import routeirl
+import routeirl.algorithms
 from routeirl.planners import dijkstra_values, greedy_path, power_iteration_backward
-from oracles import diamond_graph, fd_gradient, loopy_graph, mp_soft_values
+from oracles import (birl_gradient, diamond_graph, fd_gradient, loopy_graph,
+                     mmp_gradient, mp_soft_values, tie_loop_graph)
 
 TOP = Trajectory(nodes=(0, 1, 3), edges=(0, 2))
 BOT = Trajectory(nodes=(0, 2, 3), edges=(1, 3))
@@ -100,48 +104,101 @@ def test_mmp_margin_spares_demo_edges():
     assert abs(rep2.gradient[0] - (-1.0)) < 1e-12
 
 
+def _same_report(rep, ref, value):
+    """Full-report agreement with an oracle: skip reason, bitwise gradient,
+    and the named objective (`nll` or `loss`) to 1e-12."""
+    assert (rep.skipped, rep.reason) == (ref.skipped, ref.reason)
+    if ref.skipped:
+        return
+    assert np.array_equal(rep.gradient, ref.gradient)
+    assert abs(getattr(rep, value) - getattr(ref, value)) <= 1e-12
+
+
+def _check_reductions(m, g, demo, margins, *, tol_inf, max_iters=None):
+    for margin in margins:
+        ref = mmp_gradient(m, g, demo, IrlConfig(algorithm="mmp", margin=margin))
+        for temperature in (1.0, 0.5):  # mmp is temperature-free
+            rep = demo_gradient(m, g, demo, IrlConfig(
+                algorithm="mmp", margin=margin, temperature=temperature))
+            _same_report(rep, ref, "loss")
+            assert rep.nll is None
+    # plain H=0 degenerates to the margin method at margin 0
+    g0 = demo_gradient(m, g, demo,
+                       IrlConfig(algorithm="receding_horizon", horizon=0,
+                                 margin=0.7)).gradient
+    assert np.array_equal(g0, mmp_gradient(
+        m, g, demo, IrlConfig(algorithm="mmp", margin=0.0)).gradient)
+
+    for temperature in (1.0, 0.5, 2.0):
+        ref = birl_gradient(m, g, demo, IrlConfig(algorithm="birl",
+                                                  temperature=temperature))
+        rep = demo_gradient(m, g, demo, IrlConfig(algorithm="birl",
+                                                  temperature=temperature))
+        _same_report(rep, ref, "nll")
+        assert rep.loss is None
+        # H=1 is one softmax step over best values
+        _same_report(demo_gradient(m, g, demo, IrlConfig(
+            algorithm="receding_horizon", horizon=1, temperature=temperature)),
+            ref, "nll")
+
+    ginf = demo_gradient(m, g, demo,
+                         IrlConfig(algorithm="receding_horizon", horizon=math.inf,
+                                   tol=1e-13, max_iters=max_iters)).gradient
+    gmx = demo_gradient(m, g, demo, IrlConfig(algorithm="maxent", tol=1e-13,
+                                              max_iters=max_iters)).gradient
+    assert np.max(np.abs(ginf - gmx)) < tol_inf
+
+
 def test_horizon_reductions():
     g = diamond_graph()
     m = LinearReward(np.array([-1.0]))
     for demo in (TOP, BOT):
-        g0 = demo_gradient(m, g, demo,
-                           IrlConfig(algorithm="receding_horizon", horizon=0,
-                                     margin=0.0)).gradient
-        gm = demo_gradient(m, g, demo,
-                           IrlConfig(algorithm="mmp", margin=0.0)).gradient
-        assert np.array_equal(g0, gm)  # H=0 degenerates to the margin method
-
-        g1 = demo_gradient(m, g, demo,
-                           IrlConfig(algorithm="receding_horizon", horizon=1)).gradient
-        gb = demo_gradient(m, g, demo, IrlConfig(algorithm="birl")).gradient
-        assert np.array_equal(g1, gb)  # H=1 is one softmax step over best values
-
-        ginf = demo_gradient(m, g, demo,
-                             IrlConfig(algorithm="receding_horizon",
-                                       horizon=math.inf, tol=1e-13)).gradient
-        gmx = demo_gradient(m, g, demo,
-                            IrlConfig(algorithm="maxent", tol=1e-13)).gradient
-        assert np.max(np.abs(ginf - gmx)) < 1e-12
+        _check_reductions(m, g, demo, (0.0, 0.4, 0.6, 1.0), tol_inf=1e-12)
+    # a tie-broken greedy loop: the margin method has no best path, and
+    # plain H=0 skips with the same reason instead of truncating
+    tg = tie_loop_graph()
+    tm = LinearReward(np.array([-1.0]))
+    demo = Trajectory.from_nodes(tg, [0, 2])
+    ref = mmp_gradient(tm, tg, demo, IrlConfig(algorithm="mmp", margin=0.0))
+    assert ref.reason == "greedy walk failed to reach the destination"
+    _same_report(demo_gradient(tm, tg, demo,
+                               IrlConfig(algorithm="mmp", margin=0.0)), ref, "loss")
+    _same_report(demo_gradient(tm, tg, demo,
+                               IrlConfig(algorithm="receding_horizon", horizon=0)),
+                 ref, "loss")
 
 
 def test_horizon_reductions_cyclic():
     g = loopy_graph()
     m = LinearReward(np.array([-1.0]))
+    # margins that would make a reward-gain loop are left out; margin 1 on
+    # the long demo zeroes the 1<->2 loop, which the greedy walk then circles
+    for nodes, margins in (([0, 1, 2, 3, 4], (0.0, 0.3, 1.0)),
+                           ([0, 1, 4], (0.0, 0.3)), ([2, 1, 4], (0.0, 0.3))):
+        _check_reductions(m, g, Trajectory.from_nodes(g, nodes), margins,
+                          tol_inf=1e-9, max_iters=5000)
+
+
+def test_oracle_estimators_call_no_library_estimator(monkeypatch):
+    estimators = ("receding_horizon_gradient", "maxent_gradient",
+                  "demo_gradient", "batch_gradient")
+    referenced = set(vars(oracles))
+    for fn in (birl_gradient, mmp_gradient):
+        referenced |= set(fn.__code__.co_names)
+    assert not referenced & set(estimators)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an oracle called a library estimator")
+
+    for name in estimators:
+        monkeypatch.setattr(routeirl, name, forbidden)
+        monkeypatch.setattr(routeirl.algorithms, name, forbidden)
+    g = loopy_graph()
+    m = LinearReward(np.array([-1.0]))
     demo = Trajectory.from_nodes(g, [0, 1, 2, 3, 4])
-    g0 = demo_gradient(m, g, demo, IrlConfig(algorithm="receding_horizon",
-                                             horizon=0, margin=0.0)).gradient
-    gm = demo_gradient(m, g, demo, IrlConfig(algorithm="mmp", margin=0.0)).gradient
-    assert np.array_equal(g0, gm)
-    g1 = demo_gradient(m, g, demo, IrlConfig(algorithm="receding_horizon",
-                                             horizon=1)).gradient
-    gb = demo_gradient(m, g, demo, IrlConfig(algorithm="birl")).gradient
-    assert np.array_equal(g1, gb)
-    ginf = demo_gradient(m, g, demo,
-                         IrlConfig(algorithm="receding_horizon", horizon=math.inf,
-                                   tol=1e-13, max_iters=5000)).gradient
-    gmx = demo_gradient(m, g, demo, IrlConfig(algorithm="maxent", tol=1e-13,
-                                              max_iters=5000)).gradient
-    assert np.max(np.abs(ginf - gmx)) < 1e-9
+    assert not birl_gradient(m, g, demo, IrlConfig(algorithm="birl")).skipped
+    assert not mmp_gradient(m, g, demo, IrlConfig(algorithm="mmp",
+                                                  margin=0.3)).skipped
 
 
 def test_operation_count_nondecreasing_in_horizon():

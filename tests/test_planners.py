@@ -16,11 +16,9 @@ from routeirl.planners import (
     dijkstra_values,
     greedy_path,
     greedy_policy,
-    max_backup,
     onehot_values,
     policy_from_values,
     power_iteration_backward,
-    power_iteration_backward_linear,
     rollout,
     slot_rewards,
     softmax_backup,
@@ -31,7 +29,9 @@ from oracles import (
     diamond_graph,
     enumerate_walks,
     loopy_graph,
+    max_backup,
     mp_soft_values,
+    power_iteration_backward_linear,
     soft_value_walks,
     walk_reward,
 )

@@ -148,4 +148,3 @@ def test_spectral_report_fields():
     assert isinstance(rep, SpectralReport)
     assert rep.iterations >= 1
     assert len(rep.upper_bounds) == 2
-    assert rep.lambda2_ratio_estimate is None
