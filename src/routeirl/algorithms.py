@@ -25,8 +25,8 @@ import numpy as np
 from .errors import InfeasibilityError, ValidationError
 from .graph import GoalView, RoadGraph, Trajectory
 from .planners import (Policy, dijkstra_values, greedy_policy, policy_from_q,
-                       power_iteration_backward, rollout, slot_rewards,
-                       softmax_backup, trajectory_nll)
+                       policy_from_values, power_iteration_backward, rollout,
+                       slot_rewards, softmax_backup, trajectory_nll)
 from .rewards import RewardModel, backprop, edge_rewards
 
 _ALGS = ("receding_horizon", "maxent", "birl", "mmp")
@@ -111,8 +111,7 @@ def maxent_gradient(model: RewardModel, g: RoadGraph, traj: Trajectory,
     origin = traj.nodes[0]
     if np.isneginf(v[origin]):
         return _skipped("origin cannot reach destination")
-    q, v_pol = softmax_backup(gv, slot_rewards(gv, r), v, cfg.temperature)
-    pol = policy_from_q(gv, q, v_pol)
+    pol = policy_from_values(gv, r, v, cfg.temperature)
     roll = rollout(gv, [(pol, None)], state_mass(g, [origin]))
     residual = (edge_mass_of(g, traj.edges) - roll.edge_mass) / cfg.temperature
     grad = backprop(model, g, residual)
@@ -269,14 +268,10 @@ def sample_demonstrations(model: RewardModel, g: RoadGraph, num_demos: int, *,
                 if not conv:
                     raise InfeasibilityError(
                         f"softmax values for destination {dest} did not converge")
-                pol = policy_from_values_cached(gv, v)
+                pol = policy_from_values(gv, r, v, temperature)
             policies[dest] = pol
             values[dest] = v
         return policies[dest], values[dest]
-
-    def policy_from_values_cached(gv: GoalView, v: np.ndarray) -> Policy:
-        q, v_pol = softmax_backup(gv, slot_rewards(gv, r), v, temperature)
-        return policy_from_q(gv, q, v_pol)
 
     out: list[Trajectory] = []
     failures = 0

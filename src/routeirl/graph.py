@@ -7,7 +7,7 @@ never be dereferenced.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -233,65 +233,31 @@ class Trajectory:
 
 @dataclass
 class MergeMap:
-    """Tracks how compressed edges expand back into original edge ids.
+    """How a compressed graph relates to the graph it was compressed from.
 
-    edge_expansion[e] lists the original edges a compressed edge stands for;
-    connector edges expand to nothing.  node_image maps the surviving
-    original node ids forward.  Maps loaded from disk carry the expansion
-    only and cannot compress.
+    Two tables are the whole record.  edge_expansion[c] lists, in path
+    order, the original edges that compressed edge c stands for: the edge
+    itself if it survived, the whole run if it is a merged chain, nothing if
+    it is a connector (a zero-feature edge split_high_degree adds from a
+    high-degree node to its continuation node).  node_image maps each
+    surviving original node to its compressed id.  Trajectories translate
+    both ways from these tables alone, and save_merge_map/load_merge_map
+    round-trip them exactly.
     """
 
     edge_expansion: list[tuple[int, ...]]
     node_image: dict[int, int]
-    stages: list[tuple] = field(default_factory=list)
 
-    @classmethod
-    def identity(cls, graph: RoadGraph) -> "MergeMap":
-        return cls(
-            edge_expansion=[(e,) for e in range(graph.num_edges)],
-            node_image={s: s for s in range(graph.num_nodes)},
-            stages=[],
-        )
+    @cached_property
+    def _edge_start(self) -> dict[int, int]:
+        """Original edge -> the compressed edge whose expansion starts with it."""
+        return {exp[0]: c for c, exp in enumerate(self.edge_expansion) if exp}
 
     def expand_edges(self, edges: Sequence[int]) -> tuple[int, ...]:
         out: list[int] = []
         for e in edges:
             out.extend(self.edge_expansion[e])
         return tuple(out)
-
-    def compress_edges(self, edges: Sequence[int]) -> tuple[int, ...]:
-        if not self.stages:
-            raise ValidationError("merge map has no compression stages recorded")
-        seq = list(edges)
-        for kind, payload in self.stages:
-            if kind == "split":
-                nxt: list[int] = []
-                for e in seq:
-                    nxt.extend(payload[e])
-                seq = nxt
-            elif kind == "merge":
-                chain_by_first, surviving = payload
-                nxt = []
-                i = 0
-                while i < len(seq):
-                    hit = chain_by_first.get(seq[i])
-                    if hit is not None:
-                        chain, new_id = hit
-                        if tuple(seq[i:i + len(chain)]) != chain:
-                            raise ValidationError(
-                                "edge sequence enters a merged chain but does not follow it")
-                        nxt.append(new_id)
-                        i += len(chain)
-                    else:
-                        if seq[i] not in surviving:
-                            raise ValidationError(
-                                f"edge {seq[i]} was merged away and cannot start here")
-                        nxt.append(surviving[seq[i]])
-                        i += 1
-                seq = nxt
-            else:
-                raise ValidationError(f"unknown merge map stage kind {kind!r}")
-        return tuple(seq)
 
 
 def compose_merge_maps(first: MergeMap, second: MergeMap) -> MergeMap:
@@ -302,22 +268,43 @@ def compose_merge_maps(first: MergeMap, second: MergeMap) -> MergeMap:
     for orig, mid in first.node_image.items():
         if mid in second.node_image:
             node_image[orig] = second.node_image[mid]
-    return MergeMap(
-        edge_expansion=expansion,
-        node_image=node_image,
-        stages=first.stages + second.stages,
-    )
+    return MergeMap(edge_expansion=expansion, node_image=node_image)
 
 
 def compress_trajectory(traj: Trajectory, mmap: MergeMap, compressed: RoadGraph) -> Trajectory:
-    edges = mmap.compress_edges(traj.edges)
+    """Walk the compressed graph along an original-graph trajectory.
+
+    Each step takes the compressed edge whose expansion starts with the next
+    original edge and must follow that expansion to its end.  Where that
+    edge leaves from a continuation node, the walk first takes the current
+    node's connector, as often as needed.
+    """
     if traj.origin not in mmap.node_image:
         raise ValidationError(f"trajectory origin {traj.origin} was merged away")
-    nodes = [mmap.node_image[traj.origin]]
-    for e in edges:
-        if compressed.edge_src[e] != nodes[-1]:
-            raise ValidationError("compressed edges do not chain")
-        nodes.append(int(compressed.edge_dst[e]))
+    expansion, start = mmap.edge_expansion, mmap._edge_start
+    node = mmap.node_image[traj.origin]
+    nodes, edges = [node], []
+    i = 0
+    while i < len(traj.edges):
+        c = start.get(traj.edges[i])
+        if c is None:
+            raise ValidationError(
+                f"edge {traj.edges[i]} was merged away or is entered mid-chain")
+        exp = expansion[c]
+        if traj.edges[i:i + len(exp)] != exp:
+            raise ValidationError("edge sequence enters a merged chain but does not follow it")
+        while node != compressed.edge_src[c]:
+            conn = next((int(x) for x in compressed.slot_edge[node]
+                         if x >= 0 and not expansion[x]), None)
+            if conn is None or conn in edges:
+                raise ValidationError("compressed edges do not chain")
+            edges.append(conn)
+            node = int(compressed.edge_dst[conn])
+            nodes.append(node)
+        edges.append(c)
+        node = int(compressed.edge_dst[c])
+        nodes.append(node)
+        i += len(exp)
     return Trajectory(nodes=tuple(nodes), edges=tuple(edges))
 
 
@@ -357,43 +344,31 @@ def split_high_degree(g: RoadGraph, v_cap: int) -> tuple[RoadGraph, MergeMap]:
     next_node = g.num_nodes
     next_edge = g.num_edges
     node_origin = list(range(g.num_nodes))
-    # per original edge: connector ids to traverse before taking it
-    prefix: dict[int, list[int]] = {e: [] for e in range(g.num_edges)}
 
     for s in range(g.num_nodes):
         row = [(int(t), int(e)) for t, e in zip(g.slot_target[s], g.slot_edge[s]) if e >= 0]
         row.sort()
         holder = s
-        chain: list[int] = []
         while len(row) > v_cap:
-            keep, rest = row[:v_cap - 1], row[v_cap - 1:]
+            rest = row[v_cap - 1:]
             cont = next_node
             next_node += 1
             node_origin.append(s)
-            conn = next_edge
+            connector_ids.append(next_edge)
+            edge_records.append((next_edge, holder, cont, np.zeros(g.feature_dim)))
             next_edge += 1
-            connector_ids.append(conn)
-            edge_records.append((conn, holder, cont, np.zeros(g.feature_dim)))
-            prefix[conn] = list(chain)
             # retarget the surplus onto the continuation node
             for _, eid in rest:
                 edge_records[eid] = (eid, cont, edge_records[eid][2], edge_records[eid][3])
-            chain = chain + [conn]
-            for _, eid in rest:
-                prefix[eid] = list(chain)
             holder = cont
             row = rest
 
     out = build_graph(node_records + [(i, g.coords[node_origin[i], 0], g.coords[node_origin[i], 1])
                                       for i in range(g.num_nodes, next_node)],
                       edge_records, connector_edge_ids=connector_ids)
-
-    expansion = [(e,) if e < g.num_edges else () for e in range(next_edge)]
-    realization = {e: tuple(prefix[e] + [e]) for e in range(g.num_edges)}
     mmap = MergeMap(
-        edge_expansion=expansion,
+        edge_expansion=[(e,) if e < g.num_edges else () for e in range(next_edge)],
         node_image={s: s for s in range(g.num_nodes)},
-        stages=[("split", realization)],
     )
     return out, mmap
 
@@ -418,55 +393,69 @@ def merge_chains(g: RoadGraph, protected: Iterable[int] = ()) -> tuple[RoadGraph
         if out_deg[s] == 1:
             single_out_edge[s] = g.out_edges(s)[0]
 
-    consumed_edges: set[int] = set()
-    removed_nodes: set[int] = set()
-    merged: list[tuple[int, int, np.ndarray, tuple[int, ...]]] = []  # src, dst, feats, chain
+    # A node is removed only if every edge into it is consumed.  A chain
+    # skipped for closing a cycle can leave an edge into a node another
+    # chain removed; such nodes become ineligible and the walk reruns.
+    while True:
+        consumed_edges: set[int] = set()
+        removed_nodes: set[int] = set()
+        # src, dst, feats, chain
+        merged: list[tuple[int, int, np.ndarray, tuple[int, ...]]] = []
 
-    for e in range(g.num_edges):
-        src, dst = int(g.edge_src[e]), int(g.edge_dst[e])
-        if not eligible[dst] or eligible[src]:
-            continue  # walks start where a chain is entered from a non-chain node
-        chain = [e]
-        feats = g.features[e].copy()
-        seen = {src, dst}
-        cur = dst
-        ok = True
-        while eligible[cur]:
-            nxt_edge = int(single_out_edge[cur])
-            nxt = int(g.edge_dst[nxt_edge])
-            if nxt == src or nxt in seen:
-                ok = False  # self-loop or cycle; leave this chain intact
-                break
-            chain.append(nxt_edge)
-            feats = feats + g.features[nxt_edge]
-            seen.add(nxt)
-            cur = nxt
-        if not ok or len(chain) == 1:
-            continue
-        if any(g.connector_flags[c] for c in chain):
-            # merging a connector would
-            # strand its zero-feature bookkeeping; in practice connectors
-            # never sit inside chains because their endpoints keep degree >= 2
-            continue
-        merged.append((src, cur, feats, tuple(chain)))
-        consumed_edges.update(chain)
-        removed_nodes.update(seen - {src, cur})
+        for e in range(g.num_edges):
+            src, dst = int(g.edge_src[e]), int(g.edge_dst[e])
+            if not eligible[dst] or eligible[src]:
+                continue  # walks start where a chain is entered from a non-chain node
+            chain = [e]
+            feats = g.features[e].copy()
+            seen = {src, dst}
+            cur = dst
+            ok = True
+            while eligible[cur]:
+                nxt_edge = int(single_out_edge[cur])
+                nxt = int(g.edge_dst[nxt_edge])
+                if nxt == src or nxt in seen:
+                    ok = False  # self-loop or cycle; leave this chain intact
+                    break
+                chain.append(nxt_edge)
+                feats = feats + g.features[nxt_edge]
+                seen.add(nxt)
+                cur = nxt
+            if not ok or len(chain) == 1:
+                continue
+            if any(g.connector_flags[c] for c in chain):
+                # merging a connector would strand its zero-feature bookkeeping;
+                # in practice connectors never sit inside chains because their
+                # endpoints keep degree >= 2
+                continue
+            merged.append((src, cur, feats, tuple(chain)))
+            consumed_edges.update(chain)
+            removed_nodes.update(seen - {src, cur})
 
-    # orphan runs: single-out nodes nobody enters; drop them and their edge
-    changed = True
-    in_deg = g.in_degree.copy()
-    for e in consumed_edges:
-        in_deg[g.edge_dst[e]] -= 1
-    while changed:
-        changed = False
-        for s in range(g.num_nodes):
-            if (eligible[s] and s not in removed_nodes and in_deg[s] == 0
-                    and single_out_edge[s] not in consumed_edges):
-                e = int(single_out_edge[s])
-                consumed_edges.add(e)
-                removed_nodes.add(s)
-                in_deg[g.edge_dst[e]] -= 1
-                changed = True
+        # orphan runs: single-out nodes nobody enters; drop them and their edge
+        changed = True
+        in_deg = g.in_degree.copy()
+        for e in consumed_edges:
+            in_deg[g.edge_dst[e]] -= 1
+        while changed:
+            changed = False
+            for s in range(g.num_nodes):
+                if (eligible[s] and s not in removed_nodes and in_deg[s] == 0
+                        and single_out_edge[s] not in consumed_edges):
+                    e = int(single_out_edge[s])
+                    consumed_edges.add(e)
+                    removed_nodes.add(s)
+                    in_deg[g.edge_dst[e]] -= 1
+                    changed = True
+
+        kept = np.ones(g.num_edges, dtype=bool)
+        kept[list(consumed_edges)] = False
+        gone = np.zeros(g.num_nodes, dtype=bool)
+        gone[list(removed_nodes)] = True
+        blocked = g.edge_dst[kept & gone[g.edge_dst]]
+        if blocked.size == 0:
+            break
+        eligible[blocked] = False
 
     surviving_nodes = [s for s in range(g.num_nodes) if s not in removed_nodes]
     node_new = {s: i for i, s in enumerate(surviving_nodes)}
@@ -475,8 +464,6 @@ def merge_chains(g: RoadGraph, protected: Iterable[int] = ()) -> tuple[RoadGraph
     edge_records = []
     connector_ids = []
     expansion: list[tuple[int, ...]] = []
-    surviving_edge_map: dict[int, int] = {}
-    chain_by_first: dict[int, tuple[tuple[int, ...], int]] = {}
     nid = 0
     for e in range(g.num_edges):
         if e in consumed_edges:
@@ -486,21 +473,14 @@ def merge_chains(g: RoadGraph, protected: Iterable[int] = ()) -> tuple[RoadGraph
         if g.connector_flags[e]:
             connector_ids.append(nid)
         expansion.append((e,))
-        surviving_edge_map[e] = nid
         nid += 1
     for src, dst, feats, chain in merged:
         edge_records.append((nid, node_new[src], node_new[dst], feats))
         expansion.append(chain)
-        chain_by_first[chain[0]] = (chain, nid)
         nid += 1
 
     out = build_graph(node_records, edge_records, connector_edge_ids=connector_ids)
-    mmap = MergeMap(
-        edge_expansion=expansion,
-        node_image=node_new,
-        stages=[("merge", (chain_by_first, surviving_edge_map))],
-    )
-    return out, mmap
+    return out, MergeMap(edge_expansion=expansion, node_image=node_new)
 
 
 def compress_graph(g: RoadGraph, v_cap: int, protected: Iterable[int] = ()) -> tuple[RoadGraph, MergeMap]:

@@ -4,10 +4,15 @@ Formats are line oriented and bit-reproducible:
   node record        N <id> <x> <y>
   edge record        E <id> <src> <dst> <f1> ... <fd>
   trajectory         one line of whitespace-separated node ids
-  merge map record   M <merged_edge_id> <orig_id_1> ... <orig_id_k>
+  merge map records  M <merged_edge_id> <orig_id_1> ... <orig_id_k>
+                     I <orig_node_id> <merged_node_id>
 
-A connector edge shows up in the merge map as an M record with no original
-ids; loading a graph together with its map restores connector flags.
+A merge map file holds the map's two tables: one M record per compressed
+edge (its expansion; a connector edge has no original ids) and one I record
+per surviving original node (its node image).  It reads back into an equal
+MergeMap, which compresses trajectories like the one written.  Files with M
+records only still load, with an empty node image.  Loading a graph together
+with its map restores connector flags.
 """
 from __future__ import annotations
 
@@ -82,28 +87,29 @@ def save_merge_map(mmap: MergeMap, path: str | Path) -> None:
     for e, exp in enumerate(mmap.edge_expansion):
         tail = " ".join(str(o) for o in exp)
         lines.append(f"M {e} {tail}".rstrip())
+    for orig, merged in sorted(mmap.node_image.items()):
+        lines.append(f"I {orig} {merged}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def load_merge_map(path: str | Path) -> MergeMap:
-    """Expansion-only view; compression stages are not persisted."""
     records: dict[int, tuple[int, ...]] = {}
+    node_image: dict[int, int] = {}
     for ln, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split()
-        if parts[0] != "M" or len(parts) < 2:
-            raise ValidationError(f"{path}:{ln}: bad merge map record {raw!r}")
         try:
-            records[int(parts[1])] = tuple(int(x) for x in parts[2:])
+            if parts[0] == "M" and len(parts) >= 2:
+                records[int(parts[1])] = tuple(int(x) for x in parts[2:])
+            elif parts[0] == "I" and len(parts) == 3:
+                node_image[int(parts[1])] = int(parts[2])
+            else:
+                raise ValueError
         except ValueError:
             raise ValidationError(f"{path}:{ln}: bad merge map record {raw!r}") from None
     n = len(records)
     if sorted(records) != list(range(n)):
         raise ValidationError(f"{path}: merge map edge ids must be 0..{n - 1}")
-    return MergeMap(
-        edge_expansion=[records[e] for e in range(n)],
-        node_image={},
-        stages=[],
-    )
+    return MergeMap(edge_expansion=[records[e] for e in range(n)], node_image=node_image)

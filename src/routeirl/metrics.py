@@ -51,10 +51,13 @@ def evaluate(model_or_table, demos: list[Trajectory], g: RoadGraph, *,
     nll=True additionally reports the mean demo NLL under the converged
     softmax policy; it is omitted (None) when any required backward pass
     fails to converge, mirroring algorithms for which the likelihood is
-    undefined.
+    undefined.  Each destination is planned once: one GoalView and one
+    Dijkstra pass, which also starts the softmax backward pass.
     """
     if not demos:
         raise ValidationError("no demos to evaluate")
+    if nll and temperature <= 0:
+        raise ValidationError("temperature must be positive")
     rew = _reward_table(model_or_table, g)
 
     def expand(edges) -> list[int]:
@@ -62,7 +65,7 @@ def evaluate(model_or_table, demos: list[Trajectory], g: RoadGraph, *,
             return [int(e) for e in edges]
         return [int(e) for e in merge_map.expand_edges(edges)]
 
-    values: dict[int, np.ndarray] = {}
+    plans: dict[int, tuple[GoalView, np.ndarray]] = {}
     soft_values: dict[int, np.ndarray | None] = {}
     acc_sum = 0.0
     iou_sum = 0.0
@@ -72,12 +75,13 @@ def evaluate(model_or_table, demos: list[Trajectory], g: RoadGraph, *,
     for traj in demos:
         dest = traj.nodes[-1]
         origin = traj.nodes[0]
-        if dest not in values:
-            values[dest] = dijkstra_values(GoalView(g, dest), rew)
-        v = values[dest]
+        if dest not in plans:
+            gv = GoalView(g, dest)
+            plans[dest] = gv, dijkstra_values(gv, rew)
+        gv, v = plans[dest]
         pred = None
         if not np.isneginf(v[origin]):
-            pred = greedy_path(GoalView(g, dest), rew, origin, v=v)
+            pred = greedy_path(gv, rew, origin, v=v)
         if pred is None:
             unreachable += 1
         else:
@@ -89,16 +93,14 @@ def evaluate(model_or_table, demos: list[Trajectory], g: RoadGraph, *,
             iou_sum += len(a & b) / len(a | b)
         if nll_ok:
             if dest not in soft_values:
-                gv = GoalView(g, dest)
                 sv, _, conv = power_iteration_backward(
-                    gv, rew, temperature=temperature, init="dijkstra")
+                    gv, rew, temperature=temperature, init=v / temperature)
                 soft_values[dest] = sv if conv else None
             sv = soft_values[dest]
             if sv is None:
                 nll_ok = False
             else:
-                nll_sum += trajectory_policy_nll(GoalView(g, dest), rew, sv,
-                                                 traj, temperature)
+                nll_sum += trajectory_policy_nll(gv, rew, sv, traj, temperature)
     n = len(demos)
     return Metrics(acc=acc_sum / n, iou=iou_sum / n,
                    nll=(nll_sum / n) if nll_ok else None,

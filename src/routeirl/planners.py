@@ -79,7 +79,6 @@ class Policy:
     probs: np.ndarray          # (num_nodes, max_out_degree)
     destination: int
     dead: np.ndarray           # (num_nodes,) bool
-    kind: str = "softmax"
 
 
 def softmax_backup(gv: GoalView, rew_slots: np.ndarray, v_prev: np.ndarray,
@@ -145,8 +144,7 @@ def power_iteration_backward(gv: GoalView, rew: np.ndarray, *,
     return v, max_iters, False
 
 
-def policy_from_q(gv: GoalView, q: np.ndarray, v: np.ndarray,
-                  kind: str = "softmax") -> Policy:
+def policy_from_q(gv: GoalView, q: np.ndarray, v: np.ndarray) -> Policy:
     with np.errstate(invalid="ignore"):  # dead rows: -inf minus -inf
         probs = np.exp(q - v[:, None])
     probs[np.isnan(probs)] = 0.0
@@ -156,7 +154,7 @@ def policy_from_q(gv: GoalView, q: np.ndarray, v: np.ndarray,
     probs[gv.destination] = 0.0
     dead = dead.copy()
     dead[gv.destination] = True
-    return Policy(probs=probs, destination=gv.destination, dead=dead, kind=kind)
+    return Policy(probs=probs, destination=gv.destination, dead=dead)
 
 
 def policy_from_values(gv: GoalView, rew: np.ndarray, v: np.ndarray,
@@ -182,7 +180,7 @@ def greedy_policy(gv: GoalView, rew: np.ndarray, v: np.ndarray) -> Policy:
     live[gv.destination] = False
     probs[rows[live], best[live]] = 1.0
     dead = ~live
-    return Policy(probs=probs, destination=gv.destination, dead=dead, kind="greedy")
+    return Policy(probs=probs, destination=gv.destination, dead=dead)
 
 
 def trajectory_nll(g: RoadGraph, traj: Trajectory, pol: Policy) -> float:

@@ -7,7 +7,6 @@ splitting) are pinned to reward exactly 0 and never carry parameters.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,11 +28,10 @@ class RewardModel:
     def num_params(self) -> int:
         return self.get_params().shape[0]
 
-    def rewards(self, features: np.ndarray, edge_ids: np.ndarray | None = None) -> np.ndarray:
+    def rewards(self, features: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def grad_weighted(self, features: np.ndarray, weights: np.ndarray,
-                      edge_ids: np.ndarray | None = None) -> np.ndarray:
+    def grad_weighted(self, features: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """sum_e weights[e] * d reward(e) / d params, as a flat vector."""
         raise NotImplementedError
 
@@ -64,13 +62,13 @@ class LinearReward(RewardModel):
     def set_params(self, params: np.ndarray) -> None:
         self.weights = np.asarray(params, dtype=np.float64).copy()
 
-    def rewards(self, features, edge_ids=None):
+    def rewards(self, features):
         if features.shape[1] != self.weights.shape[0]:
             raise ValidationError(
                 f"model expects {self.weights.shape[0]} features, graph has {features.shape[1]}")
         return features @ self.weights
 
-    def grad_weighted(self, features, weights, edge_ids=None):
+    def grad_weighted(self, features, weights):
         return features.T @ weights
 
     def project_(self) -> None:
@@ -144,7 +142,7 @@ class DenseNetReward(RewardModel):
         y = (h @ w + b).ravel()
         return y, acts
 
-    def rewards(self, features, edge_ids=None):
+    def rewards(self, features):
         if features.shape[1] != self.input_dim:
             raise ValidationError(
                 f"model expects {self.input_dim} features, graph has {features.shape[1]}")
@@ -152,7 +150,7 @@ class DenseNetReward(RewardModel):
         # -softplus(y), evaluated stably
         return -(np.maximum(y, 0.0) + np.log1p(np.exp(-np.abs(y))))
 
-    def grad_weighted(self, features, weights, edge_ids=None):
+    def grad_weighted(self, features, weights):
         y, acts = self._forward(features)
         layers = self._layers()
         # d(-softplus)/dy = -sigmoid(y)
@@ -227,29 +225,21 @@ class SparsePerEdgeReward(RewardModel):
     def set_params(self, params: np.ndarray) -> None:
         self._params = np.asarray(params, dtype=np.float64).copy()
 
-    def _ids(self, features, edge_ids):
-        if edge_ids is None:
-            if features.shape[0] != self.num_edges:
-                raise ValidationError(
-                    f"sparse model covers {self.num_edges} edges, got {features.shape[0]}")
-            return np.arange(self.num_edges)
-        return np.asarray(edge_ids, dtype=np.int64)
+    def _check(self, features) -> None:
+        if features.shape[0] != self.num_edges:
+            raise ValidationError(
+                f"sparse model covers {self.num_edges} edges, got {features.shape[0]}")
 
-    def rewards(self, features, edge_ids=None):
-        ids = self._ids(features, edge_ids)
-        r = self.baseline[ids].copy()
-        pidx = self.param_index[ids]
-        has = pidx >= 0
-        r[has] += self._params[pidx[has]]
+    def rewards(self, features):
+        self._check(features)
+        r = self.baseline.copy()
+        r[self.free_edges] += self._params
         return r
 
-    def grad_weighted(self, features, weights, edge_ids=None):
-        ids = self._ids(features, edge_ids)
-        g = np.zeros_like(self._params)
-        pidx = self.param_index[ids]
-        has = pidx >= 0
-        np.add.at(g, pidx[has], weights[has])
-        return g
+    def grad_weighted(self, features, weights):
+        self._check(features)
+        # each parameter has one edge: its gradient is 0.0 + that edge's weight
+        return np.zeros_like(self._params) + weights[self.free_edges]
 
     def project_(self) -> None:
         cap = -self.baseline[self.free_edges]
@@ -282,14 +272,14 @@ class CompositeReward(RewardModel):
             c.set_params(params[i:i + n])
             i += n
 
-    def rewards(self, features, edge_ids=None):
-        out = self.components[0].rewards(features, edge_ids)
+    def rewards(self, features):
+        out = self.components[0].rewards(features)
         for c in self.components[1:]:
-            out = out + c.rewards(features, edge_ids)
+            out = out + c.rewards(features)
         return out
 
-    def grad_weighted(self, features, weights, edge_ids=None):
-        return np.concatenate([c.grad_weighted(features, weights, edge_ids)
+    def grad_weighted(self, features, weights):
+        return np.concatenate([c.grad_weighted(features, weights)
                                for c in self.components])
 
     def project_(self) -> None:
@@ -313,10 +303,9 @@ class CompositeReward(RewardModel):
 # ---------------------------------------------------------------------------
 
 
-def edge_rewards(model: RewardModel, g: RoadGraph,
-                 edge_ids: np.ndarray | None = None) -> np.ndarray:
+def edge_rewards(model: RewardModel, g: RoadGraph) -> np.ndarray:
     """Per-edge reward table; connector edges pinned to exactly 0."""
-    r = model.rewards(g.features, edge_ids)
+    r = model.rewards(g.features)
     r = np.asarray(r, dtype=np.float64)
     if r.shape[0] != g.num_edges:
         raise ValidationError("model returned wrong number of edge rewards")
@@ -324,8 +313,7 @@ def edge_rewards(model: RewardModel, g: RoadGraph,
     return r
 
 
-def backprop(model: RewardModel, g: RoadGraph, residual: np.ndarray,
-             edge_ids: np.ndarray | None = None) -> np.ndarray:
+def backprop(model: RewardModel, g: RoadGraph, residual: np.ndarray) -> np.ndarray:
     """Chain residual-valued edge weights through the model:
     sum_e residual(e) * d r(e)/d theta, plus the L1 subgradient for sparse
     components (shrinkage enters the ascent direction as -l1 * sign(theta)).
@@ -337,7 +325,7 @@ def backprop(model: RewardModel, g: RoadGraph, residual: np.ndarray,
         raise ValidationError("residual must be finite")
     w = residual.copy()
     w[g.connector_flags] = 0.0
-    grad = model.grad_weighted(g.features, w, edge_ids)
+    grad = model.grad_weighted(g.features, w)
     grad = grad + _l1_term(model)
     return grad
 

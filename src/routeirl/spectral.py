@@ -18,7 +18,7 @@ from scipy.special import logsumexp
 
 from .errors import ValidationError
 from .graph import GoalView, Trajectory, gen_two_state_loop, two_state_loop_rewards
-from .planners import power_iteration_backward, trajectory_policy_nll
+from .planners import _value_diff, power_iteration_backward, trajectory_policy_nll
 
 FEASIBLE = "Feasible"
 INFEASIBLE = "Infeasible"
@@ -157,14 +157,7 @@ def convergence_rate_probe(gv: GoalView, rew: np.ndarray, *,
     trace: list[np.ndarray] = []
     power_iteration_backward(gv, rew, temperature=temperature, init=init,
                              tol=0.0, max_iters=iters, trace=trace)
-    errs = []
-    for v in trace:
-        both = np.isneginf(v) & np.isneginf(v_ref)
-        with np.errstate(invalid="ignore"):
-            d = np.where(both, 0.0, np.abs(v - v_ref))
-        d[np.isnan(d)] = np.inf
-        errs.append(float(np.max(d, initial=0.0)))
-    errs = np.array(errs)
+    errs = np.array([_value_diff(v, v_ref) for v in trace])
     # fit only the clean geometric window: nonzero, finite, and above the
     # float noise floor (exact zeros past it mean the iterate landed on the
     # fixed point bitwise)

@@ -72,6 +72,7 @@ class TrainConfig:
             raise ValidationError("batch size must be >= 1")
         if self.optimizer not in ("auto", "sgd", "adam"):
             raise ValidationError(f"unknown optimizer {self.optimizer!r}")
+        self.irl_config()  # the estimator fields fail here, not mid-run
 
     def irl_config(self) -> IrlConfig:
         return IrlConfig(algorithm=self.algorithm, horizon=self.horizon,

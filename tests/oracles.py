@@ -60,6 +60,14 @@ def tie_loop_graph() -> RoadGraph:
     return build_graph(nodes, edges)
 
 
+def blocked_chain_graph() -> RoadGraph:
+    """Chain 2->0->1 would remove node 0, but 1->0 also enters it and cannot
+    merge (its own chain would close the loop 1->0->1)."""
+    nodes = [(0, 0.0, 0.0), (1, 1.0, 0.0), (2, 0.5, 1.0)]
+    pairs = [(0, 1), (1, 0), (1, 2), (2, 0), (2, 1)]
+    return build_graph(nodes, [(i, u, w, [1.0]) for i, (u, w) in enumerate(pairs)])
+
+
 def enumerate_walks(g: RoadGraph, origin: int, dest: int, max_edges: int):
     """All walks origin->dest with <= max_edges edges.  Walks absorb at the
     destination (no interior visits), revisiting other nodes is allowed."""

@@ -4,8 +4,11 @@ import json
 import numpy as np
 import pytest
 
+from routeirl import load_graph, load_merge_map, save_graph
 from routeirl.cli import main
 from routeirl.rewards import export_reward_table
+
+from oracles import blocked_chain_graph
 
 
 def run(capsys, *argv):
@@ -119,6 +122,17 @@ def test_full_pipeline(tmp_path, capsys):
         _, sps, acc = line.split(",")
         assert float(sps) > 0.0
         assert 0.0 <= float(acc) <= 1.0
+
+
+def test_compress_cyclic_graph_exits_zero(tmp_path, capsys):
+    # merge_chains used to raise KeyError here, so the command exited 1
+    gpath, cg, mm = (str(tmp_path / n) for n in ("g.txt", "c.txt", "m.txt"))
+    save_graph(blocked_chain_graph(), gpath)
+    code, stats = run(capsys, "compress", "--graph", gpath, "--v-cap", "2",
+                      "--out-graph", cg, "--out-merge-map", mm)
+    assert code == 0
+    assert stats["nodes_after"] == 3
+    assert load_graph(cg, merge_map=load_merge_map(mm)).num_edges == 5
 
 
 def test_missing_file_exits_two(tmp_path, capsys):

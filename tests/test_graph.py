@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from routeirl import (
+    MergeMap,
     RoadGraph,
     Trajectory,
     ValidationError,
@@ -13,11 +14,13 @@ from routeirl import (
     gen_gridworld,
     gen_random_graph,
     gen_two_state_loop,
+    load_merge_map,
     merge_chains,
+    save_merge_map,
     split_high_degree,
     two_state_loop_rewards,
 )
-from oracles import enumerate_simple_paths, walk_reward
+from oracles import blocked_chain_graph, enumerate_simple_paths, walk_reward
 
 
 def test_build_graph_slot_layout():
@@ -206,6 +209,17 @@ def test_merge_chains_leaves_cycles_alone():
     assert merged.num_nodes == g.num_nodes
 
 
+def test_merge_chains_keeps_a_node_that_is_still_entered():
+    # merging 2->0->1 alone would strand the surviving edge 1->0
+    g = blocked_chain_graph()
+    merged, mmap = merge_chains(g)
+    assert merged.num_nodes == 3
+    assert mmap.edge_expansion == [(e,) for e in range(g.num_edges)]
+    assert np.array_equal(merged.features, g.features)
+    comp, cmap = compress_graph(g, 2)
+    assert comp.num_nodes == 3 and cmap.node_image == {0: 0, 1: 1, 2: 2}
+
+
 def test_merge_respects_protected_endpoints():
     g = gen_gridworld(3, 3, segments_per_block=2)
     mids = [s for s in range(9, g.num_nodes)]
@@ -242,6 +256,87 @@ def test_compress_trajectory_needs_endpoint_protection():
     comp2, mmap2 = compress_graph(g, 4, protected=[mid, nxt])
     ctraj = compress_trajectory(traj, mmap2, comp2)
     assert expand_trajectory(ctraj, mmap2, g) == traj
+
+
+def test_compress_trajectory_rejects_a_mismatched_map():
+    # connectors that form a loop can only come from a map paired with the
+    # wrong graph; the walk must stop rather than circle
+    g = build_graph([(i, float(i), 0.0) for i in range(3)],
+                    [(0, 0, 1, [0.0]), (1, 1, 0, [0.0]), (2, 2, 0, [1.0])],
+                    connector_edge_ids=[0, 1])
+    mmap = MergeMap(edge_expansion=[(), (), (0,)], node_image={0: 0})
+    with pytest.raises(ValidationError):
+        compress_trajectory(Trajectory(nodes=(0, 1), edges=(0,)), mmap, g)
+
+
+def _with_parallel_edges(g, rng):
+    """g plus a parallel copy, with fresh features, of a quarter of its edges,
+    and a self-loop on one node."""
+    nodes = [(s, g.coords[s, 0], g.coords[s, 1]) for s in range(g.num_nodes)]
+    edges = [(e, int(g.edge_src[e]), int(g.edge_dst[e]), g.features[e])
+             for e in range(g.num_edges)]
+    for e in rng.choice(g.num_edges, size=g.num_edges // 4, replace=False):
+        edges.append((len(edges), int(g.edge_src[e]), int(g.edge_dst[e]),
+                      rng.uniform(0.5, 2.0, size=g.feature_dim)))
+    s = int(rng.integers(g.num_nodes))
+    edges.append((len(edges), s, s, rng.uniform(0.5, 2.0, size=g.feature_dim)))
+    return build_graph(nodes, edges)
+
+
+def _random_walk(g, rng, origin, keep):
+    """A loop-free random walk from origin, cut back to its last node in keep."""
+    nodes, edges = [origin], []
+    for _ in range(12):
+        out = g.out_edges(nodes[-1])
+        e = out[int(rng.integers(len(out)))] if out else None
+        if e is None or int(g.edge_dst[e]) in nodes:
+            break
+        nodes.append(int(g.edge_dst[e]))
+        edges.append(e)
+    while edges and nodes[-1] not in keep:
+        nodes.pop()
+        edges.pop()
+    return Trajectory(nodes=tuple(nodes), edges=tuple(edges)) if edges else None
+
+
+def test_compression_on_generated_graphs(tmp_path):
+    cases = 0
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        n = 3 + seed % 10
+        g = gen_random_graph(n, rng_seed=seed, extra_edges=seed % 7)
+        if seed % 3 == 0:
+            g = _with_parallel_edges(g, rng)
+        protected = ([int(p) for p in rng.choice(n, size=n // 3, replace=False)]
+                     if seed % 2 else [])
+        comp, mmap = compress_graph(g, 2 + seed % 3, protected=protected)
+        assert set(protected) <= set(mmap.node_image)
+        # the map file reads back into the same map
+        save_merge_map(mmap, tmp_path / "m.txt")
+        loaded = load_merge_map(tmp_path / "m.txt")
+        assert loaded == mmap
+        # path rewards between surviving nodes are kept, as a multiset
+        w = -rng.uniform(0.2, 1.0, size=g.feature_dim)
+        rew_g, rew_c = g.features @ w, comp.features @ w
+        if n <= 8:
+            for o in mmap.node_image:
+                for d in mmap.node_image:
+                    before = sorted(walk_reward(rew_g, p)
+                                    for p in enumerate_simple_paths(g, o, d))
+                    after = sorted(walk_reward(rew_c, p) for p in enumerate_simple_paths(
+                        comp, mmap.node_image[o], mmap.node_image[d]))
+                    assert len(before) == len(after)
+                    assert np.allclose(before, after, rtol=1e-12, atol=1e-12)
+        # paths between surviving nodes compress, and expand back exactly
+        for o in rng.choice(sorted(mmap.node_image), size=5):
+            traj = _random_walk(g, rng, int(o), mmap.node_image)
+            if traj is None:
+                continue
+            ctraj = compress_trajectory(traj, mmap, comp)
+            assert compress_trajectory(traj, loaded, comp) == ctraj
+            assert expand_trajectory(ctraj, mmap, g) == traj
+            cases += 1
+    assert cases >= 100
 
 
 def test_extract_subgraph_membership():

@@ -5,6 +5,7 @@ from routeirl import (
     Trajectory,
     ValidationError,
     compress_graph,
+    compress_trajectory,
     gen_gridworld,
     gen_random_graph,
     load_graph,
@@ -96,11 +97,34 @@ def test_merge_map_file_is_plain_records(tmp_path):
     save_merge_map(mmap, p)
     for ln in p.read_text().splitlines():
         parts = ln.split()
-        assert parts[0] == "M"
+        assert parts[0] in ("M", "I")
         assert all(tok.lstrip("-").isdigit() for tok in parts[1:])
+    assert load_merge_map(p) == mmap
     bad = tmp_path / "bad.txt"
     bad.write_text("M x y\n")
     with pytest.raises(ValidationError):
         load_merge_map(bad)
     with pytest.raises(FileNotFoundError):
         load_merge_map(tmp_path / "missing.txt")
+
+
+def test_merge_map_round_trip_compresses_alike(tmp_path):
+    g = gen_gridworld(4, 4, segments_per_block=2)
+    demo = Trajectory.from_nodes(g, [0, 16, 1, 20, 2])
+    comp, mmap = compress_graph(g, 3, protected=[0, 2])
+    p = tmp_path / "m.txt"
+    save_merge_map(mmap, p)
+    loaded = load_merge_map(p)
+    assert loaded == mmap
+    assert compress_trajectory(demo, loaded, comp) == compress_trajectory(demo, mmap, comp)
+    # files with expansion records only still load, with no node image
+    p.write_text("".join(ln + "\n" for ln in p.read_text().splitlines()
+                         if ln.startswith("M")))
+    old = load_merge_map(p)
+    assert old.edge_expansion == mmap.edge_expansion and old.node_image == {}
+    with pytest.raises(ValidationError):
+        compress_trajectory(demo, old, comp)
+    for bad in ("I 1\n", "I 1 2 3\n", "I x 2\n"):
+        p.write_text(bad)
+        with pytest.raises(ValidationError):
+            load_merge_map(p)

@@ -45,6 +45,8 @@ def test_evaluate_input_validation():
         evaluate(np.zeros(4), [], g)
     with pytest.raises(ValidationError):
         evaluate(np.zeros(3), [ok], g)
+    with pytest.raises(ValidationError):
+        evaluate(np.full(4, -1.0), [ok], g, temperature=0.0)
 
 
 def test_nll_omitted_when_backward_diverges():

@@ -156,7 +156,7 @@ def test_config_from_file(tmp_path):
         TrainConfig.from_file(bad_line)
 
 
-def test_config_validation():
+def test_config_validation(tmp_path):
     with pytest.raises(ValidationError):
         TrainConfig(lr=-0.1)
     with pytest.raises(ValidationError):
@@ -167,6 +167,17 @@ def test_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(ValidationError):
         TrainConfig(optimizer="lbfgs")
+    # estimator fields are checked on construction, before any run starts
+    for bad in ({"algorithm": "qlearning"}, {"horizon": 2.5}, {"temperature": -1},
+                {"margin": -3}, {"init": "zeros"}):
+        with pytest.raises(ValidationError):
+            TrainConfig(**bad)
+    p = tmp_path / "train.cfg"
+    p.write_text("algorithm = receding_horizon\nhorizon = 2.5\n")
+    with pytest.raises(ValidationError):
+        TrainConfig.from_file(p)
+    p.write_text("horizon = inf\n")
+    assert math.isinf(TrainConfig.from_file(p).horizon)
 
 
 def test_partition_containment_and_drops():
