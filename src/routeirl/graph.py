@@ -177,6 +177,11 @@ class GoalView(object):
         return mask
 
     @cached_property
+    def safe_targets(self) -> np.ndarray:
+        """slot_target with 0 on invalid slots, so fancy indexing is safe."""
+        return np.where(self.slot_valid, self.graph.slot_target, 0)
+
+    @cached_property
     def edge_valid(self) -> np.ndarray:
         mask = np.ones(self.graph.num_edges, dtype=bool)
         mask[self.graph.edge_src == self.destination] = False

@@ -11,8 +11,9 @@ A merge map file holds the map's two tables: one M record per compressed
 edge (its expansion; a connector edge has no original ids) and one I record
 per surviving original node (its node image).  It reads back into an equal
 MergeMap, which compresses trajectories like the one written.  Files with M
-records only still load, with an empty node image.  Loading a graph together
-with its map restores connector flags.
+records only still load, with an empty node image.  A repeated M edge id or I
+node id is an error.  Loading a graph together with its map restores
+connector flags.
 """
 from __future__ import annotations
 
@@ -102,13 +103,17 @@ def load_merge_map(path: str | Path) -> MergeMap:
         parts = line.split()
         try:
             if parts[0] == "M" and len(parts) >= 2:
-                records[int(parts[1])] = tuple(int(x) for x in parts[2:])
+                table, value = records, tuple(int(x) for x in parts[2:])
             elif parts[0] == "I" and len(parts) == 3:
-                node_image[int(parts[1])] = int(parts[2])
+                table, value = node_image, int(parts[2])
             else:
                 raise ValueError
+            key = int(parts[1])
         except ValueError:
             raise ValidationError(f"{path}:{ln}: bad merge map record {raw!r}") from None
+        if key in table:
+            raise ValidationError(f"{path}:{ln}: repeated {parts[0]} record for id {key}")
+        table[key] = value
     n = len(records)
     if sorted(records) != list(range(n)):
         raise ValidationError(f"{path}: merge map edge ids must be 0..{n - 1}")

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import NegativeCycleError, bellman_ford, dijkstra
-from scipy.special import logsumexp
 
 from .errors import InfeasibilityError, ValidationError
 from .graph import GoalView, RoadGraph, Trajectory
@@ -33,11 +32,6 @@ def slot_rewards(gv: GoalView, rew: np.ndarray) -> np.ndarray:
     valid = gv.slot_valid
     out[valid] = rew[g.slot_edge[valid]]
     return out
-
-
-def _safe_targets(gv: GoalView) -> np.ndarray:
-    """slot_target with sentinels replaced by 0 so fancy indexing is safe."""
-    return np.where(gv.slot_valid, gv.graph.slot_target, 0)
 
 
 def dijkstra_values(gv: GoalView, rew: np.ndarray) -> np.ndarray:
@@ -81,12 +75,41 @@ class Policy:
     dead: np.ndarray           # (num_nodes,) bool
 
 
+def _logsumexp_rows(q: np.ndarray) -> np.ndarray:
+    """Row-wise log-sum-exp of a 2-D table.
+
+    scipy.special.logsumexp's formula without its array-API dispatch, so the
+    results are bitwise equal to ``logsumexp(q, axis=1)``: the row max and
+    its ties are split out of the sum, v = log1p(rest / ties) + log(ties) +
+    max.  Rows where that is not finite (all -inf, or a +inf or NaN entry)
+    take log(sum(exp(q))) as scipy does, so a row of -inf gives -inf.
+    """
+    if q.shape[1] == 0:
+        return np.full(q.shape[0], -np.inf)
+    top = q.max(axis=1, keepdims=True)
+    tied = q == top
+    ties = tied.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        e = np.exp(q - top)
+        np.putmask(e, tied, 0.0)
+        v = np.log1p(e.sum(axis=1) / ties) + np.log(ties) + top[:, 0]
+        finite = np.isfinite(v)
+        if not finite.all():
+            v[~finite] = np.log(np.exp(q[~finite]).sum(axis=1))
+    return v
+
+
 def softmax_backup(gv: GoalView, rew_slots: np.ndarray, v_prev: np.ndarray,
                    temperature: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-    """One log-domain backup: Q = r/T + v(s'), v = logsumexp_a Q, v(dest)=0."""
-    q = rew_slots / temperature + v_prev[_safe_targets(gv)]
+    """One log-domain backup: Q = r/T + v(s'), v = logsumexp_a Q, v(dest)=0.
+
+    rew_slots is ``slot_rewards(gv, rew)``; Q is -inf on invalid slots, and a
+    row with no finite Q (a dead end) gets v = -inf.  The log-sum-exp is
+    ``_logsumexp_rows``, bitwise equal to scipy's.
+    """
+    q = rew_slots / temperature + v_prev[gv.safe_targets]
     q[~gv.slot_valid] = -np.inf
-    v = logsumexp(q, axis=1)
+    v = _logsumexp_rows(q)
     v[gv.destination] = 0.0
     return q, v
 
@@ -98,11 +121,16 @@ def onehot_values(gv: GoalView) -> np.ndarray:
 
 
 def _value_diff(a: np.ndarray, b: np.ndarray) -> float:
-    both_inf = np.isneginf(a) & np.isneginf(b)
+    """Max |a - b|, reading -inf against -inf as 0, -inf against a finite
+    value as inf, and any NaN input as inf (never converged)."""
     with np.errstate(invalid="ignore"):
-        d = np.where(both_inf, 0.0, np.abs(a - b))
-    d[np.isnan(d)] = np.inf  # -inf against finite
-    return float(np.max(d, initial=0.0))
+        d = np.abs(a - b)
+    top = float(d.max(initial=0.0))
+    if math.isnan(top):
+        d[np.isnan(d) & np.isneginf(a) & np.isneginf(b)] = 0.0
+        d[np.isnan(d)] = np.inf
+        top = float(d.max(initial=0.0))
+    return top
 
 
 def power_iteration_backward(gv: GoalView, rew: np.ndarray, *,
@@ -170,7 +198,7 @@ def greedy_policy(gv: GoalView, rew: np.ndarray, v: np.ndarray) -> Policy:
     Temperature cancels in the argmax, so this is scale-free.
     """
     rs = slot_rewards(gv, rew)
-    q = rs + v[_safe_targets(gv)]
+    q = rs + v[gv.safe_targets]
     q[~gv.slot_valid] = -np.inf
     g = gv.graph
     probs = np.zeros((g.num_nodes, g.max_out_degree))

@@ -14,11 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 from scipy.sparse.csgraph import connected_components
-from scipy.special import logsumexp
 
 from .errors import ValidationError
 from .graph import GoalView, Trajectory, gen_two_state_loop, two_state_loop_rewards
-from .planners import _value_diff, power_iteration_backward, trajectory_policy_nll
+from .planners import (_logsumexp_rows, _value_diff, power_iteration_backward,
+                       trajectory_policy_nll)
 
 FEASIBLE = "Feasible"
 INFEASIBLE = "Infeasible"
@@ -122,13 +122,13 @@ def dominant_eigenvalue(gv: GoalView, rew: np.ndarray, *,
     x[gv.destination] = -np.inf
     mu_hist: list[float] = []
     for it in range(1, max_iters + 1):
-        y = logsumexp(logw + x[tgt], axis=1)
+        y = _logsumexp_rows(logw + x[tgt])
         y[gv.destination] = -np.inf
         y = np.logaddexp(y, logc + x)
-        lognum = logsumexp(x + y)
+        lognum, lognorm = _logsumexp_rows(np.stack((x + y, 2.0 * x)))
         if np.isneginf(lognum):
             return SpectralReport(0.0, bounds, classify(0.0, band), it, True)
-        mu = float(np.exp(lognum - logsumexp(2.0 * x)))
+        mu = float(np.exp(lognum - lognorm))
         mu_hist.append(mu)
         if len(mu_hist) >= 3:
             ref = max(1.0, mu)

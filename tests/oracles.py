@@ -1,7 +1,8 @@
 """Reference implementations the tests check the fast code against.
 
 Everything here trades speed for obviousness: explicit walk enumeration,
-dense eigensolves, high-precision fixed points, central differences, and the
+dense eigensolves, high-precision fixed points, central differences, the
+backward pass and spectral power iteration on scipy's logsumexp, and the
 classical BIRL and MMP estimators written out independently of the
 receding-horizon estimator that the library runs them as.
 """
@@ -216,6 +217,70 @@ def power_iteration_backward_linear(gv: GoalView, rew: np.ndarray, *,
             return z_new, it, True
         z = z_new
     return z, max_iters, False
+
+
+def scipy_backward(gv: GoalView, rew: np.ndarray, *, temperature: float = 1.0,
+                   init: str = "onehot", tol: float = 1e-9,
+                   max_iters: int | None = None) -> tuple[np.ndarray, int, bool]:
+    """The softmax backward pass on scipy.special.logsumexp, with the value
+    difference written out; (values, iterations, converged) as the library's
+    power_iteration_backward returns them."""
+    g = gv.graph
+    rs = slot_rewards(gv, rew)
+    tgt = np.where(gv.slot_valid, g.slot_target, 0)
+    if init == "onehot":
+        v = np.full(g.num_nodes, -np.inf)
+    else:
+        v = dijkstra_values(gv, rew) / temperature
+    v[gv.destination] = 0.0
+    if max_iters is None:
+        max_iters = max(100, 10 * g.num_nodes)
+    for it in range(1, max_iters + 1):
+        q = rs / temperature + v[tgt]
+        q[~gv.slot_valid] = -np.inf
+        v_new = logsumexp(q, axis=1)
+        v_new[gv.destination] = 0.0
+        both_inf = np.isneginf(v_new) & np.isneginf(v)
+        with np.errstate(invalid="ignore"):
+            d = np.where(both_inf, 0.0, np.abs(v_new - v))
+        d[np.isnan(d)] = np.inf
+        if np.max(d, initial=0.0) <= tol:
+            return v_new, it, True
+        v = v_new
+    return v, max_iters, False
+
+
+def scipy_dominant_eigenvalue(gv: GoalView, rew: np.ndarray, shift: float, *,
+                              temperature: float = 1.0, tol: float = 1e-10,
+                              max_iters: int | None = None
+                              ) -> tuple[float, int, bool]:
+    """Shifted log-space power iteration on the non-destination block with a
+    Rayleigh-quotient readout, on scipy.special.logsumexp; (lambda_max,
+    iterations, converged).  Only for blocks with a cycle: the caller passes
+    the shift (the library takes min(1, smallest cheap bound))."""
+    g = gv.graph
+    mask = gv.slot_valid & (g.slot_target != gv.destination)
+    logw = np.full((g.num_nodes, g.max_out_degree), -np.inf)
+    logw[mask] = np.asarray(rew)[g.slot_edge[mask]] / temperature
+    tgt = np.where(mask, g.slot_target, 0)
+    if max_iters is None:
+        max_iters = max(1000, 30 * g.num_nodes)
+    x = np.zeros(g.num_nodes)
+    x[gv.destination] = -np.inf
+    mu_hist = []
+    for it in range(1, max_iters + 1):
+        y = logsumexp(logw + x[tgt], axis=1)
+        y[gv.destination] = -np.inf
+        y = np.logaddexp(y, np.log(shift) + x)
+        mu = float(np.exp(logsumexp(x + y) - logsumexp(2.0 * x)))
+        mu_hist.append(mu)
+        if len(mu_hist) >= 3:
+            ref = max(1.0, mu)
+            if (abs(mu_hist[-1] - mu_hist[-2]) <= tol * ref
+                    and abs(mu_hist[-1] - mu_hist[-3]) <= tol * ref):
+                return max(0.0, mu - shift), it, True
+        x = y - np.max(y)
+    return max(0.0, mu_hist[-1] - shift), max_iters, False
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -127,4 +129,15 @@ def test_merge_map_round_trip_compresses_alike(tmp_path):
     for bad in ("I 1\n", "I 1 2 3\n", "I x 2\n"):
         p.write_text(bad)
         with pytest.raises(ValidationError):
+            load_merge_map(p)
+
+
+def test_merge_map_rejects_repeated_records(tmp_path):
+    p = tmp_path / "m.txt"
+    cases = {"M 0 1\nM 0 2\nM 1 3\n": (2, "M", 0),
+             "M 0 1\nI 4 0\nI 5 0\nI 4 1\n": (4, "I", 4)}
+    for text, (line, kind, key) in cases.items():
+        p.write_text(text)
+        msg = f"{p}:{line}: repeated {kind} record for id {key}"
+        with pytest.raises(ValidationError, match=re.escape(msg)):
             load_merge_map(p)

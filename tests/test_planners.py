@@ -1,6 +1,14 @@
+import ast
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.special
+from scipy.special import logsumexp
 
+import oracles
+import routeirl
 from routeirl import (
     GoalView,
     InfeasibilityError,
@@ -12,6 +20,8 @@ from routeirl import (
     gen_random_graph,
 )
 from routeirl.planners import (
+    _logsumexp_rows,
+    _value_diff,
     closed_form_forward,
     dijkstra_values,
     greedy_path,
@@ -32,6 +42,7 @@ from oracles import (
     max_backup,
     mp_soft_values,
     power_iteration_backward_linear,
+    scipy_backward,
     soft_value_walks,
     walk_reward,
 )
@@ -293,3 +304,83 @@ def test_max_backup_converges_to_dijkstra():
     for _ in range(g.num_nodes + 2):
         v = max_backup(gv, slot_rewards(gv, rew), v)
     assert np.allclose(v, dijkstra_values(gv, rew), atol=1e-12)
+
+
+def test_logsumexp_rows_matches_scipy_bitwise():
+    rng = np.random.default_rng(17)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for shape in ((1, 1), (7, 1), (100, 4), (400, 4), (3400, 3)):
+            rows, cols = shape
+            for scale in (1.0, 40.0):
+                q = rng.normal(scale=scale, size=shape)
+                q[rng.random(shape) < 0.3] = -np.inf
+                q[rows // 2] = -np.inf                   # all -inf
+                q[rows // 3] = -np.inf                   # one finite entry
+                q[rows // 3, cols - 1] = 2.5
+                q[rows // 4] = np.round(q[rows // 4])    # exact ties
+                q[rows // 4, 0] = q[rows // 4, -1] = 3.0
+                q[rows // 5] = 700.0 - rng.random(cols)  # near +-700
+                q[-1] = -700.0 - rng.random(cols)
+                assert np.array_equal(_logsumexp_rows(q), logsumexp(q, axis=1))
+
+
+def test_value_diff_reads_infinities():
+    inf, nan = np.inf, np.nan
+    a = np.array([-inf, 1.0, 2.0])
+    assert _value_diff(a, np.array([-inf, 1.0, 2.5])) == 0.5  # -inf vs -inf is 0
+    assert _value_diff(a, np.array([0.0, 1.0, 2.0])) == inf   # -inf vs finite
+    assert _value_diff(a, np.array([-inf, nan, 2.0])) == inf  # NaN never converges
+    assert _value_diff(np.array([inf]), np.array([inf])) == inf
+    assert _value_diff(np.array([]), np.array([])) == 0.0
+    # a node that cannot reach the destination stays -inf and still converges
+    g = build_graph([(i, float(i), 0.0) for i in range(3)],
+                    [(0, 0, 1, [1.0]), (1, 1, 0, [1.0]), (2, 0, 2, [1.0])])
+    v, _, conv = power_iteration_backward(GoalView(g, 1), np.full(3, -1.0))
+    assert conv and np.isneginf(v[2])
+
+
+def test_backward_matches_scipy_reference_bitwise():
+    graphs = [gen_gridworld(10, 10, feature_spec="random", rng_seed=11),
+              gen_random_graph(30, rng_seed=5, extra_edges=40)]
+    for gi, g in enumerate(graphs):
+        rew = _rand_rewards(g, gi, lo=0.9, hi=1.8)
+        for dest in (0, g.num_nodes // 2 + 3):
+            gv = GoalView(g, dest)
+            for temperature in (1.0, 0.6):
+                for init in ("onehot", "dijkstra"):
+                    v, iters, conv = power_iteration_backward(
+                        gv, rew, temperature=temperature, init=init)
+                    rv, riters, rconv = scipy_backward(
+                        gv, rew, temperature=temperature, init=init)
+                    assert conv and rconv
+                    assert iters == riters, (gi, dest, temperature, init)
+                    assert np.array_equal(v, rv), (gi, dest, temperature, init)
+
+
+def test_library_does_not_import_scipy_special(monkeypatch):
+    # the planning kernel runs its own log-sum-exp; only the test oracles
+    # use scipy's, so the bitwise references stay independent
+    hits = []
+    for path in sorted(Path(routeirl.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+            else:
+                continue
+            hits += [(path.name, n) for n in names
+                     if n == "scipy.special" or n.startswith("scipy.special.")]
+    assert not hits
+    assert oracles.logsumexp is scipy.special.logsumexp
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the library called scipy.special.logsumexp")
+
+    monkeypatch.setattr(scipy.special, "logsumexp", forbidden)
+    g = gen_gridworld(4, 4)
+    rew = _rand_rewards(g, 1)
+    gv = GoalView(g, 5)
+    assert power_iteration_backward(gv, rew)[2]
+    assert routeirl.dominant_eigenvalue(gv, rew).converged

@@ -21,7 +21,7 @@ from routeirl.spectral import (
     dominant_eigenvalue,
     loss_surface_scan,
 )
-from oracles import dense_b1_lambda, diamond_graph
+from oracles import dense_b1_lambda, diamond_graph, scipy_dominant_eigenvalue
 
 
 def test_dominant_eigenvalue_matches_dense_solver():
@@ -148,3 +148,21 @@ def test_spectral_report_fields():
     assert isinstance(rep, SpectralReport)
     assert rep.iterations >= 1
     assert len(rep.upper_bounds) == 2
+
+
+def test_dominant_eigenvalue_matches_scipy_reference_bitwise():
+    graphs = [gen_gridworld(10, 10, feature_spec="random", rng_seed=11),
+              gen_random_graph(30, rng_seed=5, extra_edges=40)]
+    for gi, g in enumerate(graphs):
+        rng = np.random.default_rng(gi)
+        rew = edge_rewards(LinearReward(-rng.uniform(0.9, 1.8, size=g.feature_dim)), g)
+        for dest in (0, g.num_nodes // 2 + 3):
+            gv = GoalView(g, dest)
+            for temperature in (1.0, 0.6):
+                rep = dominant_eigenvalue(gv, rew, temperature=temperature)
+                shift = min(1.0, *cheap_bounds(gv, rew, temperature))
+                want = scipy_dominant_eigenvalue(gv, rew, shift,
+                                                 temperature=temperature)
+                assert rep.iterations > 0
+                assert (rep.lambda_max, rep.iterations, rep.converged) == want, \
+                    (gi, dest, temperature)
