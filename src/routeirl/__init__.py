@@ -3,8 +3,8 @@
 __version__ = "0.1.0"
 
 from .algorithms import (GradientReport, IrlConfig, batch_gradient,
-                         demo_gradient, maxent_gradient,
-                         receding_horizon_gradient, sample_demonstrations)
+                         demo_gradient, receding_horizon_gradient,
+                         sample_demonstrations)
 from .errors import InfeasibilityError, ValidationError
 from .graph import (GoalView, MergeMap, RoadGraph, Trajectory, build_graph,
                     compress_graph, compress_trajectory, expand_trajectory,

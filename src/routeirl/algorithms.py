@@ -8,10 +8,13 @@ greedy tail.  ``demo_gradient`` resolves the configured algorithm name:
 - ``birl``: RH(1), one softmax step over max-reward values.
 - ``mmp``: RH(0) at temperature 1 on margin-augmented rewards, reporting
   the margin loss instead of a likelihood.
-- ``maxent``: fully converged softmax values (the H -> inf limit), with
-  selectable backward initialization.
+- ``maxent``: RH(inf), fully converged softmax values and no greedy tail.
 
-All estimators return ascent directions: step the model parameters by
+``algorithm_settings`` is the one table from names to (horizon,
+temperature, margin).  At H=0 and H=inf one stationary policy plans from
+every state, so a single rollout from the origin gives the gradient.
+
+The estimator returns ascent directions: step the model parameters by
 ``+lr * gradient`` to increase demonstration likelihood (or decrease margin
 loss).
 """
@@ -39,7 +42,7 @@ class IrlConfig:
     horizon: float = 10.0          # receding_horizon only; nonnegative int or inf
     temperature: float = 1.0
     margin: float = 1.0            # mmp only (RH(0) on margin-augmented rewards)
-    init: str = "dijkstra"         # maxent backward initialization
+    init: str = "dijkstra"         # H=inf backward start: max-reward values or "onehot"
     tol: float = 1e-9
     max_iters: int | None = None
 
@@ -64,14 +67,13 @@ class GradientReport:
     loss: float | None = None      # margin loss (mmp)
     skipped: bool = False
     reason: str = ""
-    converged: bool = True
     backward_iters: int = 0
     rollout_steps: int = 0
     truncated: bool = False
 
 
 def _skipped(reason: str) -> GradientReport:
-    return GradientReport(gradient=None, skipped=True, reason=reason, converged=False)
+    return GradientReport(gradient=None, skipped=True, reason=reason)
 
 
 def state_mass(g: RoadGraph, nodes) -> np.ndarray:
@@ -93,42 +95,14 @@ def _check_demo(g: RoadGraph, traj: Trajectory) -> None:
 
 
 # ---------------------------------------------------------------------------
-# fully converged softmax values (the infinite-horizon limit)
-
-
-def maxent_gradient(model: RewardModel, g: RoadGraph, traj: Trajectory,
-                    cfg: IrlConfig) -> GradientReport:
-    _check_demo(g, traj)
-    gv = GoalView(g, traj.nodes[-1])
-    r = edge_rewards(model, g)
-    v, iters, conv = power_iteration_backward(
-        gv, r, temperature=cfg.temperature, init=cfg.init,
-        tol=cfg.tol, max_iters=cfg.max_iters)
-    if not conv:
-        rep = _skipped("backward pass did not converge")
-        rep.backward_iters = iters
-        return rep
-    origin = traj.nodes[0]
-    if np.isneginf(v[origin]):
-        return _skipped("origin cannot reach destination")
-    pol = policy_from_values(gv, r, v, cfg.temperature)
-    roll = rollout(gv, [(pol, None)], state_mass(g, [origin]))
-    residual = (edge_mass_of(g, traj.edges) - roll.edge_mass) / cfg.temperature
-    grad = backprop(model, g, residual)
-    nll = trajectory_nll(g, traj, pol)
-    return GradientReport(gradient=grad, nll=nll, converged=True,
-                          backward_iters=iters, rollout_steps=roll.steps,
-                          truncated=roll.truncated)
-
-
-# ---------------------------------------------------------------------------
 # the general receding-horizon estimator
 
 
 def receding_horizon_gradient(model: RewardModel, g: RoadGraph,
                               traj: Trajectory, cfg: IrlConfig, *,
                               margin: float | None = None) -> GradientReport:
-    """RH(H) gradient; ``cfg.margin`` and ``cfg.algorithm`` are not read.
+    """RH(H) gradient; ``cfg.margin`` and ``cfg.algorithm`` are not read, and
+    ``cfg.init`` only at H=inf.
 
     With ``margin`` (H=0 only) the planner sees rewards raised by ``margin``
     on every edge but the connectors and the demo's own, and the report
@@ -150,7 +124,8 @@ def receding_horizon_gradient(model: RewardModel, g: RoadGraph,
     origin = traj.nodes[0]
     if np.isneginf(v_best[origin]):
         return _skipped("origin cannot reach destination")
-    pol_greedy = greedy_policy(gv, r_plan, v_best)
+    # H=inf plans with soft values all the way and has no greedy tail
+    pol_greedy = None if math.isinf(horizon) else greedy_policy(gv, r_plan, v_best)
     rs = slot_rewards(gv, r)
     backward_iters = 0
     pol_soft: Policy | None = None
@@ -158,7 +133,8 @@ def receding_horizon_gradient(model: RewardModel, g: RoadGraph,
     v[gv.destination] = 0.0
     if math.isinf(horizon):
         v, backward_iters, conv = power_iteration_backward(
-            gv, r, temperature=cfg.temperature, init=v,
+            gv, r, temperature=cfg.temperature,
+            init=v if cfg.init == "dijkstra" else cfg.init,
             tol=cfg.tol, max_iters=cfg.max_iters)
         if not conv:
             rep = _skipped("backward pass did not converge")
@@ -171,54 +147,61 @@ def receding_horizon_gradient(model: RewardModel, g: RoadGraph,
         for _ in range(backward_iters):
             q, v = softmax_backup(gv, rs, v, cfg.temperature)
         pol_soft = policy_from_q(gv, q, v)
+    pol = pol_greedy if pol_soft is None else pol_soft
 
-    demo_states = state_mass(g, traj.nodes)
-    suffix_states = state_mass(g, traj.nodes[1:])
-
-    def schedule(soft_steps: float) -> list[tuple[Policy, int | None]]:
-        out: list[tuple[Policy, int | None]] = []
-        if pol_soft is not None and soft_steps != 0:
-            out.append((pol_soft, None if math.isinf(soft_steps) else int(soft_steps)))
-        if not math.isinf(soft_steps):
-            out.append((pol_greedy, None))
-        return out
-
-    roll_theta = rollout(gv, schedule(horizon), demo_states)
-    roll_star = rollout(gv, schedule(horizon - 1 if horizon >= 1 else 0),
-                        suffix_states)
-    # at H=0 both rollouts are the same deterministic walks but for the one
-    # from the origin, so the origin's unit of mass must be absorbed
-    if horizon == 0 and roll_theta.absorbed_mass - roll_star.absorbed_mass < 1.0:
-        return _skipped("greedy walk failed to reach the destination")
     rho_tau = edge_mass_of(g, traj.edges)
-    residual = (roll_star.edge_mass + rho_tau - roll_theta.edge_mass) / cfg.temperature
+    if horizon == 0 or math.isinf(horizon):
+        # one stationary policy drives both rollouts, and a rollout is linear
+        # in its initial mass: rho_theta - rho_star is the origin's rollout
+        roll = rollout(gv, [(pol, None)], state_mass(g, [origin]))
+        if horizon == 0 and roll.absorbed_mass < 1.0:
+            return _skipped("greedy walk failed to reach the destination")
+        rho_best = roll.edge_mass
+        residual = (rho_tau - rho_best) / cfg.temperature
+        steps, truncated = roll.steps, roll.truncated
+    else:
+        # 1 <= H < inf: the demo's states take H soft steps before the greedy
+        # tail and its suffix's H - 1, so the schedules differ and both
+        # rollouts are needed
+        roll_theta = rollout(gv, [(pol_soft, backward_iters), (pol_greedy, None)],
+                             state_mass(g, traj.nodes))
+        roll_star = rollout(gv, [(pol_soft, backward_iters - 1), (pol_greedy, None)],
+                            state_mass(g, traj.nodes[1:]))
+        residual = (roll_star.edge_mass + rho_tau - roll_theta.edge_mass) / cfg.temperature
+        steps = roll_theta.steps + roll_star.steps
+        truncated = roll_theta.truncated or roll_star.truncated
     grad = backprop(model, g, residual)
     nll = loss = None
     if margin is None:
         # receding-horizon likelihood: every step under the planned policy
-        nll = trajectory_nll(g, traj, pol_greedy if pol_soft is None else pol_soft)
+        nll = trajectory_nll(g, traj, pol)
     else:
-        rho_best = roll_theta.edge_mass - roll_star.edge_mass
         loss = float(r_plan @ rho_best - r @ rho_tau)
-    return GradientReport(gradient=grad, nll=nll, loss=loss, converged=True,
-                          backward_iters=backward_iters,
-                          rollout_steps=roll_theta.steps + roll_star.steps,
-                          truncated=roll_theta.truncated or roll_star.truncated)
+    return GradientReport(gradient=grad, nll=nll, loss=loss,
+                          backward_iters=backward_iters, rollout_steps=steps,
+                          truncated=truncated)
+
+
+def algorithm_settings(cfg: IrlConfig) -> tuple[float, float, float | None]:
+    """The (horizon, temperature, margin) at which ``cfg.algorithm`` runs the
+    receding-horizon estimator; the margin is None but for ``mmp``."""
+    if cfg.algorithm == "maxent":
+        return math.inf, cfg.temperature, None
+    if cfg.algorithm == "birl":
+        return 1, cfg.temperature, None
+    if cfg.algorithm == "mmp":
+        return 0, 1.0, cfg.margin
+    return cfg.horizon, cfg.temperature, None
 
 
 def demo_gradient(model: RewardModel, g: RoadGraph, traj: Trajectory,
                   cfg: IrlConfig) -> GradientReport:
-    """Resolve the algorithm name: ``birl`` is RH(1), ``mmp`` is RH(0) at
-    temperature 1 on margin-augmented rewards."""
-    if cfg.algorithm == "maxent":
-        return maxent_gradient(model, g, traj, cfg)
-    if cfg.algorithm == "birl":
-        return receding_horizon_gradient(model, g, traj, replace(cfg, horizon=1))
-    if cfg.algorithm == "mmp":
-        return receding_horizon_gradient(
-            model, g, traj, replace(cfg, horizon=0, temperature=1.0),
-            margin=cfg.margin)
-    return receding_horizon_gradient(model, g, traj, cfg)
+    """Run the receding-horizon estimator at the settings of the algorithm
+    name (see ``algorithm_settings``)."""
+    horizon, temperature, margin = algorithm_settings(cfg)
+    return receding_horizon_gradient(
+        model, g, traj, replace(cfg, horizon=horizon, temperature=temperature),
+        margin=margin)
 
 
 def batch_gradient(model: RewardModel, g: RoadGraph,

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algorithms import IrlConfig, demo_gradient
+from .algorithms import IrlConfig, algorithm_settings, demo_gradient
 from .errors import ValidationError
 from .graph import GoalView, RoadGraph, Trajectory, extract_subgraph
 from .metrics import evaluate
@@ -198,11 +198,6 @@ def shard_bound(subgraph: RoadGraph, rew: np.ndarray, destinations,
     return worst
 
 
-def _needs_converged_backward(cfg: TrainConfig) -> bool:
-    return cfg.algorithm == "maxent" or (
-        cfg.algorithm == "receding_horizon" and math.isinf(cfg.horizon))
-
-
 def train_expert(shard: Shard, model_init: RewardModel, cfg: TrainConfig,
                  checkpoint_dir: str | Path | None = None
                  ) -> tuple[RewardModel, TrainHistory]:
@@ -210,9 +205,10 @@ def train_expert(shard: Shard, model_init: RewardModel, cfg: TrainConfig,
 
     Per epoch the spectral bound over the shard's destinations is checked and
     the learning rate halves whenever the bound exceeds 1 - guard_margin.
-    Per sample, algorithms that need a converged backward pass are skipped
-    outright when the bound cannot certify feasibility (bound >= 1).  An
-    epoch in which every sample was skipped stops training early.
+    Per sample, the settings that need a converged backward pass (H=inf,
+    which ``maxent`` runs at) are skipped outright when the destination's
+    bound cannot certify feasibility (bound >= 1).  An epoch in which every
+    sample was skipped stops training early.
     """
     if not shard.demos:
         raise ValidationError("shard has no training demos")
@@ -222,6 +218,7 @@ def train_expert(shard: Shard, model_init: RewardModel, cfg: TrainConfig,
     optimizers = make_optimizers(model, cfg)
     history = TrainHistory()
     dests = sorted({traj.nodes[-1] for traj in shard.demos})
+    guard = math.isinf(algorithm_settings(icfg)[0])
     lr_scale = 1.0
     t = 0
     if checkpoint_dir is not None:
@@ -238,36 +235,24 @@ def train_expert(shard: Shard, model_init: RewardModel, cfg: TrainConfig,
             t += 1
             t0 = time.perf_counter()
             idx = rng.choice(len(shard.demos), size=cfg.batch_size, replace=True)
-            rew = edge_rewards(model, shard.subgraph)
-            guard = _needs_converged_backward(cfg)
-            bound_by_dest: dict[int, float] = {}
-            grads = []
-            losses = []
-            skips = 0
-            for i in idx:
-                traj = shard.demos[int(i)]
-                dest = traj.nodes[-1]
-                if guard:
-                    if dest not in bound_by_dest:
-                        row, col = cheap_bounds(GoalView(shard.subgraph, dest),
-                                                rew, cfg.temperature)
-                        bound_by_dest[dest] = min(row, col)
-                    if bound_by_dest[dest] >= 1.0:
-                        skips += 1
-                        continue
-                rep = demo_gradient(model, shard.subgraph, traj, icfg)
-                if rep.skipped or rep.gradient is None:
-                    skips += 1
-                    continue
-                grads.append(rep.gradient)
-                losses.append(rep.nll if rep.nll is not None else rep.loss)
+            batch = [shard.demos[int(i)] for i in idx]
+            if guard:
+                rew = edge_rewards(model, shard.subgraph)
+                bound_of = {dest: min(cheap_bounds(GoalView(shard.subgraph, dest),
+                                                   rew, cfg.temperature))
+                            for dest in {traj.nodes[-1] for traj in batch}}
+                batch = [traj for traj in batch if bound_of[traj.nodes[-1]] < 1.0]
+            kept = [rep for rep in (demo_gradient(model, shard.subgraph, traj, icfg)
+                                    for traj in batch) if not rep.skipped]
+            skips = cfg.batch_size - len(kept)
+            losses = [rep.nll if rep.nll is not None else rep.loss for rep in kept]
             warm = min(1.0, t / cfg.warmup) if cfg.warmup > 0 else 1.0
             scale = warm * lr_scale
             grad_norm = float("nan")
             loss = float("nan")
-            if grads:
+            if kept:
                 epoch_had_update = True
-                batch_grad = np.mean(grads, axis=0)
+                batch_grad = np.mean([rep.gradient for rep in kept], axis=0)
                 grad_norm = float(np.linalg.norm(batch_grad))
                 finite = [x for x in losses if x is not None and math.isfinite(x)]
                 loss = float(np.mean(finite)) if finite else float("nan")

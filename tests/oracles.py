@@ -3,7 +3,7 @@
 Everything here trades speed for obviousness: explicit walk enumeration,
 dense eigensolves, high-precision fixed points, central differences, the
 backward pass and spectral power iteration on scipy's logsumexp, and the
-classical BIRL and MMP estimators written out independently of the
+classical MaxEnt, BIRL and MMP estimators written out independently of the
 receding-horizon estimator that the library runs them as.
 """
 import mpmath as mp
@@ -15,7 +15,8 @@ from routeirl.algorithms import (GradientReport, IrlConfig, _check_demo,
                                  _skipped, edge_mass_of, state_mass)
 from routeirl.graph import Trajectory
 from routeirl.planners import (dijkstra_values, greedy_path, greedy_policy,
-                               policy_from_q, rollout, slot_rewards,
+                               policy_from_q, policy_from_values,
+                               power_iteration_backward, rollout, slot_rewards,
                                trajectory_nll)
 from routeirl.rewards import RewardModel, backprop, edge_rewards
 
@@ -285,7 +286,33 @@ def scipy_dominant_eigenvalue(gv: GoalView, rew: np.ndarray, shift: float, *,
 
 # ---------------------------------------------------------------------------
 # the classical estimators, written out on their own.  The library runs
-# `birl` as RH(1) and `mmp` as RH(0); these must never call it.
+# `maxent` as RH(inf), `birl` as RH(1) and `mmp` as RH(0); these must never
+# call it.
+
+
+def maxent_gradient(model: RewardModel, g: RoadGraph, traj: Trajectory,
+                    cfg: IrlConfig) -> GradientReport:
+    """Fully converged softmax values (the H -> inf limit)."""
+    _check_demo(g, traj)
+    gv = GoalView(g, traj.nodes[-1])
+    r = edge_rewards(model, g)
+    v, iters, conv = power_iteration_backward(
+        gv, r, temperature=cfg.temperature, init=cfg.init,
+        tol=cfg.tol, max_iters=cfg.max_iters)
+    if not conv:
+        rep = _skipped("backward pass did not converge")
+        rep.backward_iters = iters
+        return rep
+    origin = traj.nodes[0]
+    if np.isneginf(v[origin]):
+        return _skipped("origin cannot reach destination")
+    pol = policy_from_values(gv, r, v, cfg.temperature)
+    roll = rollout(gv, [(pol, None)], state_mass(g, [origin]))
+    residual = (edge_mass_of(g, traj.edges) - roll.edge_mass) / cfg.temperature
+    grad = backprop(model, g, residual)
+    nll = trajectory_nll(g, traj, pol)
+    return GradientReport(gradient=grad, nll=nll, backward_iters=iters,
+                          rollout_steps=roll.steps, truncated=roll.truncated)
 
 
 def birl_gradient(model: RewardModel, g: RoadGraph, traj: Trajectory,
@@ -315,7 +342,7 @@ def birl_gradient(model: RewardModel, g: RoadGraph, traj: Trajectory,
     residual = (rho_star - roll_theta.edge_mass) / cfg.temperature
     grad = backprop(model, g, residual)
     nll = trajectory_nll(g, traj, pol_soft)
-    return GradientReport(gradient=grad, nll=nll, converged=True,
+    return GradientReport(gradient=grad, nll=nll,
                           rollout_steps=roll_theta.steps + roll_star.steps,
                           truncated=roll_theta.truncated or roll_star.truncated)
 
@@ -341,5 +368,5 @@ def mmp_gradient(model: RewardModel, g: RoadGraph, traj: Trajectory,
     rho_best = edge_mass_of(g, best.edges)
     loss = float(r_aug @ rho_best - r @ rho_tau)
     grad = backprop(model, g, rho_tau - rho_best)
-    return GradientReport(gradient=grad, loss=loss, converged=True,
+    return GradientReport(gradient=grad, loss=loss,
                           rollout_steps=len(best.edges))

@@ -27,7 +27,7 @@ from routeirl.spectral import (classify, convergence_rate_probe,
 from routeirl.training import TrainConfig, partition_geographic, train_expert
 
 from oracles import (birl_gradient, diamond_graph, enumerate_simple_paths,
-                     loopy_graph, mmp_gradient)
+                     loopy_graph, maxent_gradient, mmp_gradient)
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:
@@ -94,7 +94,7 @@ def test_criterion_01_reduction_triangle():
                     algorithm="mmp", margin=0.0, **common)),
                 "birl": birl_gradient(model, g, demo, IrlConfig(
                     algorithm="birl", **common)),
-                "maxent": demo_gradient(model, g, demo, IrlConfig(
+                "maxent": maxent_gradient(model, g, demo, IrlConfig(
                     algorithm="maxent", init="dijkstra", **common)),
             }
             assert not any(r.skipped for r in reps.values())

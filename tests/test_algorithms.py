@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from routeirl import (
     demo_gradient,
     edge_rewards,
     gen_gridworld,
+    gen_random_graph,
     sample_demonstrations,
 )
 import oracles
@@ -20,7 +23,8 @@ import routeirl
 import routeirl.algorithms
 from routeirl.planners import dijkstra_values, greedy_path, power_iteration_backward
 from oracles import (birl_gradient, diamond_graph, fd_gradient, loopy_graph,
-                     mmp_gradient, mp_soft_values, tie_loop_graph)
+                     maxent_gradient, mmp_gradient, mp_soft_values,
+                     tie_loop_graph)
 
 TOP = Trajectory(nodes=(0, 1, 3), edges=(0, 2))
 BOT = Trajectory(nodes=(0, 2, 3), edges=(1, 3))
@@ -104,14 +108,18 @@ def test_mmp_margin_spares_demo_edges():
     assert abs(rep2.gradient[0] - (-1.0)) < 1e-12
 
 
-def _same_report(rep, ref, value):
+def _same_report(rep, ref, value, *, iters=False):
     """Full-report agreement with an oracle: skip reason, bitwise gradient,
-    and the named objective (`nll` or `loss`) to 1e-12."""
+    the named objective (`nll` or `loss`) to 1e-12, rollout steps and
+    truncation, and with `iters` the backward iterations."""
     assert (rep.skipped, rep.reason) == (ref.skipped, ref.reason)
+    if iters:
+        assert rep.backward_iters == ref.backward_iters
     if ref.skipped:
         return
     assert np.array_equal(rep.gradient, ref.gradient)
     assert abs(getattr(rep, value) - getattr(ref, value)) <= 1e-12
+    assert (rep.rollout_steps, rep.truncated) == (ref.rollout_steps, ref.truncated)
 
 
 def _check_reductions(m, g, demo, margins, *, tol_inf, max_iters=None):
@@ -144,9 +152,20 @@ def _check_reductions(m, g, demo, margins, *, tol_inf, max_iters=None):
     ginf = demo_gradient(m, g, demo,
                          IrlConfig(algorithm="receding_horizon", horizon=math.inf,
                                    tol=1e-13, max_iters=max_iters)).gradient
-    gmx = demo_gradient(m, g, demo, IrlConfig(algorithm="maxent", tol=1e-13,
-                                              max_iters=max_iters)).gradient
+    gmx = maxent_gradient(m, g, demo, IrlConfig(algorithm="maxent", tol=1e-13,
+                                                max_iters=max_iters)).gradient
     assert np.max(np.abs(ginf - gmx)) < tol_inf
+    for temperature in (1.0, 0.6):
+        for init in ("dijkstra", "onehot"):
+            cfg = IrlConfig(algorithm="maxent", temperature=temperature,
+                            init=init, tol=1e-13, max_iters=max_iters)
+            ref = maxent_gradient(m, g, demo, cfg)
+            _same_report(demo_gradient(m, g, demo, cfg), ref, "nll", iters=True)
+            # the maxent name is RH(inf), which reads `init` too
+            _same_report(demo_gradient(m, g, demo, IrlConfig(
+                algorithm="receding_horizon", horizon=math.inf,
+                temperature=temperature, init=init, tol=1e-13,
+                max_iters=max_iters)), ref, "nll", iters=True)
 
 
 def test_horizon_reductions():
@@ -179,11 +198,67 @@ def test_horizon_reductions_cyclic():
                           tol_inf=1e-9, max_iters=5000)
 
 
+def test_mmp_tie_loop_after_the_origin_is_not_truncated():
+    # margin 1 zeroes the 1<->2 loop, which the greedy walks from 1 and 2
+    # circle; only the origin's walk (0->3) enters the gradient
+    g = loopy_graph()
+    m = LinearReward(np.array([-1.0]))
+    demo = Trajectory.from_nodes(g, [0, 1, 2, 3])
+    cfg = IrlConfig(algorithm="mmp", margin=1.0)
+    rep = demo_gradient(m, g, demo, cfg)
+    assert (rep.skipped, rep.rollout_steps, rep.truncated) == (False, 1, False)
+    assert np.array_equal(rep.gradient, [1.0]) and rep.loss == 2.0
+    _same_report(rep, mmp_gradient(m, g, demo, cfg), "loss")
+
+
+def test_reductions_on_generated_graphs():
+    """Each algorithm name against its oracle on seeded random graphs."""
+    # the BIRL oracle divides r + v_best by T, the library r and v_best
+    # apiece: bitwise equal where T is a power of two
+    cfgs = [IrlConfig(algorithm="mmp", margin=margin) for margin in (0.0, 0.3)]
+    cfgs += [IrlConfig(algorithm="birl")]
+    cfgs += [IrlConfig(algorithm="maxent", temperature=temperature, init=init)
+             for temperature in (1.0, 0.6) for init in ("dijkstra", "onehot")]
+    oracle = {"mmp": (mmp_gradient, "loss"), "birl": (birl_gradient, "nll"),
+              "maxent": (maxent_gradient, "nll")}
+    m = LinearReward(np.array([-1.0, -0.8]))
+    for seed in range(10):
+        g = gen_random_graph(6 + seed, rng_seed=seed, extra_edges=seed % 5 + 3)
+        for demo in sample_demonstrations(m, g, 3, rng_seed=seed):
+            for cfg in cfgs:
+                ref_fn, value = oracle[cfg.algorithm]
+                _same_report(demo_gradient(m, g, demo, cfg),
+                             ref_fn(m, g, demo, cfg), value,
+                             iters=cfg.algorithm == "maxent")
+
+
+def test_only_the_receding_horizon_estimator_calls_backprop():
+    callers = []
+    for path in sorted(Path(routeirl.__file__).parent.glob("*.py")):
+        stack = [f"{path.stem}.<module>"]
+
+        class Visitor(ast.NodeVisitor):
+            def visit_FunctionDef(self, node):
+                stack.append(f"{path.stem}.{node.name}")
+                self.generic_visit(node)
+                stack.pop()
+
+            visit_AsyncFunctionDef = visit_FunctionDef
+
+            def visit_Call(self, node):
+                f = node.func
+                if getattr(f, "id", getattr(f, "attr", None)) == "backprop":
+                    callers.append(stack[-1])
+                self.generic_visit(node)
+
+        Visitor().visit(ast.parse(path.read_text()))
+    assert callers == ["algorithms.receding_horizon_gradient"]
+
+
 def test_oracle_estimators_call_no_library_estimator(monkeypatch):
-    estimators = ("receding_horizon_gradient", "maxent_gradient",
-                  "demo_gradient", "batch_gradient")
+    estimators = ("receding_horizon_gradient", "demo_gradient", "batch_gradient")
     referenced = set(vars(oracles))
-    for fn in (birl_gradient, mmp_gradient):
+    for fn in (maxent_gradient, birl_gradient, mmp_gradient):
         referenced |= set(fn.__code__.co_names)
     assert not referenced & set(estimators)
 
@@ -199,6 +274,8 @@ def test_oracle_estimators_call_no_library_estimator(monkeypatch):
     assert not birl_gradient(m, g, demo, IrlConfig(algorithm="birl")).skipped
     assert not mmp_gradient(m, g, demo, IrlConfig(algorithm="mmp",
                                                   margin=0.3)).skipped
+    assert not maxent_gradient(m, g, demo, IrlConfig(algorithm="maxent",
+                                                     max_iters=5000)).skipped
 
 
 def test_operation_count_nondecreasing_in_horizon():
