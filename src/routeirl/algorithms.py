@@ -27,9 +27,8 @@ import numpy as np
 
 from .errors import InfeasibilityError, ValidationError
 from .graph import GoalView, RoadGraph, Trajectory
-from .planners import (Policy, dijkstra_values, greedy_policy, policy_from_q,
-                       policy_from_values, power_iteration_backward, rollout,
-                       slot_rewards, softmax_backup, trajectory_nll)
+from .planners import (Planner, Policy, policy_from_q, power_iteration_backward,
+                       rollout, slot_rewards, softmax_backup, trajectory_nll)
 from .rewards import RewardModel, backprop, edge_rewards
 
 _ALGS = ("receding_horizon", "maxent", "birl", "mmp")
@@ -89,9 +88,7 @@ def edge_mass_of(g: RoadGraph, edges) -> np.ndarray:
 
 
 def _check_demo(g: RoadGraph, traj: Trajectory) -> None:
-    traj.validate(g)
-    if len(traj.edges) < 1:
-        raise ValidationError("demonstration has no edges")
+    traj.validate(g)  # a Trajectory has at least one edge by construction
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +109,6 @@ def receding_horizon_gradient(model: RewardModel, g: RoadGraph,
     horizon = cfg.horizon
     if margin is not None and horizon != 0:
         raise ValidationError("a margin applies at horizon 0 only")
-    gv = GoalView(g, traj.nodes[-1])
     r = edge_rewards(model, g)
     r_plan = r
     if margin is not None:
@@ -120,12 +116,14 @@ def receding_horizon_gradient(model: RewardModel, g: RoadGraph,
         margins[g.connector_flags] = 0.0
         margins[list(traj.edges)] = 0.0
         r_plan = r + margins
-    v_best = dijkstra_values(gv, r_plan)
+    gv = GoalView(g, traj.destination)
+    plan = Planner(g, r_plan, cfg.temperature)
+    v_best = plan.best_values(gv.destination)
     origin = traj.nodes[0]
     if np.isneginf(v_best[origin]):
         return _skipped("origin cannot reach destination")
     # H=inf plans with soft values all the way and has no greedy tail
-    pol_greedy = None if math.isinf(horizon) else greedy_policy(gv, r_plan, v_best)
+    pol_greedy = None if math.isinf(horizon) else plan.greedy(gv.destination)
     rs = slot_rewards(gv, r)
     backward_iters = 0
     pol_soft: Policy | None = None
@@ -230,31 +228,12 @@ def sample_demonstrations(model: RewardModel, g: RoadGraph, num_demos: int, *,
     rejected and resampled.
     """
     rng = np.random.default_rng(rng_seed)
-    r = edge_rewards(model, g)
+    plan = Planner(g, edge_rewards(model, g), temperature)
     if max_len is None:
         max_len = 4 * g.num_nodes
     fixed_pairs = pairs is not None
     if fixed_pairs and len(pairs) != num_demos:
         raise ValidationError("pairs length != num_demos")
-    policies: dict[int, Policy] = {}
-    values: dict[int, np.ndarray] = {}
-
-    def policy_for(dest: int) -> tuple[Policy, np.ndarray]:
-        if dest not in policies:
-            gv = GoalView(g, dest)
-            if temperature == 0.0:
-                v = dijkstra_values(gv, r)
-                pol = greedy_policy(gv, r, v)
-            else:
-                v, _, conv = power_iteration_backward(
-                    gv, r, temperature=temperature, init="dijkstra")
-                if not conv:
-                    raise InfeasibilityError(
-                        f"softmax values for destination {dest} did not converge")
-                pol = policy_from_values(gv, r, v, temperature)
-            policies[dest] = pol
-            values[dest] = v
-        return policies[dest], values[dest]
 
     out: list[Trajectory] = []
     failures = 0
@@ -266,7 +245,14 @@ def sample_demonstrations(model: RewardModel, g: RoadGraph, num_demos: int, *,
             origin, dest = pairs[len(out)]
         else:
             origin, dest = (int(x) for x in rng.choice(g.num_nodes, size=2, replace=False))
-        pol, v = policy_for(dest)
+        if temperature == 0.0:
+            v, pol = plan.best_values(dest), plan.greedy(dest)
+        else:
+            soft = plan.soft(dest)
+            if soft is None:
+                raise InfeasibilityError(
+                    f"softmax values for destination {dest} did not converge")
+            v, pol = soft
         if np.isneginf(v[origin]):
             if fixed_pairs:
                 raise ValidationError(f"pair ({origin}, {dest}) is disconnected")

@@ -46,6 +46,21 @@ class RoadGraph:
         return self.slot_edge >= 0
 
     @cached_property
+    def safe_targets(self) -> np.ndarray:
+        """slot_target with 0 on invalid slots (readers mask the goal row)."""
+        return np.where(self.slot_valid, self.slot_target, 0)
+
+    @cached_property
+    def reversed_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """CSR layout of the reversed graph, one entry per (dst, src) pair:
+        (edges grouped by pair, group starts, src per group, row pointer)."""
+        pair = self.edge_dst * self.num_nodes + self.edge_src
+        order = np.argsort(pair, kind="stable")
+        starts = np.flatnonzero(np.diff(pair[order], prepend=-1))
+        indptr = np.searchsorted(self.edge_dst[order[starts]], np.arange(self.num_nodes + 1))
+        return order, starts, self.edge_src[order[starts]], indptr
+
+    @cached_property
     def out_degree(self) -> np.ndarray:
         return self.slot_valid.sum(axis=1).astype(np.int64)
 
@@ -174,17 +189,6 @@ class GoalView(object):
     def slot_valid(self) -> np.ndarray:
         mask = self.graph.slot_valid.copy()
         mask[self.destination, :] = False
-        return mask
-
-    @cached_property
-    def safe_targets(self) -> np.ndarray:
-        """slot_target with 0 on invalid slots, so fancy indexing is safe."""
-        return np.where(self.slot_valid, self.graph.slot_target, 0)
-
-    @cached_property
-    def edge_valid(self) -> np.ndarray:
-        mask = np.ones(self.graph.num_edges, dtype=bool)
-        mask[self.graph.edge_src == self.destination] = False
         return mask
 
 

@@ -15,9 +15,8 @@ import numpy as np
 from scipy.stats import norm
 
 from .errors import ValidationError
-from .graph import GoalView, MergeMap, RoadGraph, Trajectory
-from .planners import (dijkstra_values, greedy_path, power_iteration_backward,
-                       trajectory_policy_nll)
+from .graph import MergeMap, RoadGraph, Trajectory
+from .planners import Planner, greedy_path, trajectory_nll
 from .rewards import RewardModel, edge_rewards
 
 
@@ -51,37 +50,31 @@ def evaluate(model_or_table, demos: list[Trajectory], g: RoadGraph, *,
     nll=True additionally reports the mean demo NLL under the converged
     softmax policy; it is omitted (None) when any required backward pass
     fails to converge, mirroring algorithms for which the likelihood is
-    undefined.  Each destination is planned once: one GoalView and one
-    Dijkstra pass, which also starts the softmax backward pass.
+    undefined.  Each distinct destination is planned once, on one reversed
+    graph for the table: one Dijkstra pass, one greedy policy that every walk
+    to it follows and, with nll=True, one backward pass from the Dijkstra
+    values and its softmax policy.
     """
     if not demos:
         raise ValidationError("no demos to evaluate")
     if nll and temperature <= 0:
         raise ValidationError("temperature must be positive")
-    rew = _reward_table(model_or_table, g)
+    plan = Planner(g, _reward_table(model_or_table, g), temperature)
 
     def expand(edges) -> list[int]:
         if merge_map is None:
             return [int(e) for e in edges]
         return [int(e) for e in merge_map.expand_edges(edges)]
 
-    plans: dict[int, tuple[GoalView, np.ndarray]] = {}
-    soft_values: dict[int, np.ndarray | None] = {}
     acc_sum = 0.0
     iou_sum = 0.0
     nll_sum = 0.0
     nll_ok = nll
     unreachable = 0
     for traj in demos:
-        dest = traj.nodes[-1]
-        origin = traj.nodes[0]
-        if dest not in plans:
-            gv = GoalView(g, dest)
-            plans[dest] = gv, dijkstra_values(gv, rew)
-        gv, v = plans[dest]
-        pred = None
-        if not np.isneginf(v[origin]):
-            pred = greedy_path(gv, rew, origin, v=v)
+        dest, origin = traj.nodes[-1], traj.nodes[0]
+        # an origin that cannot reach dest sits on a dead row: the walk is None
+        pred = greedy_path(g, plan.greedy(dest), origin)
         if pred is None:
             unreachable += 1
         else:
@@ -92,15 +85,11 @@ def evaluate(model_or_table, demos: list[Trajectory], g: RoadGraph, *,
             a, b = set(demo_edges), set(pred_edges)
             iou_sum += len(a & b) / len(a | b)
         if nll_ok:
-            if dest not in soft_values:
-                sv, _, conv = power_iteration_backward(
-                    gv, rew, temperature=temperature, init=v / temperature)
-                soft_values[dest] = sv if conv else None
-            sv = soft_values[dest]
-            if sv is None:
+            soft = plan.soft(dest)
+            if soft is None:
                 nll_ok = False
             else:
-                nll_sum += trajectory_policy_nll(gv, rew, sv, traj, temperature)
+                nll_sum += trajectory_nll(g, traj, soft[1])
     n = len(demos)
     return Metrics(acc=acc_sum / n, iou=iou_sum / n,
                    nll=(nll_sum / n) if nll_ok else None,

@@ -41,25 +41,7 @@ def dijkstra_values(gv: GoalView, rew: np.ndarray) -> np.ndarray:
     forces the slower negative-cost routine, and a reward-gain cycle raises
     InfeasibilityError.
     """
-    g = gv.graph
-    rew = np.asarray(rew, dtype=np.float64)
-    # reversed graph, best (min-cost) edge per ordered pair
-    cost = -rew
-    order = np.lexsort((cost, g.edge_src, g.edge_dst))
-    src_r = g.edge_dst[order]
-    dst_r = g.edge_src[order]
-    keep = np.ones(order.shape[0], dtype=bool)
-    keep[1:] = (src_r[1:] != src_r[:-1]) | (dst_r[1:] != dst_r[:-1])
-    mat = sp.csr_matrix((cost[order][keep], (src_r[keep], dst_r[keep])),
-                        shape=(g.num_nodes, g.num_nodes))
-    if rew.size and np.max(rew) > 0:
-        try:
-            dist = bellman_ford(mat, indices=gv.destination)
-        except NegativeCycleError:
-            raise InfeasibilityError("reward-gain cycle: best path is unbounded") from None
-    else:
-        dist = dijkstra(mat, indices=gv.destination)
-    return -np.asarray(dist, dtype=np.float64).ravel()
+    return Planner(gv.graph, rew).best_values(gv.destination)
 
 
 @dataclass
@@ -107,7 +89,7 @@ def softmax_backup(gv: GoalView, rew_slots: np.ndarray, v_prev: np.ndarray,
     row with no finite Q (a dead end) gets v = -inf.  The log-sum-exp is
     ``_logsumexp_rows``, bitwise equal to scipy's.
     """
-    q = rew_slots / temperature + v_prev[gv.safe_targets]
+    q = rew_slots / temperature + v_prev[gv.graph.safe_targets]
     q[~gv.slot_valid] = -np.inf
     v = _logsumexp_rows(q)
     v[gv.destination] = 0.0
@@ -148,16 +130,11 @@ def power_iteration_backward(gv: GoalView, rew: np.ndarray, *,
         raise ValidationError("temperature must be positive")
     rs = slot_rewards(gv, rew)
     if isinstance(init, str):
-        if init == "onehot":
-            v = onehot_values(gv)
-        elif init == "dijkstra":
-            v = dijkstra_values(gv, rew) / temperature
-            v[gv.destination] = 0.0
-        else:
+        if init not in ("onehot", "dijkstra"):
             raise ValidationError(f"unknown init {init!r}")
-    else:
-        v = np.asarray(init, dtype=np.float64).copy()
-        v[gv.destination] = 0.0
+        init = onehot_values(gv) if init == "onehot" else dijkstra_values(gv, rew) / temperature
+    v = np.asarray(init, dtype=np.float64).copy()
+    v[gv.destination] = 0.0
     if max_iters is None:
         max_iters = _default_iters(gv.graph.num_nodes)
     if trace is not None:
@@ -198,7 +175,7 @@ def greedy_policy(gv: GoalView, rew: np.ndarray, v: np.ndarray) -> Policy:
     Temperature cancels in the argmax, so this is scale-free.
     """
     rs = slot_rewards(gv, rew)
-    q = rs + v[gv.safe_targets]
+    q = rs + v[gv.graph.safe_targets]
     q[~gv.slot_valid] = -np.inf
     g = gv.graph
     probs = np.zeros((g.num_nodes, g.max_out_degree))
@@ -228,22 +205,14 @@ def trajectory_policy_nll(gv: GoalView, rew: np.ndarray, v: np.ndarray,
     return trajectory_nll(gv.graph, traj, policy_from_values(gv, rew, v, temperature))
 
 
-def greedy_path(gv: GoalView, rew: np.ndarray, origin: int,
-                v: np.ndarray | None = None,
-                max_steps: int | None = None) -> Trajectory | None:
-    """Follow the greedy policy from origin; None if it never reaches the
-    destination (dead end or a tie-broken loop)."""
-    g = gv.graph
-    if v is None:
-        v = dijkstra_values(gv, rew)
-    pol = greedy_policy(gv, rew, v)
-    if max_steps is None:
-        max_steps = g.num_nodes + 1
+def greedy_path(g: RoadGraph, pol: Policy, origin: int) -> Trajectory | None:
+    """Follow a greedy policy (see ``greedy_policy``) from origin; None if it
+    never reaches the destination (dead end or a tie-broken loop)."""
     node = origin
     nodes = [origin]
     edges = []
-    for _ in range(max_steps):
-        if node == gv.destination:
+    for _ in range(g.num_nodes + 1):
+        if node == pol.destination:
             if not edges:
                 return None
             return Trajectory(nodes=tuple(nodes), edges=tuple(edges))
@@ -254,6 +223,68 @@ def greedy_path(gv: GoalView, rew: np.ndarray, origin: int,
         node = int(g.slot_target[node, slot])
         nodes.append(node)
     return None
+
+
+def _reversed_graph(g: RoadGraph, rew: np.ndarray) -> sp.csr_matrix:
+    """Reversed cost matrix -rew, best (min-cost) edge per ordered node pair;
+    fmin keeps the first of tied costs and skips NaN, as a sort by cost would."""
+    order, starts, cols, indptr = g.reversed_pairs
+    return sp.csr_matrix((np.fmin.reduceat(-rew[order], starts), cols, indptr),
+                         shape=(g.num_nodes, g.num_nodes))
+
+
+class Planner:
+    """One reward table's planning state, shared by all its destinations.
+
+    Per table: the reversed graph and the shortest-path routine that runs on
+    it (negative-cost when any reward is positive).  Per destination,
+    computed on first use and kept: max-reward values, greedy policy, and
+    converged soft values and policy (None if the backward pass diverges).
+    GoalViews are not kept: their slot masks would add S x V bytes per
+    destination.  The arrays it returns must not be modified.
+    """
+
+    def __init__(self, g: RoadGraph, rew: np.ndarray, temperature: float = 1.0):
+        self.graph = g
+        self.rew = np.asarray(rew, dtype=np.float64)
+        if self.rew.shape != (g.num_edges,):
+            raise ValidationError("reward table length != edge count")
+        self.temperature = temperature
+        self._reversed = _reversed_graph(g, self.rew)
+        self._gain = bool(self.rew.size and np.max(self.rew) > 0)
+        self._memo: dict[tuple[str, int], object] = {}
+
+    def memo(self, kind: str, dest: int, make):
+        """``make()``, computed once per (kind, destination)."""
+        if (kind, dest) not in self._memo:
+            self._memo[kind, dest] = make()
+        return self._memo[kind, dest]
+
+    def best_values(self, dest: int) -> np.ndarray:
+        return self.memo("best", dest,
+                         lambda: self._shortest_paths(GoalView(self.graph, dest)))
+
+    def _shortest_paths(self, gv: GoalView) -> np.ndarray:
+        if not self._gain:
+            return -dijkstra(self._reversed, indices=gv.destination)
+        try:
+            return -bellman_ford(self._reversed, indices=gv.destination)
+        except NegativeCycleError:
+            raise InfeasibilityError("reward-gain cycle: best path is unbounded") from None
+
+    def greedy(self, dest: int) -> Policy:
+        return self.memo("greedy", dest, lambda: greedy_policy(
+            GoalView(self.graph, dest), self.rew, self.best_values(dest)))
+
+    def soft(self, dest: int) -> tuple[np.ndarray, Policy] | None:
+        """Converged soft values and their policy, from the Dijkstra start."""
+        def make():
+            gv = GoalView(self.graph, dest)
+            v, _, conv = power_iteration_backward(
+                gv, self.rew, temperature=self.temperature,
+                init=self.best_values(dest) / self.temperature)
+            return (v, policy_from_values(gv, self.rew, v, self.temperature)) if conv else None
+        return self.memo("soft", dest, make)
 
 
 @dataclass

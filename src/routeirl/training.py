@@ -26,6 +26,7 @@ from .algorithms import IrlConfig, algorithm_settings, demo_gradient
 from .errors import ValidationError
 from .graph import GoalView, RoadGraph, Trajectory, extract_subgraph
 from .metrics import evaluate
+from .planners import Planner
 from .rewards import (RewardModel, edge_rewards, project_nonpositive,
                       save_checkpoint)
 from .spectral import cheap_bounds
@@ -151,12 +152,7 @@ def make_optimizers(model: RewardModel, cfg: TrainConfig):
     adaptive moments for per-edge sparse parameters (unless overridden)."""
     out = []
     for kind, sl in model.param_slices():
-        if cfg.optimizer == "sgd":
-            opt = SGD(cfg.lr if cfg.lr is not None else _SGD_LR.get(kind, 0.05))
-        elif cfg.optimizer == "adam":
-            opt = Adam(cfg.lr if cfg.lr is not None else _ADAM_LR,
-                       cfg.beta1, cfg.beta2, cfg.eps)
-        elif kind == "sparse":
+        if cfg.optimizer == "adam" or (cfg.optimizer == "auto" and kind == "sparse"):
             opt = Adam(cfg.lr if cfg.lr is not None else _ADAM_LR,
                        cfg.beta1, cfg.beta2, cfg.eps)
         else:
@@ -187,17 +183,6 @@ class TrainHistory:
                             for c in cols])
 
 
-def shard_bound(subgraph: RoadGraph, rew: np.ndarray, destinations,
-                temperature: float) -> float:
-    """Worst certified upper bound over the shard's demo destinations:
-    max over destinations of min(row bound, col bound)."""
-    worst = 0.0
-    for dest in destinations:
-        row, col = cheap_bounds(GoalView(subgraph, dest), rew, temperature)
-        worst = max(worst, min(row, col))
-    return worst
-
-
 def train_expert(shard: Shard, model_init: RewardModel, cfg: TrainConfig,
                  checkpoint_dir: str | Path | None = None
                  ) -> tuple[RewardModel, TrainHistory]:
@@ -223,9 +208,15 @@ def train_expert(shard: Shard, model_init: RewardModel, cfg: TrainConfig,
     t = 0
     if checkpoint_dir is not None:
         Path(checkpoint_dir).mkdir(parents=True, exist_ok=True)
+    # one planner per model state: the epoch bound and the guard share it
+    plan = Planner(shard.subgraph, edge_rewards(model, shard.subgraph), cfg.temperature)
+
+    def guard_bound(dest: int) -> float:
+        return plan.memo("bound", dest, lambda: min(
+            cheap_bounds(GoalView(shard.subgraph, dest), plan.rew, cfg.temperature)))
+
     for epoch in range(cfg.epochs):
-        rew = edge_rewards(model, shard.subgraph)
-        bound = shard_bound(shard.subgraph, rew, dests, cfg.temperature)
+        bound = max([0.0] + [guard_bound(d) for d in dests])
         history.epoch_bounds.append(bound)
         if bound > 1.0 - cfg.guard_margin:
             lr_scale *= 0.5
@@ -237,11 +228,7 @@ def train_expert(shard: Shard, model_init: RewardModel, cfg: TrainConfig,
             idx = rng.choice(len(shard.demos), size=cfg.batch_size, replace=True)
             batch = [shard.demos[int(i)] for i in idx]
             if guard:
-                rew = edge_rewards(model, shard.subgraph)
-                bound_of = {dest: min(cheap_bounds(GoalView(shard.subgraph, dest),
-                                                   rew, cfg.temperature))
-                            for dest in {traj.nodes[-1] for traj in batch}}
-                batch = [traj for traj in batch if bound_of[traj.nodes[-1]] < 1.0]
+                batch = [traj for traj in batch if guard_bound(traj.nodes[-1]) < 1.0]
             kept = [rep for rep in (demo_gradient(model, shard.subgraph, traj, icfg)
                                     for traj in batch) if not rep.skipped]
             skips = cfg.batch_size - len(kept)
@@ -261,6 +248,8 @@ def train_expert(shard: Shard, model_init: RewardModel, cfg: TrainConfig,
                     params[sl] = opt.step(params[sl], batch_grad[sl], scale)
                 model.set_params(params)
                 project_nonpositive(model)
+                plan = Planner(shard.subgraph, edge_rewards(model, shard.subgraph),
+                               cfg.temperature)
             history.steps.append({
                 "step": t, "epoch": epoch, "loss": loss,
                 "grad_norm": grad_norm, "skips": skips, "lr_scale": scale,

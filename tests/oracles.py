@@ -4,20 +4,23 @@ Everything here trades speed for obviousness: explicit walk enumeration,
 dense eigensolves, high-precision fixed points, central differences, the
 backward pass and spectral power iteration on scipy's logsumexp, and the
 classical MaxEnt, BIRL and MMP estimators written out independently of the
-receding-horizon estimator that the library runs them as.
+receding-horizon estimator that the library runs them as, and `evaluate` and
+`sample_demonstrations` replanned from scratch for every demo.
 """
 import mpmath as mp
 import numpy as np
 from scipy.special import logsumexp
 
-from routeirl import RoadGraph, GoalView, build_graph
+from routeirl import (InfeasibilityError, Metrics, RoadGraph, GoalView,
+                      ValidationError, build_graph)
 from routeirl.algorithms import (GradientReport, IrlConfig, _check_demo,
-                                 _skipped, edge_mass_of, state_mass)
+                                 _sample_walk, _skipped, edge_mass_of,
+                                 state_mass)
 from routeirl.graph import Trajectory
 from routeirl.planners import (dijkstra_values, greedy_path, greedy_policy,
                                policy_from_q, policy_from_values,
                                power_iteration_backward, rollout, slot_rewards,
-                               trajectory_nll)
+                               trajectory_nll, trajectory_policy_nll)
 from routeirl.rewards import RewardModel, backprop, edge_rewards
 
 
@@ -361,7 +364,7 @@ def mmp_gradient(model: RewardModel, g: RoadGraph, traj: Trajectory,
     origin = traj.nodes[0]
     if np.isneginf(v_aug[origin]):
         return _skipped("origin cannot reach destination")
-    best = greedy_path(gv, r_aug, origin, v=v_aug)
+    best = greedy_path(g, greedy_policy(gv, r_aug, v_aug), origin)
     if best is None:
         return _skipped("greedy walk failed to reach the destination")
     rho_tau = edge_mass_of(g, traj.edges)
@@ -370,3 +373,81 @@ def mmp_gradient(model: RewardModel, g: RoadGraph, traj: Trajectory,
     grad = backprop(model, g, rho_tau - rho_best)
     return GradientReport(gradient=grad, loss=loss,
                           rollout_steps=len(best.edges))
+
+
+# ---------------------------------------------------------------------------
+# evaluate and sample_demonstrations with every destination replanned per
+# demo from the public primitives, sharing nothing between demos
+
+
+def evaluate_per_demo(rew: np.ndarray, demos: list, g: RoadGraph, *,
+                      temperature: float = 1.0, nll: bool = True,
+                      merge_map=None) -> Metrics:
+    def expand(edges) -> list[int]:
+        if merge_map is None:
+            return [int(e) for e in edges]
+        return [int(e) for e in merge_map.expand_edges(edges)]
+
+    acc_sum = iou_sum = nll_sum = 0.0
+    nll_ok = nll
+    unreachable = 0
+    for traj in demos:
+        gv = GoalView(g, traj.destination)
+        v = dijkstra_values(gv, rew)
+        pred = None
+        if not np.isneginf(v[traj.origin]):
+            pred = greedy_path(g, greedy_policy(gv, rew, v), traj.origin)
+        if pred is None:
+            unreachable += 1
+        else:
+            demo_edges, pred_edges = expand(traj.edges), expand(pred.edges)
+            acc_sum += float(demo_edges == pred_edges)
+            a, b = set(demo_edges), set(pred_edges)
+            iou_sum += len(a & b) / len(a | b)
+        if nll_ok:
+            sv, _, conv = power_iteration_backward(gv, rew, temperature=temperature,
+                                                   init="dijkstra")
+            if conv:
+                nll_sum += trajectory_policy_nll(gv, rew, sv, traj, temperature)
+            else:
+                nll_ok = False
+    n = len(demos)
+    return Metrics(acc=acc_sum / n, iou=iou_sum / n,
+                   nll=nll_sum / n if nll_ok else None, n=n, unreachable=unreachable)
+
+
+def sample_per_demo(model: RewardModel, g: RoadGraph, num_demos: int, *,
+                    rng_seed: int = 0, temperature: float = 1.0,
+                    pairs: list | None = None) -> list:
+    rng = np.random.default_rng(rng_seed)
+    r = edge_rewards(model, g)
+    out: list = []
+    failures = 0
+    while len(out) < num_demos:
+        if failures > 1000 + 50 * num_demos:
+            raise InfeasibilityError("could not sample demonstrations")
+        if pairs is not None:
+            origin, dest = pairs[len(out)]
+        else:
+            origin, dest = (int(x) for x in rng.choice(g.num_nodes, size=2, replace=False))
+        gv = GoalView(g, dest)
+        if temperature == 0.0:
+            v = dijkstra_values(gv, r)
+            pol = greedy_policy(gv, r, v)
+        else:
+            v, _, conv = power_iteration_backward(gv, r, temperature=temperature,
+                                                  init="dijkstra")
+            if not conv:
+                raise InfeasibilityError("softmax values did not converge")
+            pol = policy_from_values(gv, r, v, temperature)
+        if np.isneginf(v[origin]):
+            if pairs is not None:
+                raise ValidationError(f"pair ({origin}, {dest}) is disconnected")
+            failures += 1
+            continue
+        walk = _sample_walk(g, pol, origin, dest, rng, 4 * g.num_nodes)
+        if walk is None:
+            failures += 1
+        else:
+            out.append(walk)
+    return out

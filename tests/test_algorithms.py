@@ -21,7 +21,8 @@ from routeirl import (
 import oracles
 import routeirl
 import routeirl.algorithms
-from routeirl.planners import dijkstra_values, greedy_path, power_iteration_backward
+from routeirl.planners import (dijkstra_values, greedy_path, greedy_policy,
+                               power_iteration_backward)
 from oracles import (birl_gradient, diamond_graph, fd_gradient, loopy_graph,
                      maxent_gradient, mmp_gradient, mp_soft_values,
                      tie_loop_graph)
@@ -232,7 +233,8 @@ def test_reductions_on_generated_graphs():
                              iters=cfg.algorithm == "maxent")
 
 
-def test_only_the_receding_horizon_estimator_calls_backprop():
+def _library_callers(names) -> list[str]:
+    """module.function of every call in src/routeirl/ to a name in names."""
     callers = []
     for path in sorted(Path(routeirl.__file__).parent.glob("*.py")):
         stack = [f"{path.stem}.<module>"]
@@ -247,12 +249,23 @@ def test_only_the_receding_horizon_estimator_calls_backprop():
 
             def visit_Call(self, node):
                 f = node.func
-                if getattr(f, "id", getattr(f, "attr", None)) == "backprop":
+                if getattr(f, "id", getattr(f, "attr", None)) in names:
                     callers.append(stack[-1])
                 self.generic_visit(node)
 
         Visitor().visit(ast.parse(path.read_text()))
-    assert callers == ["algorithms.receding_horizon_gradient"]
+    return callers
+
+
+def test_only_the_receding_horizon_estimator_calls_backprop():
+    assert _library_callers({"backprop"}) == ["algorithms.receding_horizon_gradient"]
+
+
+def test_one_function_runs_the_shortest_path_routines():
+    # scipy.sparse.csgraph's dijkstra and bellman_ford run on the planner's
+    # reversed graph only
+    assert set(_library_callers({"dijkstra", "bellman_ford"})) == {
+        "planners._shortest_paths"}
 
 
 def test_oracle_estimators_call_no_library_estimator(monkeypatch):
@@ -360,7 +373,8 @@ def test_sample_demonstrations_properties():
     d = sample_demonstrations(m, g, 1, rng_seed=0, temperature=0.0,
                               pairs=[(0, 24)])
     rew = edge_rewards(m, g)
-    best = greedy_path(GoalView(g, 24), rew, 0)
+    gv = GoalView(g, 24)
+    best = greedy_path(g, greedy_policy(gv, rew, dijkstra_values(gv, rew)), 0)
     assert d[0] == best
 
 

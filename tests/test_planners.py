@@ -1,5 +1,6 @@
 import ast
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -9,15 +10,21 @@ from scipy.special import logsumexp
 
 import oracles
 import routeirl
+import routeirl.planners
 from routeirl import (
     GoalView,
     InfeasibilityError,
     LinearReward,
+    SparsePerEdgeReward,
     Trajectory,
     build_graph,
+    compress_graph,
+    compress_trajectory,
     edge_rewards,
+    evaluate,
     gen_gridworld,
     gen_random_graph,
+    sample_demonstrations,
 )
 from routeirl.planners import (
     _logsumexp_rows,
@@ -43,6 +50,8 @@ from oracles import (
     mp_soft_values,
     power_iteration_backward_linear,
     scipy_backward,
+    evaluate_per_demo,
+    sample_per_demo,
     soft_value_walks,
     walk_reward,
 )
@@ -189,15 +198,17 @@ def test_greedy_path_follows_argmax():
     g = diamond_graph()
     rew = edge_rewards(LinearReward(np.array([-1.0])), g)
     gv = GoalView(g, 3)
-    t = greedy_path(gv, rew, 0)
+    pol = greedy_policy(gv, rew, dijkstra_values(gv, rew))
+    t = greedy_path(g, pol, 0)
     assert t is not None and t.nodes == (0, 1, 3)  # top route is cheaper
-    assert greedy_path(gv, rew, 3) is None  # origin == destination
+    assert greedy_path(g, pol, 3) is None  # origin == destination
     # unreachable origin: no outgoing route to the goal
     nodes = [(0, 0.0, 0.0), (1, 1.0, 0.0), (2, 2.0, 0.0)]
     edges = [(0, 1, 2, [1.0])]
     g2 = build_graph(nodes, edges)
     rew2 = g2.features @ np.array([-1.0])
-    assert greedy_path(GoalView(g2, 2), rew2, 0) is None
+    gv2 = GoalView(g2, 2)
+    assert greedy_path(g2, greedy_policy(gv2, rew2, dijkstra_values(gv2, rew2)), 0) is None
 
 
 def test_rollout_conserves_mass():
@@ -384,3 +395,117 @@ def test_library_does_not_import_scipy_special(monkeypatch):
     gv = GoalView(g, 5)
     assert power_iteration_backward(gv, rew)[2]
     assert routeirl.dominant_eigenvalue(gv, rew).converged
+
+
+# ---------------------------------------------------------------------------
+# one planner per reward table
+
+
+def _loopy_multigraph(seed):
+    """A generated graph plus parallel copies of some edges and self-loops."""
+    base = gen_random_graph(14, rng_seed=seed, extra_edges=12)
+    rng = np.random.default_rng(seed)
+    recs = [(e, int(base.edge_src[e]), int(base.edge_dst[e]), base.features[e])
+            for e in range(base.num_edges)]
+    for e in rng.choice(base.num_edges, size=4, replace=False):
+        recs.append((len(recs), *recs[e][1:]))
+    for u in rng.choice(base.num_nodes, size=3, replace=False):
+        recs.append((len(recs), int(u), int(u), [1.0, 1.0]))
+    nodes = [(s, *base.coords[s]) for s in range(base.num_nodes)]
+    return build_graph(nodes, recs)
+
+
+def _shaped_rewards(g, seed):
+    """Mixed-sign rewards -c + phi(dst) - phi(src) with c > 0: every cycle
+    loses reward, so there is no gain cycle."""
+    rng = np.random.default_rng(seed)
+    phi = rng.uniform(0.0, 2.0, g.num_nodes)
+    return -rng.uniform(0.5, 1.5, g.num_edges) + phi[g.edge_dst] - phi[g.edge_src]
+
+
+def _networkx_reversed(nx, g, rew):
+    """The reversed graph with edge costs -rew, parallel edges kept."""
+    rev = nx.MultiDiGraph()
+    rev.add_nodes_from(range(g.num_nodes))
+    for e in range(g.num_edges):
+        rev.add_edge(int(g.edge_dst[e]), int(g.edge_src[e]), cost=-float(rew[e]))
+    return rev
+
+
+def test_dijkstra_values_match_networkx_with_parallel_edges_and_self_loops():
+    nx = pytest.importorskip("networkx")
+    for seed in range(4):
+        g = _loopy_multigraph(seed)
+        rng = np.random.default_rng(seed + 50)
+        mixed = _shaped_rewards(g, seed)
+        assert np.max(mixed) > 0  # planned on the negative-cost routine
+        for shortest, rew in ((nx.single_source_dijkstra_path_length,
+                               -rng.uniform(0.1, 2.0, g.num_edges)),
+                              (nx.single_source_bellman_ford_path_length, mixed)):
+            rev = _networkx_reversed(nx, g, rew)
+            for dest in (0, 5, 13):
+                ref = np.full(g.num_nodes, -np.inf)
+                for node, dist in shortest(rev, dest, weight="cost").items():
+                    ref[node] = -dist
+                v = dijkstra_values(GoalView(g, dest), rew)
+                assert np.array_equal(np.isneginf(v), np.isneginf(ref))
+                np.testing.assert_allclose(v, ref, rtol=1e-12, atol=1e-12)
+        # a positive self-loop off the destination is a reward-gain cycle
+        rew = -rng.uniform(0.1, 2.0, g.num_edges)
+        loop = next(e for e in range(g.num_edges) if g.edge_src[e] == g.edge_dst[e] != 0)
+        rew[loop] = 0.5
+        with pytest.raises(nx.NetworkXUnbounded):
+            nx.single_source_bellman_ford_path_length(_networkx_reversed(nx, g, rew), 0,
+                                                      weight="cost")
+        with pytest.raises(InfeasibilityError):
+            dijkstra_values(GoalView(g, 0), rew)
+
+
+def test_one_reversed_graph_per_call_and_one_plan_per_destination(monkeypatch):
+    g = gen_gridworld(5, 5, feature_spec="random", rng_seed=3)
+    m = LinearReward(np.array([-1.2, -0.9]))
+    pairs = [(0, 24), (3, 24), (7, 12), (1, 12), (20, 24), (5, 6), (9, 6)]
+    demos = sample_demonstrations(m, g, len(pairs), rng_seed=1, pairs=pairs)
+    dests = len({d for _, d in pairs})
+    calls = Counter()
+    for name in ("_reversed_graph", "greedy_policy", "power_iteration_backward"):
+        def counting(*args, _real=getattr(routeirl.planners, name), _name=name, **kw):
+            calls[_name] += 1
+            return _real(*args, **kw)
+        monkeypatch.setattr(routeirl.planners, name, counting)
+    evaluate(m, demos, g)
+    assert calls == {"_reversed_graph": 1, "greedy_policy": dests,
+                     "power_iteration_backward": dests}
+    calls.clear()
+    sample_demonstrations(m, g, len(pairs), rng_seed=2, pairs=pairs)
+    assert calls == {"_reversed_graph": 1, "power_iteration_backward": dests}
+    calls.clear()
+    sample_demonstrations(m, g, len(pairs), rng_seed=2, temperature=0.0, pairs=pairs)
+    assert calls == {"_reversed_graph": 1, "greedy_policy": dests}
+
+
+def test_shared_plans_equal_per_demo_replanning():
+    for seed in range(3):
+        g = gen_random_graph(12 + seed, rng_seed=seed, extra_edges=10)
+        m = LinearReward(-np.random.default_rng(seed).uniform(0.6, 1.4, g.feature_dim))
+        rew = edge_rewards(m, g)
+        demos = sample_demonstrations(m, g, 30, rng_seed=seed)
+        assert len({t.destination for t in demos}) < len(demos)
+        shaped = _shaped_rewards(g, seed)
+        assert np.max(shaped) > 0  # the negative-cost routine plans these
+        cases = [(rew, demos, g, {"nll": True}), (rew, demos, g, {"nll": False}),
+                 (rew, demos, g, {"temperature": 0.7}), (shaped, demos, g, {}),
+                 (np.full(g.num_edges, -0.05), demos, g, {})]
+        ends = sorted({t.origin for t in demos} | {t.destination for t in demos})
+        cg, mm = compress_graph(g, 3, protected=ends)
+        cdemos = [compress_trajectory(t, mm, cg) for t in demos]
+        cases.append((edge_rewards(m, cg), cdemos, cg, {"merge_map": mm}))
+        for table, ds, graph, kw in cases:
+            assert evaluate(table, ds, graph, **kw) == evaluate_per_demo(table, ds, graph, **kw)
+        assert evaluate(cases[-2][0], demos, g).nll is None  # diverges
+        pairs = [(t.origin, t.destination) for t in demos[:10]]
+        for model in (m, SparsePerEdgeReward(g.num_edges, params=shaped)):
+            for kw in ({"temperature": 1.0}, {"temperature": 0.0},
+                       {"temperature": 0.7, "pairs": pairs}, {"temperature": 0.0, "pairs": pairs}):
+                assert (sample_demonstrations(model, g, 10, rng_seed=seed + 5, **kw)
+                        == sample_per_demo(model, g, 10, rng_seed=seed + 5, **kw))

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from routeirl import (CompositeReward, DenseNetReward, LinearReward,
+from routeirl import (CompositeReward, DenseNetReward, GoalView, LinearReward,
                       SparsePerEdgeReward, Trajectory, ValidationError,
-                      gen_gridworld, load_checkpoint)
+                      cheap_bounds, gen_gridworld, load_checkpoint)
 from routeirl.algorithms import sample_demonstrations
 from routeirl.graph import build_graph
 from routeirl.rewards import edge_rewards
@@ -259,6 +259,22 @@ def test_checkpoints_written_per_epoch(tmp_path):
         assert loaded.get_params().shape == init.get_params().shape
     last, _ = load_checkpoint(hist.checkpoints[-1])
     assert np.array_equal(last.get_params(), model.get_params())
+
+
+def test_epoch_bound_reads_the_model_after_the_last_update(tmp_path):
+    # the planner the epoch bound and the guard read is rebuilt on every
+    # update, so each epoch's bound is the previous epoch's final model's
+    _, shard = _single_shard()
+    cfg = _small_cfg(algorithm="maxent", epochs=3, steps_per_epoch=4, warmup=0,
+                     optimizer="sgd", lr=0.2)
+    _, hist = train_expert(shard, LinearReward(np.array([-1.0, -0.8])), cfg,
+                           checkpoint_dir=tmp_path)
+    assert len(hist.epoch_bounds) == 3 and len(set(hist.epoch_bounds)) == 3
+    dests = sorted({t.destination for t in shard.demos})
+    for epoch, path in enumerate(hist.checkpoints[:-1]):
+        rew = edge_rewards(load_checkpoint(path)[0], shard.subgraph)
+        assert hist.epoch_bounds[epoch + 1] == max(
+            min(cheap_bounds(GoalView(shard.subgraph, d), rew)) for d in dests)
 
 
 def test_history_csv_round_trip(tmp_path):
