@@ -219,18 +219,15 @@ def batch_gradient(model: RewardModel, g: RoadGraph,
 
 def sample_demonstrations(model: RewardModel, g: RoadGraph, num_demos: int, *,
                           rng_seed: int = 0, temperature: float = 1.0,
-                          max_len: int | None = None,
                           pairs: list[tuple[int, int]] | None = None
                           ) -> list[Trajectory]:
     """Draw loop-free demo paths from the converged stochastic policy
     (or the deterministic best path at temperature 0).  Deterministic under
-    the seed.  Walks that revisit a node, dead-end, or overrun max_len are
-    rejected and resampled.
+    the seed.  Walks that revisit a node or dead-end are rejected and
+    resampled.
     """
     rng = np.random.default_rng(rng_seed)
     plan = Planner(g, edge_rewards(model, g), temperature)
-    if max_len is None:
-        max_len = 4 * g.num_nodes
     fixed_pairs = pairs is not None
     if fixed_pairs and len(pairs) != num_demos:
         raise ValidationError("pairs length != num_demos")
@@ -258,7 +255,7 @@ def sample_demonstrations(model: RewardModel, g: RoadGraph, num_demos: int, *,
                 raise ValidationError(f"pair ({origin}, {dest}) is disconnected")
             failures += 1
             continue
-        walk = _sample_walk(g, pol, origin, dest, rng, max_len)
+        walk = _sample_walk(g, pol, origin, dest, rng)
         if walk is None:
             failures += 1
             continue
@@ -267,12 +264,12 @@ def sample_demonstrations(model: RewardModel, g: RoadGraph, num_demos: int, *,
 
 
 def _sample_walk(g: RoadGraph, pol: Policy, origin: int, dest: int,
-                 rng: np.random.Generator, max_len: int) -> Trajectory | None:
+                 rng: np.random.Generator) -> Trajectory | None:
     node = origin
     seen = {origin}
     nodes = [origin]
     edges: list[int] = []
-    for _ in range(max_len):
+    for _ in range(g.num_nodes):  # a walk that revisits no node takes < S steps
         if node == dest:
             return Trajectory(nodes=tuple(nodes), edges=tuple(edges))
         if pol.dead[node]:

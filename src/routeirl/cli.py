@@ -63,10 +63,7 @@ def _parse_weights(text: str, dim: int) -> np.ndarray:
 
 def _load_rewards(args, g) -> np.ndarray:
     if getattr(args, "rewards", None):
-        table = load_reward_table(args.rewards)
-        if table.shape[0] != g.num_edges:
-            raise ValidationError("reward table length != edge count")
-        return table
+        return load_reward_table(args.rewards)
     if getattr(args, "checkpoint", None):
         model, _ = load_checkpoint(args.checkpoint)
         return edge_rewards(model, g)

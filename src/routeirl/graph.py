@@ -4,6 +4,12 @@ Nodes are road states, edges are transitions with nonnegative feature
 vectors.  Adjacency is stored as a dense (S, V) slot table so planners can
 vectorize over all states at once; invalid slots hold a -1 sentinel and must
 never be dereferenced.
+
+Records are the input format: files and the generators pass (id, ...)
+tuples to build_graph, which checks and parses them.  Arrays are the internal
+format: the compression and sharding transforms build a graph's coordinate,
+endpoint, feature and connector arrays with numpy indexing and hand them to
+the same array constructor build_graph ends in.
 """
 from __future__ import annotations
 
@@ -66,9 +72,7 @@ class RoadGraph:
 
     @cached_property
     def in_degree(self) -> np.ndarray:
-        deg = np.zeros(self.num_nodes, dtype=np.int64)
-        np.add.at(deg, self.edge_dst, 1)
-        return deg
+        return np.bincount(self.edge_dst, minlength=self.num_nodes)
 
     @cached_property
     def edge_slot(self) -> np.ndarray:
@@ -85,8 +89,7 @@ class RoadGraph:
     def edges_between(self, src: int, dst: int) -> list[int]:
         """Edge ids from src to dst, ascending (parallel edges possible)."""
         row = self.slot_edge[src]
-        hits = [int(e) for e, t in zip(row, self.slot_target[src]) if e >= 0 and t == dst]
-        return sorted(hits)
+        return [int(e) for e, t in zip(row, self.slot_target[src]) if e >= 0 and t == dst]
 
 
 def build_graph(
@@ -98,64 +101,70 @@ def build_graph(
 
     node_records: (node_id, x, y) with ids exactly 0..S-1.
     edge_records: (edge_id, src, dst, feature_seq) with ids exactly 0..E-1.
-    Slot order within each row is (target id, edge id) ascending, so the
-    padded layout is a pure function of the records.
     """
     nodes = sorted(node_records, key=lambda r: r[0])
     if not nodes:
         raise ValidationError("graph needs at least one node")
-    ids = [int(r[0]) for r in nodes]
-    S = len(ids)
-    if ids != list(range(S)):
+    if [int(r[0]) for r in nodes] != list(range(len(nodes))):
         raise ValidationError("node ids must be exactly 0..S-1 without gaps")
     coords = np.array([[float(r[1]), float(r[2])] for r in nodes], dtype=np.float64)
 
     edges = sorted(edge_records, key=lambda r: r[0])
     E = len(edges)
-    eids = [int(r[0]) for r in edges]
-    if eids != list(range(E)):
+    if [int(r[0]) for r in edges] != list(range(E)):
         raise ValidationError("edge ids must be exactly 0..E-1 without gaps")
+    feats = [np.asarray(r[3], dtype=np.float64).ravel() for r in edges]
+    dims = np.array([f.shape[0] for f in feats], dtype=np.int64)
+    ragged = np.flatnonzero(dims != dims[:1])
+    if ragged.size:
+        e = ragged[0]
+        raise ValidationError(f"edge {e} has {dims[e]} features, expected {dims[0]}")
 
-    edge_src = np.zeros(E, dtype=np.int64)
-    edge_dst = np.zeros(E, dtype=np.int64)
-    feats: list[np.ndarray] = []
-    dim = None
-    for eid, src, dst, fv in edges:
-        src, dst = int(src), int(dst)
-        if not (0 <= src < S) or not (0 <= dst < S):
-            raise ValidationError(f"edge {eid} references missing node ({src}->{dst})")
-        f = np.asarray(fv, dtype=np.float64).ravel()
-        if dim is None:
-            dim = f.shape[0]
-        elif f.shape[0] != dim:
-            raise ValidationError(
-                f"edge {eid} has {f.shape[0]} features, expected {dim}")
-        if np.any(f < 0) or not np.all(np.isfinite(f)):
-            raise ValidationError(f"edge {eid} has negative or non-finite features")
-        edge_src[eid] = src
-        edge_dst[eid] = dst
-        feats.append(f)
-    features = np.vstack(feats) if feats else np.zeros((0, dim or 0), dtype=np.float64)
-
+    cids = np.fromiter(connector_edge_ids, dtype=np.int64)
+    missing = cids[(cids < 0) | (cids >= E)]
+    if missing.size:
+        raise ValidationError(f"connector flag references missing edge {missing[0]}")
     connectors = np.zeros(E, dtype=bool)
-    for cid in connector_edge_ids:
-        if not (0 <= cid < E):
-            raise ValidationError(f"connector flag references missing edge {cid}")
-        connectors[cid] = True
-    if E and np.any(features[connectors] != 0.0):
+    connectors[cids] = True
+
+    return _from_arrays(
+        coords,
+        np.array([int(r[1]) for r in edges], dtype=np.int64),
+        np.array([int(r[2]) for r in edges], dtype=np.int64),
+        np.vstack(feats) if feats else np.zeros((0, 0), dtype=np.float64),
+        connectors,
+    )
+
+
+def _from_arrays(coords: np.ndarray, edge_src: np.ndarray, edge_dst: np.ndarray,
+                 features: np.ndarray, connectors: np.ndarray) -> RoadGraph:
+    """Assemble a RoadGraph from its arrays; edge e is row e of each edge array.
+
+    Slot order within each row is (target id, edge id) ascending, so the
+    padded layout is a pure function of the arrays.
+    """
+    S, E = coords.shape[0], edge_src.shape[0]
+    if S == 0:
+        raise ValidationError("graph needs at least one node")
+    bad = np.flatnonzero((edge_src < 0) | (edge_src >= S) | (edge_dst < 0) | (edge_dst >= S))
+    if bad.size:
+        e = bad[0]
+        raise ValidationError(f"edge {e} references missing node ({edge_src[e]}->{edge_dst[e]})")
+    bad = np.flatnonzero(~np.all(np.isfinite(features) & (features >= 0), axis=1))
+    if bad.size:
+        raise ValidationError(f"edge {bad[0]} has negative or non-finite features")
+    if np.any(features[connectors] != 0.0):
         raise ValidationError("connector edges must carry all-zero features")
 
-    per_node: list[list[tuple[int, int]]] = [[] for _ in range(S)]
-    for eid in range(E):
-        per_node[edge_src[eid]].append((int(edge_dst[eid]), eid))
-    V = max((len(lst) for lst in per_node), default=0)
+    order = np.lexsort((np.arange(E), edge_dst, edge_src))
+    degree = np.bincount(edge_src, minlength=S)
+    rows = edge_src[order]
+    cols = np.arange(E) - (np.cumsum(degree) - degree)[rows]
+    V = int(degree.max())
     slot_target = np.full((S, V), SENTINEL, dtype=np.int64)
     slot_edge = np.full((S, V), SENTINEL, dtype=np.int64)
-    for s, lst in enumerate(per_node):
-        lst.sort()
-        for v, (dst, eid) in enumerate(lst):
-            slot_target[s, v] = dst
-            slot_edge[s, v] = eid
+    slot_target[rows, cols] = edge_dst[order]
+    slot_edge[rows, cols] = order
 
     return RoadGraph(
         num_nodes=S,
@@ -344,42 +353,32 @@ def split_high_degree(g: RoadGraph, v_cap: int) -> tuple[RoadGraph, MergeMap]:
     if v_cap < 2:
         raise ValidationError("v_cap must be >= 2 (one real edge plus connector)")
 
-    node_records = [(s, g.coords[s, 0], g.coords[s, 1]) for s in range(g.num_nodes)]
-    edge_records: list[tuple] = [
-        (e, int(g.edge_src[e]), int(g.edge_dst[e]), g.features[e])
-        for e in range(g.num_edges)
-    ]
-    connector_ids = [e for e in range(g.num_edges) if g.connector_flags[e]]
-    next_node = g.num_nodes
-    next_edge = g.num_edges
-    node_origin = list(range(g.num_nodes))
+    # A row with k > v_cap edges gets levels = ceil((k - v_cap) / (v_cap - 1))
+    # continuation nodes, numbered row by row.  Slots are sorted, so the edge
+    # in slot j ends on level min(j // (v_cap - 1), levels); level 0 is the
+    # row's own node.  Each level's connector leaves the level above.
+    step = v_cap - 1
+    heavy = np.flatnonzero(g.out_degree > v_cap)
+    levels = -(-(g.out_degree[heavy] - v_cap) // step)
+    first = g.num_nodes + np.cumsum(levels) - levels   # level 1 of each heavy row
+    owner = np.repeat(heavy, levels)
+    cont = np.arange(g.num_nodes, g.num_nodes + owner.size)
+    conn_src = np.where(cont == np.repeat(first, levels), owner, cont - 1)
 
-    for s in range(g.num_nodes):
-        row = [(int(t), int(e)) for t, e in zip(g.slot_target[s], g.slot_edge[s]) if e >= 0]
-        row.sort()
-        holder = s
-        while len(row) > v_cap:
-            rest = row[v_cap - 1:]
-            cont = next_node
-            next_node += 1
-            node_origin.append(s)
-            connector_ids.append(next_edge)
-            edge_records.append((next_edge, holder, cont, np.zeros(g.feature_dim)))
-            next_edge += 1
-            # retarget the surplus onto the continuation node
-            for _, eid in rest:
-                edge_records[eid] = (eid, cont, edge_records[eid][2], edge_records[eid][3])
-            holder = cont
-            row = rest
+    level = np.minimum(np.arange(g.max_out_degree) // step, levels[:, None])
+    moved = g.slot_valid[heavy] & (level > 0)
+    edge_src = g.edge_src.copy()
+    edge_src[g.slot_edge[heavy][moved]] = (first[:, None] + level - 1)[moved]
 
-    out = build_graph(node_records + [(i, g.coords[node_origin[i], 0], g.coords[node_origin[i], 1])
-                                      for i in range(g.num_nodes, next_node)],
-                      edge_records, connector_edge_ids=connector_ids)
-    mmap = MergeMap(
-        edge_expansion=[(e,) if e < g.num_edges else () for e in range(next_edge)],
-        node_image={s: s for s in range(g.num_nodes)},
+    out = _from_arrays(
+        np.concatenate([g.coords, g.coords[owner]]),
+        np.concatenate([edge_src, conn_src]),
+        np.concatenate([g.edge_dst, cont]),
+        np.concatenate([g.features, np.zeros((owner.size, g.feature_dim))]),
+        np.concatenate([g.connector_flags, np.ones(owner.size, dtype=bool)]),
     )
-    return out, mmap
+    return out, MergeMap(edge_expansion=list(zip(range(g.num_edges))) + [()] * owner.size,
+                         node_image=dict(zip(range(g.num_nodes), range(g.num_nodes))))
 
 
 def merge_chains(g: RoadGraph, protected: Iterable[int] = ()) -> tuple[RoadGraph, MergeMap]:
@@ -391,16 +390,10 @@ def merge_chains(g: RoadGraph, protected: Iterable[int] = ()) -> tuple[RoadGraph
     a cycle is skipped.  Lossless for linear reward models because feature
     sums are preserved.
     """
-    protected_set = set(int(p) for p in protected)
-    out_deg = g.out_degree
-    eligible = np.array([
-        out_deg[s] == 1 and s not in protected_set
-        for s in range(g.num_nodes)
-    ])
-    single_out_edge = np.full(g.num_nodes, SENTINEL, dtype=np.int64)
-    for s in range(g.num_nodes):
-        if out_deg[s] == 1:
-            single_out_edge[s] = g.out_edges(s)[0]
+    single = g.out_degree == 1
+    eligible = single & ~np.isin(np.arange(g.num_nodes), np.fromiter(protected, dtype=np.int64))
+    # a row with one out-edge holds it in its only valid slot, the row max
+    single_out_edge = np.where(single, g.slot_edge.max(axis=1, initial=SENTINEL), SENTINEL)
 
     # A node is removed only if every edge into it is consumed.  A chain
     # skipped for closing a cycle can leave an edge into a node another
@@ -441,55 +434,39 @@ def merge_chains(g: RoadGraph, protected: Iterable[int] = ()) -> tuple[RoadGraph
             consumed_edges.update(chain)
             removed_nodes.update(seen - {src, cur})
 
-        # orphan runs: single-out nodes nobody enters; drop them and their edge
-        changed = True
-        in_deg = g.in_degree.copy()
-        for e in consumed_edges:
-            in_deg[g.edge_dst[e]] -= 1
-        while changed:
-            changed = False
-            for s in range(g.num_nodes):
-                if (eligible[s] and s not in removed_nodes and in_deg[s] == 0
-                        and single_out_edge[s] not in consumed_edges):
-                    e = int(single_out_edge[s])
-                    consumed_edges.add(e)
-                    removed_nodes.add(s)
-                    in_deg[g.edge_dst[e]] -= 1
-                    changed = True
-
         kept = np.ones(g.num_edges, dtype=bool)
         kept[list(consumed_edges)] = False
         gone = np.zeros(g.num_nodes, dtype=bool)
         gone[list(removed_nodes)] = True
+        # orphan runs: single-out nodes nobody enters; drop them and their
+        # edge.  Drops only lower in-degrees, so dropping every orphan at once
+        # reaches the same fixed point as dropping them one at a time.
+        while True:
+            orphan = eligible & ~gone & (np.bincount(g.edge_dst[kept], minlength=g.num_nodes) == 0)
+            if not orphan.any():
+                break
+            gone |= orphan
+            kept[single_out_edge[orphan]] = False
         blocked = g.edge_dst[kept & gone[g.edge_dst]]
         if blocked.size == 0:
             break
         eligible[blocked] = False
 
-    surviving_nodes = [s for s in range(g.num_nodes) if s not in removed_nodes]
-    node_new = {s: i for i, s in enumerate(surviving_nodes)}
-    node_records = [(node_new[s], g.coords[s, 0], g.coords[s, 1]) for s in surviving_nodes]
-
-    edge_records = []
-    connector_ids = []
-    expansion: list[tuple[int, ...]] = []
-    nid = 0
-    for e in range(g.num_edges):
-        if e in consumed_edges:
-            continue
-        edge_records.append((nid, node_new[int(g.edge_src[e])],
-                             node_new[int(g.edge_dst[e])], g.features[e]))
-        if g.connector_flags[e]:
-            connector_ids.append(nid)
-        expansion.append((e,))
-        nid += 1
-    for src, dst, feats, chain in merged:
-        edge_records.append((nid, node_new[src], node_new[dst], feats))
-        expansion.append(chain)
-        nid += 1
-
-    out = build_graph(node_records, edge_records, connector_edge_ids=connector_ids)
-    return out, MergeMap(edge_expansion=expansion, node_image=node_new)
+    surviving = np.flatnonzero(~gone)
+    node_new = np.full(g.num_nodes, SENTINEL, dtype=np.int64)
+    node_new[surviving] = np.arange(surviving.size)
+    kept_edges = np.flatnonzero(kept)
+    ends = np.array([m[:2] for m in merged], dtype=np.int64).reshape(-1, 2)
+    out = _from_arrays(
+        g.coords[surviving],
+        node_new[np.concatenate([g.edge_src[kept_edges], ends[:, 0]])],
+        node_new[np.concatenate([g.edge_dst[kept_edges], ends[:, 1]])],
+        np.vstack([g.features[kept_edges]] + [m[2] for m in merged]),
+        np.concatenate([g.connector_flags[kept_edges], np.zeros(len(merged), dtype=bool)]),
+    )
+    expansion = list(zip(kept_edges.tolist())) + [m[3] for m in merged]
+    node_image = dict(zip(surviving.tolist(), range(surviving.size)))
+    return out, MergeMap(edge_expansion=expansion, node_image=node_image)
 
 
 def compress_graph(g: RoadGraph, v_cap: int, protected: Iterable[int] = ()) -> tuple[RoadGraph, MergeMap]:
@@ -638,19 +615,19 @@ def extract_subgraph(g: RoadGraph, cell_nodes: Iterable[int]) -> tuple[RoadGraph
     edge touches.  Returns (subgraph, node_ids, edge_ids) where the id arrays
     map local indices back to the parent graph.
     """
-    cell = set(int(s) for s in cell_nodes)
-    keep_edges = [e for e in range(g.num_edges)
-                  if int(g.edge_src[e]) in cell or int(g.edge_dst[e]) in cell]
-    node_set = set(cell)
-    for e in keep_edges:
-        node_set.add(int(g.edge_src[e]))
-        node_set.add(int(g.edge_dst[e]))
-    node_ids = np.array(sorted(node_set), dtype=np.int64)
-    local = {int(s): i for i, s in enumerate(node_ids)}
-    node_records = [(local[int(s)], g.coords[s, 0], g.coords[s, 1]) for s in node_ids]
-    edge_ids = np.array(keep_edges, dtype=np.int64)
-    edge_records = [(i, local[int(g.edge_src[e])], local[int(g.edge_dst[e])], g.features[e])
-                    for i, e in enumerate(keep_edges)]
-    connector_ids = [i for i, e in enumerate(keep_edges) if g.connector_flags[e]]
-    sub = build_graph(node_records, edge_records, connector_edge_ids=connector_ids)
+    cell = np.fromiter(cell_nodes, dtype=np.int64)
+    if np.any((cell < 0) | (cell >= g.num_nodes)):
+        raise ValidationError("cell references a node not in the graph")
+    in_cell = np.zeros(g.num_nodes, dtype=bool)
+    in_cell[cell] = True
+    edge_ids = np.flatnonzero(in_cell[g.edge_src] | in_cell[g.edge_dst])
+    member = in_cell.copy()
+    member[g.edge_src[edge_ids]] = True
+    member[g.edge_dst[edge_ids]] = True
+    node_ids = np.flatnonzero(member)
+    local = np.full(g.num_nodes, SENTINEL, dtype=np.int64)
+    local[node_ids] = np.arange(node_ids.size)
+    sub = _from_arrays(g.coords[node_ids], local[g.edge_src[edge_ids]],
+                       local[g.edge_dst[edge_ids]], g.features[edge_ids],
+                       g.connector_flags[edge_ids])
     return sub, node_ids, edge_ids

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
 from scipy.stats import norm
 
 from .errors import ValidationError
@@ -33,15 +32,6 @@ class Metrics:
                 "n": self.n, "unreachable": self.unreachable}
 
 
-def _reward_table(model_or_table, g: RoadGraph) -> np.ndarray:
-    if isinstance(model_or_table, RewardModel):
-        return edge_rewards(model_or_table, g)
-    table = np.asarray(model_or_table, dtype=np.float64)
-    if table.shape[0] != g.num_edges:
-        raise ValidationError("reward table length != edge count")
-    return table
-
-
 def evaluate(model_or_table, demos: list[Trajectory], g: RoadGraph, *,
              temperature: float = 1.0, nll: bool = True,
              merge_map: MergeMap | None = None) -> Metrics:
@@ -59,7 +49,9 @@ def evaluate(model_or_table, demos: list[Trajectory], g: RoadGraph, *,
         raise ValidationError("no demos to evaluate")
     if nll and temperature <= 0:
         raise ValidationError("temperature must be positive")
-    plan = Planner(g, _reward_table(model_or_table, g), temperature)
+    rew = (edge_rewards(model_or_table, g) if isinstance(model_or_table, RewardModel)
+           else model_or_table)
+    plan = Planner(g, rew, temperature)
 
     def expand(edges) -> list[int]:
         if merge_map is None:

@@ -395,9 +395,15 @@ def load_reward_table(path: str | Path) -> np.ndarray:
         if not line or line.startswith("#"):
             continue
         parts = line.split()
-        if len(parts) != 2:
-            raise ValidationError(f"{path}:{ln}: bad reward record {raw!r}")
-        rows[int(parts[0])] = float(parts[1])
+        try:
+            if len(parts) != 2:
+                raise ValueError
+            key, value = int(parts[0]), float(parts[1])
+        except ValueError:
+            raise ValidationError(f"{path}:{ln}: bad reward record {raw!r}") from None
+        if key in rows:
+            raise ValidationError(f"{path}:{ln}: repeated record for edge {key}")
+        rows[key] = value
     n = len(rows)
     if sorted(rows) != list(range(n)):
         raise ValidationError(f"{path}: edge ids must be 0..{n - 1}")

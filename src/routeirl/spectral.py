@@ -18,7 +18,7 @@ from scipy.sparse.csgraph import connected_components
 from .errors import ValidationError
 from .graph import GoalView, Trajectory, gen_two_state_loop, two_state_loop_rewards
 from .planners import (_logsumexp_rows, _value_diff, power_iteration_backward,
-                       trajectory_policy_nll)
+                       slot_rewards, trajectory_policy_nll)
 
 FEASIBLE = "Feasible"
 INFEASIBLE = "Infeasible"
@@ -43,15 +43,11 @@ def classify(lam: float, band: float = DEFAULT_BAND) -> str:
 
 
 def _b1_slots(gv: GoalView, rew: np.ndarray, temperature: float):
-    """Log-weights of the non-destination block in slot layout."""
-    g = gv.graph
-    rew = np.asarray(rew, dtype=np.float64)
-    mask = gv.slot_valid & (g.slot_target != gv.destination)
-    mask[gv.destination] = False
-    logw = np.full((g.num_nodes, g.max_out_degree), -np.inf)
-    logw[mask] = rew[g.slot_edge[mask]] / temperature
-    tgt = np.where(mask, g.slot_target, 0)
-    return logw, tgt
+    """Log-weights of the non-destination block in slot layout (-inf off the
+    block), and slot targets that are safe to index with."""
+    logw = slot_rewards(gv, np.asarray(rew, dtype=np.float64) / temperature)
+    logw[gv.graph.slot_target == gv.destination] = -np.inf
+    return logw, gv.graph.safe_targets
 
 
 def cheap_bounds(gv: GoalView, rew: np.ndarray,

@@ -96,7 +96,10 @@ class TrainConfig:
             value = value.strip()
             if key not in known:
                 raise ValidationError(f"{path}:{ln}: unknown key {key!r}")
-            kwargs[key] = _parse_value(key, value)
+            try:
+                kwargs[key] = _parse_value(key, value)
+            except ValueError:
+                raise ValidationError(f"{path}:{ln}: bad value {value!r} for {key!r}") from None
         return cls(**kwargs)
 
 

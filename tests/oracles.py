@@ -1,8 +1,8 @@
 """Reference implementations the tests check the fast code against.
 
-Everything here trades speed for obviousness: explicit walk enumeration,
-dense eigensolves, high-precision fixed points, central differences, the
-backward pass and spectral power iteration on scipy's logsumexp, and the
+Everything here trades speed for obviousness: a per-node-list slot layout,
+explicit walk enumeration, dense eigensolves, high-precision fixed points,
+central differences, the backward pass and spectral power iteration on scipy's logsumexp, and the
 classical MaxEnt, BIRL and MMP estimators written out independently of the
 receding-horizon estimator that the library runs them as, and `evaluate` and
 `sample_demonstrations` replanned from scratch for every demo.
@@ -71,6 +71,23 @@ def blocked_chain_graph() -> RoadGraph:
     nodes = [(0, 0.0, 0.0), (1, 1.0, 0.0), (2, 0.5, 1.0)]
     pairs = [(0, 1), (1, 0), (1, 2), (2, 0), (2, 1)]
     return build_graph(nodes, [(i, u, w, [1.0]) for i, (u, w) in enumerate(pairs)])
+
+
+def slot_layout(num_nodes: int, edge_src, edge_dst) -> tuple[np.ndarray, np.ndarray, int]:
+    """(slot_target, slot_edge, max_out_degree) from one Python list per node,
+    each sorted by (target, edge id) and padded with -1."""
+    per_node: list[list[tuple[int, int]]] = [[] for _ in range(num_nodes)]
+    for eid in range(len(edge_src)):
+        per_node[int(edge_src[eid])].append((int(edge_dst[eid]), eid))
+    V = max((len(lst) for lst in per_node), default=0)
+    slot_target = np.full((num_nodes, V), -1, dtype=np.int64)
+    slot_edge = np.full((num_nodes, V), -1, dtype=np.int64)
+    for s, lst in enumerate(per_node):
+        lst.sort()
+        for v, (dst, eid) in enumerate(lst):
+            slot_target[s, v] = dst
+            slot_edge[s, v] = eid
+    return slot_target, slot_edge, V
 
 
 def enumerate_walks(g: RoadGraph, origin: int, dest: int, max_edges: int):
@@ -445,7 +462,7 @@ def sample_per_demo(model: RewardModel, g: RoadGraph, num_demos: int, *,
                 raise ValidationError(f"pair ({origin}, {dest}) is disconnected")
             failures += 1
             continue
-        walk = _sample_walk(g, pol, origin, dest, rng, 4 * g.num_nodes)
+        walk = _sample_walk(g, pol, origin, dest, rng)
         if walk is None:
             failures += 1
         else:

@@ -166,6 +166,20 @@ def test_infeasible_rewards_exit_three(tmp_path, capsys):
     assert "infeasible:" in capsys.readouterr().err
 
 
+def test_short_reward_table_exits_two(tmp_path, capsys):
+    gpath = str(tmp_path / "g.txt")
+    dpath = str(tmp_path / "d.txt")
+    assert main(["gen-grid", "--width", "3", "--height", "3", "--seed", "0",
+                 "--weights=-1", "--num-demos", "2",
+                 "--out-graph", gpath, "--out-demos", dpath]) == 0
+    capsys.readouterr()
+    rpath = str(tmp_path / "short.txt")
+    export_reward_table(np.full(23, -1.0), rpath)   # the grid has 24 edges
+    for argv in (["eval", "--demos", dpath], ["diagnose", "--destination", "4"]):
+        assert main(argv + ["--graph", gpath, "--rewards", rpath]) == 2
+        assert "reward table length != edge count" in capsys.readouterr().err
+
+
 def test_unknown_command_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -20,7 +20,7 @@ from routeirl import (
     split_high_degree,
     two_state_loop_rewards,
 )
-from oracles import blocked_chain_graph, enumerate_simple_paths, walk_reward
+from oracles import blocked_chain_graph, enumerate_simple_paths, slot_layout, walk_reward
 
 
 def test_build_graph_slot_layout():
@@ -44,21 +44,41 @@ def test_build_graph_slot_layout():
         assert g.slot_edge[s, g.edge_slot[e]] == e
 
 
+def test_slot_layout_matches_per_node_lists():
+    # parallel edges, self-loops, isolated nodes and edgeless graphs
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        S = int(rng.integers(1, 10))
+        E = 0 if seed % 10 == 0 else int(rng.integers(1, 3 * S + 2))
+        src, dst = rng.integers(0, S, size=E), rng.integers(0, S, size=E)
+        edges = [(e, int(src[e]), int(dst[e]), [1.0]) for e in rng.permutation(E)]
+        g = build_graph([(s, 0.0, 0.0) for s in range(S)], edges)
+        slot_target, slot_edge, V = slot_layout(S, src, dst)
+        assert g.max_out_degree == V
+        assert np.array_equal(g.slot_target, slot_target)
+        assert np.array_equal(g.slot_edge, slot_edge)
+
+
 def test_build_graph_validation():
-    with pytest.raises(ValidationError):
+    two = [(0, 0, 0), (1, 0, 0)]
+    with pytest.raises(ValidationError, match="at least one node"):
         build_graph([], [])
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="node ids must be exactly"):
         build_graph([(0, 0, 0), (2, 0, 0)], [])  # node id gap
-    with pytest.raises(ValidationError):
-        build_graph([(0, 0, 0)], [(0, 0, 5, [1.0])])  # missing endpoint
-    with pytest.raises(ValidationError):
-        build_graph([(0, 0, 0), (1, 0, 0)],
-                    [(0, 0, 1, [1.0]), (2, 1, 0, [1.0])])  # edge id gap
-    with pytest.raises(ValidationError):
-        build_graph([(0, 0, 0), (1, 0, 0)],
-                    [(0, 0, 1, [1.0]), (1, 1, 0, [1.0, 2.0])])  # ragged features
-    with pytest.raises(ValidationError):
-        build_graph([(0, 0, 0), (1, 0, 0)], [(0, 0, 1, [-1.0])])  # negative feature
+    with pytest.raises(ValidationError, match=r"edge 0 references missing node \(0->5\)"):
+        build_graph([(0, 0, 0)], [(0, 0, 5, [1.0])])
+    with pytest.raises(ValidationError, match="edge ids must be exactly"):
+        build_graph(two, [(0, 0, 1, [1.0]), (2, 1, 0, [1.0])])  # edge id gap
+    with pytest.raises(ValidationError, match="edge 1 has 2 features, expected 1"):
+        build_graph(two, [(0, 0, 1, [1.0]), (1, 1, 0, [1.0, 2.0])])
+    with pytest.raises(ValidationError, match="edge 0 has negative or non-finite features"):
+        build_graph(two, [(0, 0, 1, [-1.0])])
+    with pytest.raises(ValidationError, match="edge 1 has negative or non-finite features"):
+        build_graph(two, [(0, 0, 1, [1.0]), (1, 1, 0, [np.nan])])
+    with pytest.raises(ValidationError, match="connector edges must carry all-zero features"):
+        build_graph(two, [(0, 0, 1, [0.0]), (1, 1, 0, [2.0])], connector_edge_ids=[0, 1])
+    with pytest.raises(ValidationError, match="connector flag references missing edge 3"):
+        build_graph(two, [(0, 0, 1, [0.0]), (1, 1, 0, [2.0])], connector_edge_ids=[0, 3])
 
 
 def test_trajectory_resolution():
@@ -351,6 +371,9 @@ def test_extract_subgraph_membership():
         assert li[int(g.edge_src[e])] == int(sub.edge_src[i])
         assert np.array_equal(sub.features[i], g.features[e])
     assert set(cell) <= set(int(n) for n in node_ids)
+    for bad in ([-1], [16]):
+        with pytest.raises(ValidationError, match="cell references a node not in the graph"):
+            extract_subgraph(g, bad)
 
 
 def test_random_graph_is_strongly_connected():

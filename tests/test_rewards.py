@@ -166,3 +166,9 @@ def test_reward_table_round_trip(tmp_path):
     bad.write_text("0 -1.0\n2 -2.0\n")  # gap in ids
     with pytest.raises(ValidationError):
         load_reward_table(bad)
+    bad.write_text("0 -1.0\n1 abc\n")
+    with pytest.raises(ValidationError, match=r"bad.txt:2: bad reward record"):
+        load_reward_table(bad)
+    bad.write_text("0 -1.0\n0 -2.0\n1 -3.0\n")  # the last record used to win
+    with pytest.raises(ValidationError, match=r"bad.txt:2: repeated record for edge 0"):
+        load_reward_table(bad)

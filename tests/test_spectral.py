@@ -4,6 +4,7 @@ import pytest
 from routeirl import (
     GoalView,
     LinearReward,
+    ValidationError,
     edge_rewards,
     gen_gridworld,
     gen_random_graph,
@@ -166,3 +167,16 @@ def test_dominant_eigenvalue_matches_scipy_reference_bitwise():
                 assert rep.iterations > 0
                 assert (rep.lambda_max, rep.iterations, rep.converged) == want, \
                     (gi, dest, temperature)
+
+
+def test_spectral_functions_check_the_table_length():
+    # a 4x4 grid has 48 edges; a short table used to raise IndexError and a
+    # long one was read silently
+    g = gen_gridworld(4, 4)
+    gv = GoalView(g, 5)
+    for n in (g.num_edges - 3, g.num_edges + 2):
+        rew = -np.ones(n)
+        with pytest.raises(ValidationError, match="reward table length != edge count"):
+            cheap_bounds(gv, rew)
+        with pytest.raises(ValidationError, match="reward table length != edge count"):
+            dominant_eigenvalue(gv, rew)

@@ -178,6 +178,14 @@ def test_config_validation(tmp_path):
         TrainConfig.from_file(p)
     p.write_text("horizon = inf\n")
     assert math.isinf(TrainConfig.from_file(p).horizon)
+    # unparsable values name the file, line and key instead of escaping as
+    # ValueError
+    for text, key in (("algorithm = maxent\nepochs = 2.5\n", "epochs"),
+                      ("lr = fast\n", "lr")):
+        p.write_text(text)
+        line = text.count("\n")
+        with pytest.raises(ValidationError, match=f"train.cfg:{line}: .*'{key}'"):
+            TrainConfig.from_file(p)
 
 
 def test_partition_containment_and_drops():
