@@ -11,8 +11,9 @@ from .graph import (GoalView, MergeMap, RoadGraph, Trajectory, build_graph,
                     extract_subgraph, gen_gridworld, gen_random_graph,
                     gen_two_state_loop, merge_chains, split_high_degree,
                     two_state_loop_rewards)
-from .io import (load_graph, load_merge_map, load_trajectories, save_graph,
-                 save_merge_map, save_trajectories)
+from .io import (export_reward_table, load_checkpoint, load_graph, load_merge_map,
+                 load_reward_table, load_trajectories, save_checkpoint,
+                 save_graph, save_merge_map, save_trajectories)
 from .metrics import Metrics, SignificanceResult, diff_of_proportions, evaluate
 from .planners import (Policy, RolloutResult, closed_form_forward,
                        dijkstra_values, greedy_path, greedy_policy,
@@ -20,8 +21,7 @@ from .planners import (Policy, RolloutResult, closed_form_forward,
                        softmax_backup, slot_rewards, trajectory_policy_nll)
 from .rewards import (CompositeReward, DenseNetReward, LinearReward,
                       RewardModel, SparsePerEdgeReward, backprop,
-                      edge_rewards, export_reward_table, load_checkpoint,
-                      load_reward_table, project_nonpositive, save_checkpoint)
+                      edge_rewards, project_nonpositive)
 from .spectral import (SpectralReport, cheap_bounds, convergence_rate_probe,
                        dominant_eigenvalue, loss_surface_scan)
 from .training import (Shard, TrainConfig, TrainHistory, assemble_global,

@@ -22,13 +22,14 @@ from . import __version__
 from .algorithms import IrlConfig, batch_gradient, sample_demonstrations
 from .errors import InfeasibilityError, ValidationError
 from .graph import GoalView, compress_graph, compress_trajectory, gen_gridworld
-from .io import (load_graph, load_merge_map, load_trajectories, save_graph,
-                 save_merge_map, save_trajectories)
+from .io import (export_reward_table, load_checkpoint, load_graph,
+                 load_merge_map, load_reward_table, load_trajectories,
+                 save_graph, save_merge_map, save_trajectories, write_csv,
+                 write_json)
 from .metrics import evaluate
 from .planners import power_iteration_backward
 from .rewards import (DenseNetReward, LinearReward, SparsePerEdgeReward,
-                      edge_rewards, export_reward_table, load_checkpoint,
-                      load_reward_table)
+                      edge_rewards)
 from .spectral import (FEASIBLE, convergence_rate_probe, dominant_eigenvalue,
                        loss_surface_scan)
 from .training import (TrainConfig, assemble_global, cross_region_eval,
@@ -49,7 +50,7 @@ def _manifest(args: argparse.Namespace, out: str | Path) -> None:
     }
     out = Path(out)
     path = out / "manifest.json" if out.is_dir() else Path(str(out) + ".manifest.json")
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_json(doc, path, indent=2)
 
 
 def _parse_weights(text: str, dim: int) -> np.ndarray:
@@ -99,7 +100,7 @@ def cmd_gen_grid(args) -> int:
         demos = sample_demonstrations(model, g, args.num_demos,
                                       rng_seed=args.seed,
                                       temperature=args.temperature)
-        save_trajectories(demos, args.out_demos)
+        save_trajectories(demos, args.out_demos, g)
         info["demos"] = len(demos)
     _manifest(args, args.out_graph)
     print(json.dumps(info, sort_keys=True))
@@ -123,7 +124,7 @@ def cmd_compress(args) -> int:
         if not args.demos:
             raise ValidationError("--out-demos needs --demos")
         save_trajectories([compress_trajectory(t, mmap, cg) for t in demos],
-                          args.out_demos)
+                          args.out_demos, cg)
     after_sv = cg.num_nodes * cg.max_out_degree
     stats = {
         "nodes_before": g.num_nodes, "nodes_after": cg.num_nodes,
@@ -169,7 +170,9 @@ def cmd_train(args) -> int:
     export_reward_table(table, out / "global_rewards.txt")
     if args.shards >= 2:
         acc = cross_region_eval(shards, models, temperature=cfg.temperature)
-        np.savetxt(out / "cross_region.csv", acc, delimiter=",")
+        # np.savetxt's number format, which this file has always used
+        write_csv([[f"{x:.18e}" for x in row] for row in acc.tolist()],
+                  out / "cross_region.csv")
     _manifest(args, out)
     print(json.dumps(summary, sort_keys=True))
     return 0
@@ -182,11 +185,11 @@ def cmd_eval(args) -> int:
     rew = _load_rewards(args, g)
     res = evaluate(rew, demos, g, temperature=args.temperature,
                    nll=not args.no_nll, merge_map=mmap)
-    text = json.dumps(res.to_dict(), sort_keys=True)
+    doc = res.to_dict()
     if args.out:
-        Path(args.out).write_text(text + "\n")
+        write_json(doc, args.out)
         _manifest(args, args.out)
-    print(text)
+    print(json.dumps(doc, sort_keys=True))
     return 0
 
 
@@ -208,14 +211,12 @@ def cmd_diagnose(args) -> int:
         doc["rate"] = convergence_rate_probe(gv, rew,
                                              temperature=args.temperature)
     if args.dump_values:
-        v, _, _ = power_iteration_backward(gv, rew,
-                                           temperature=args.temperature,
-                                           init="dijkstra")
-        with open(args.dump_values, "w") as fh:
-            for i, x in enumerate(v):
-                fh.write(f"{i} {float(x)!r}\n")
+        v, _, converged = power_iteration_backward(
+            gv, rew, temperature=args.temperature, init="dijkstra")
+        export_reward_table(v, args.dump_values)
+        doc["values_converged"] = converged
     if args.out:
-        Path(args.out).write_text(json.dumps(doc, sort_keys=True) + "\n")
+        write_json(doc, args.out)
         _manifest(args, args.out)
     print(json.dumps(doc, sort_keys=True))
     return 0
@@ -224,10 +225,7 @@ def cmd_diagnose(args) -> int:
 def cmd_scan_loss(args) -> int:
     grid = np.linspace(args.theta_min, args.theta_max, args.steps)
     rows = loss_surface_scan(grid, grid, temperature=args.temperature)
-    with open(args.out, "w") as fh:
-        fh.write("theta1,theta2,lambda_max,nll\n")
-        for t1, t2, lam, nll in rows:
-            fh.write(f"{float(t1)!r},{float(t2)!r},{float(lam)!r},{float(nll)!r}\n")
+    write_csv([("theta1", "theta2", "lambda_max", "nll"), *rows], args.out)
     _manifest(args, args.out)
     print(json.dumps({"rows": len(rows), "out": args.out}))
     return 0
@@ -273,12 +271,8 @@ def cmd_sweep_horizon(args) -> int:
         trained, _ = train_expert(shards[0], LinearReward(weights), tcfg)
         res = evaluate(trained, shards[0].eval_demos, shards[0].subgraph,
                        temperature=args.temperature, nll=False)
-        rows.append((h, steps_per_sec, res.acc))
-    with open(args.out, "w") as fh:
-        fh.write("horizon,steps_per_sec,accuracy\n")
-        for h, sps, acc in rows:
-            name = "inf" if math.isinf(h) else str(int(h))
-            fh.write(f"{name},{float(sps)!r},{float(acc)!r}\n")
+        rows.append(("inf" if math.isinf(h) else str(int(h)), steps_per_sec, res.acc))
+    write_csv([("horizon", "steps_per_sec", "accuracy"), *rows], args.out)
     _manifest(args, args.out)
     print(json.dumps({"horizons": len(rows), "out": args.out}))
     return 0

@@ -6,9 +6,6 @@ splitting) are pinned to reward exactly 0 and never carry parameters.
 """
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 import numpy as np
 
 from .errors import ValidationError
@@ -343,12 +340,6 @@ def project_nonpositive(model: RewardModel) -> RewardModel:
     return model
 
 
-# ---------------------------------------------------------------------------
-# persistence
-
-CHECKPOINT_VERSION = 1
-
-
 def model_from_payload(payload: dict) -> RewardModel:
     kind = payload.get("kind")
     if kind == "linear":
@@ -364,47 +355,3 @@ def model_from_payload(payload: dict) -> RewardModel:
     if kind == "composite":
         return CompositeReward([model_from_payload(p) for p in payload["components"]])
     raise ValidationError(f"unknown model kind {kind!r}")
-
-
-def save_checkpoint(model: RewardModel, path: str | Path,
-                    metadata: dict | None = None) -> None:
-    doc = {"version": CHECKPOINT_VERSION, "model": model.to_payload(),
-           "metadata": metadata or {}}
-    Path(path).write_text(json.dumps(doc, sort_keys=True))
-
-
-def load_checkpoint(path: str | Path) -> tuple[RewardModel, dict]:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as err:
-        raise ValidationError(f"{path}: not a checkpoint ({err})") from None
-    if doc.get("version") != CHECKPOINT_VERSION:
-        raise ValidationError(f"{path}: unsupported checkpoint version {doc.get('version')}")
-    return model_from_payload(doc["model"]), doc.get("metadata", {})
-
-
-def export_reward_table(table: np.ndarray, path: str | Path) -> None:
-    lines = [f"{e} {float(r)!r}" for e, r in enumerate(table)]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_reward_table(path: str | Path) -> np.ndarray:
-    rows = {}
-    for ln, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        try:
-            if len(parts) != 2:
-                raise ValueError
-            key, value = int(parts[0]), float(parts[1])
-        except ValueError:
-            raise ValidationError(f"{path}:{ln}: bad reward record {raw!r}") from None
-        if key in rows:
-            raise ValidationError(f"{path}:{ln}: repeated record for edge {key}")
-        rows[key] = value
-    n = len(rows)
-    if sorted(rows) != list(range(n)):
-        raise ValidationError(f"{path}: edge ids must be 0..{n - 1}")
-    return np.array([rows[e] for e in range(n)], dtype=np.float64)

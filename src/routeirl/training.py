@@ -14,10 +14,10 @@ certified.
 """
 from __future__ import annotations
 
-import csv
 import math
 import time
 from dataclasses import dataclass, field, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -25,10 +25,10 @@ import numpy as np
 from .algorithms import IrlConfig, algorithm_settings, demo_gradient
 from .errors import ValidationError
 from .graph import GoalView, RoadGraph, Trajectory, extract_subgraph
+from .io import load_config, save_checkpoint, write_csv
 from .metrics import evaluate
 from .planners import Planner
-from .rewards import (RewardModel, edge_rewards, project_nonpositive,
-                      save_checkpoint)
+from .rewards import RewardModel, edge_rewards, project_nonpositive
 from .spectral import cheap_bounds
 
 
@@ -83,34 +83,15 @@ class TrainConfig:
     @classmethod
     def from_file(cls, path: str | Path) -> "TrainConfig":
         """Flat `key = value` text config; unknown keys are rejected."""
-        known = {f.name: f.type for f in fields(cls)}
-        kwargs = {}
-        for ln, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValidationError(f"{path}:{ln}: expected `key = value`")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key not in known:
-                raise ValidationError(f"{path}:{ln}: unknown key {key!r}")
-            try:
-                kwargs[key] = _parse_value(key, value)
-            except ValueError:
-                raise ValidationError(f"{path}:{ln}: bad value {value!r} for {key!r}") from None
-        return cls(**kwargs)
+        return cls(**load_config(path, {f.name: partial(_parse_value, f.default)
+                                        for f in fields(cls)}))
 
 
-def _parse_value(key: str, value: str):
-    if key in ("algorithm", "init", "optimizer"):
-        return value
-    if key in ("warmup", "epochs", "steps_per_epoch", "batch_size", "rng_seed"):
-        return int(value)
-    if key == "lr" and value.lower() == "none":
-        return None
-    return float(value)
+def _parse_value(default, value: str):
+    """value typed like the field's default; lr (default None) is a float or `none`."""
+    if default is None:
+        return None if value.lower() == "none" else float(value)
+    return type(default)(value)
 
 
 class SGD:
@@ -178,12 +159,7 @@ class TrainHistory:
     def to_csv(self, path: str | Path) -> None:
         cols = ["step", "epoch", "loss", "grad_norm", "skips", "lr_scale",
                 "bound", "wall_clock"]
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(cols)
-            for rec in self.steps:
-                w.writerow([repr(rec[c]) if isinstance(rec[c], float) else rec[c]
-                            for c in cols])
+        write_csv([cols] + [[rec[c] for c in cols] for rec in self.steps], path)
 
 
 def train_expert(shard: Shard, model_init: RewardModel, cfg: TrainConfig,

@@ -4,9 +4,10 @@ import json
 import numpy as np
 import pytest
 
-from routeirl import load_graph, load_merge_map, save_graph
+from routeirl import (build_graph, export_reward_table, load_graph,
+                      load_merge_map, load_reward_table, load_trajectories,
+                      save_graph)
 from routeirl.cli import main
-from routeirl.rewards import export_reward_table
 
 from oracles import blocked_chain_graph
 
@@ -88,7 +89,7 @@ def test_full_pipeline(tmp_path, capsys):
     assert code == 0
     assert doc["classification"] == "Feasible"
     assert doc["lambda_max"] < 1.0
-    assert doc["converged"]
+    assert doc["converged"] and doc["values_converged"]
     assert 0.0 <= doc["rate"] < 1.0
     dumped = open(vals).read().strip().splitlines()
     assert len(dumped) == stats["nodes_after"]
@@ -133,6 +134,62 @@ def test_compress_cyclic_graph_exits_zero(tmp_path, capsys):
     assert code == 0
     assert stats["nodes_after"] == 3
     assert load_graph(cg, merge_map=load_merge_map(mm)).num_edges == 5
+
+
+def test_compress_rejects_demos_a_node_line_cannot_name(tmp_path, capsys):
+    # chains 0->1->3 and 0->2->3 merge into parallel edges 0->3 (ids 0 and
+    # 1); a node line "0 3" names edge 0, so the route via 2 cannot be saved
+    gpath, dpath, cg, mm, cd = (str(tmp_path / n) for n in
+                                ("g.txt", "d.txt", "c.txt", "m.txt", "cd.txt"))
+    save_graph(build_graph([(i, float(i), 0.0) for i in range(4)],
+                           [(0, 0, 1, [1.0]), (1, 1, 3, [1.0]),
+                            (2, 0, 2, [2.0]), (3, 2, 3, [2.0])]), gpath)
+    argv = ["compress", "--graph", gpath, "--v-cap", "2", "--demos", dpath,
+            "--out-graph", cg, "--out-merge-map", mm, "--out-demos", cd]
+    (tmp_path / "d.txt").write_text("0 1 3\n")
+    assert main(argv) == 0
+    assert [t.edges for t in load_trajectories(cd, load_graph(cg))] == [(0,)]
+    capsys.readouterr()
+    (tmp_path / "d.txt").write_text("0 1 3\n0 2 3\n")
+    assert main(argv) == 2
+    assert "trajectory 1 takes parallel edge 1" in capsys.readouterr().err
+
+
+def test_train_on_compressed_graph_pins_connectors(tmp_path, capsys):
+    # train loads the graph without its merge map; the graph file itself
+    # flags the connectors, so even the MLP scores them exactly 0
+    gpath, dpath, cg, mm, cd = (str(tmp_path / n) for n in
+                                ("g.txt", "d.txt", "c.txt", "m.txt", "cd.txt"))
+    assert main(["gen-grid", "--width", "4", "--height", "4", "--seed", "2",
+                 "--num-demos", "8", "--out-graph", gpath,
+                 "--out-demos", dpath]) == 0
+    assert main(["compress", "--graph", gpath, "--v-cap", "3", "--demos", dpath,
+                 "--out-graph", cg, "--out-merge-map", mm, "--out-demos", cd]) == 0
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("horizon = 2\nepochs = 1\nsteps_per_epoch = 2\nwarmup = 1\n")
+    out = tmp_path / "run"
+    assert main(["train", "--graph", cg, "--demos", cd, "--config", str(cfg),
+                 "--model", "dense", "--seed", "1", "--out", str(out)]) == 0
+    flags = load_graph(cg, merge_map=load_merge_map(mm)).connector_flags
+    table = load_reward_table(out / "global_rewards.txt")
+    assert flags.sum() > 0
+    assert table[flags].tolist() == [0.0] * int(flags.sum())
+    assert not np.signbit(table[flags]).any()
+    assert np.all(table[~flags] < 0.0)
+
+
+def test_dump_values_reports_nonconvergence(tmp_path, capsys):
+    gpath, rpath, vals = (str(tmp_path / n) for n in ("g.txt", "r.txt", "v.txt"))
+    assert main(["gen-grid", "--width", "3", "--height", "3",
+                 "--out-graph", gpath]) == 0
+    export_reward_table(np.full(24, -0.1), rpath)   # 4 exits of e^-0.1 each
+    capsys.readouterr()
+    code, doc = run(capsys, "diagnose", "--graph", gpath, "--rewards", rpath,
+                    "--destination", "4", "--dump-values", vals)
+    assert code == 0
+    assert doc["classification"] == "Infeasible"
+    assert doc["values_converged"] is False
+    assert len(load_reward_table(vals)) == 9
 
 
 def test_missing_file_exits_two(tmp_path, capsys):

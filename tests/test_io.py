@@ -1,8 +1,11 @@
+import ast
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import routeirl
 from routeirl import (
     Trajectory,
     ValidationError,
@@ -45,6 +48,24 @@ def test_graph_round_trip_keeps_connectors(tmp_path):
         assert mm.expand_edges([e]) == mmap.expand_edges([e])
 
 
+def test_double_compression_keeps_connectors(tmp_path):
+    g = gen_random_graph(12, rng_seed=1, extra_edges=25)
+    once, _ = compress_graph(g, 4)
+    twice, mmap = compress_graph(once, 3)
+    assert once.connector_flags.sum() == 2 and twice.connector_flags.sum() == 6
+    p = tmp_path / "g.txt"
+    save_graph(twice, p)
+    for mm in (None, mmap):   # the map of the second round flags 4 of them
+        h = load_graph(p, merge_map=mm)
+        assert np.array_equal(h.connector_flags, twice.connector_flags)
+    # files written before C records existed load as they used to
+    old = tmp_path / "old.txt"
+    old.write_text("".join(ln + "\n" for ln in p.read_text().splitlines()
+                           if not ln.startswith("C ")))
+    assert load_graph(old).connector_flags.sum() == 0
+    assert load_graph(old, merge_map=mmap).connector_flags.sum() == 4
+
+
 def test_trajectory_round_trip(tmp_path):
     g = gen_gridworld(5, 5)
     trajs = [
@@ -52,7 +73,7 @@ def test_trajectory_round_trip(tmp_path):
         Trajectory.from_nodes(g, [24, 23, 18]),
     ]
     p = tmp_path / "t.txt"
-    save_trajectories(trajs, p)
+    save_trajectories(trajs, p, g)
     back = load_trajectories(p, g)
     assert back == trajs
 
@@ -141,3 +162,24 @@ def test_merge_map_rejects_repeated_records(tmp_path):
         msg = f"{p}:{line}: repeated {kind} record for id {key}"
         with pytest.raises(ValidationError, match=re.escape(msg)):
             load_merge_map(p)
+
+
+def test_only_io_touches_files():
+    # io.py owns every file format; other modules call it instead
+    calls = {"open", "read_text", "write_text", "savetxt"}
+    hits = []
+    for path in sorted(Path(routeirl.__file__).parent.rglob("*.py")):
+        if path.name == "io.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if name in calls:
+                    hits.append((path.name, node.lineno, name))
+            elif isinstance(node, ast.Import):
+                hits += [(path.name, node.lineno, a.name) for a in node.names
+                         if a.name == "csv"]
+            elif isinstance(node, ast.ImportFrom) and node.module == "csv":
+                hits.append((path.name, node.lineno, "csv"))
+    assert not hits

@@ -170,5 +170,5 @@ def test_reward_table_round_trip(tmp_path):
     with pytest.raises(ValidationError, match=r"bad.txt:2: bad reward record"):
         load_reward_table(bad)
     bad.write_text("0 -1.0\n0 -2.0\n1 -3.0\n")  # the last record used to win
-    with pytest.raises(ValidationError, match=r"bad.txt:2: repeated record for edge 0"):
+    with pytest.raises(ValidationError, match=r"bad.txt:2: repeated edge record for id 0"):
         load_reward_table(bad)
