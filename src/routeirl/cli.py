@@ -117,14 +117,15 @@ def cmd_compress(args) -> int:
         protected = sorted({t.nodes[-1] for t in demos}
                            | {t.nodes[0] for t in demos})
     before_sv = g.num_nodes * g.max_out_degree
+    if args.out_demos and not args.demos:
+        raise ValidationError("--out-demos needs --demos")
     cg, mmap = compress_graph(g, args.v_cap, protected=protected)
-    save_graph(cg, args.out_graph)
-    save_merge_map(mmap, args.out_merge_map)
+    # the demos are checked and written first: a run that exits 2 writes nothing
     if args.out_demos:
-        if not args.demos:
-            raise ValidationError("--out-demos needs --demos")
         save_trajectories([compress_trajectory(t, mmap, cg) for t in demos],
                           args.out_demos, cg)
+    save_graph(cg, args.out_graph)
+    save_merge_map(mmap, args.out_merge_map)
     after_sv = cg.num_nodes * cg.max_out_degree
     stats = {
         "nodes_before": g.num_nodes, "nodes_after": cg.num_nodes,
@@ -212,7 +213,7 @@ def cmd_diagnose(args) -> int:
                                              temperature=args.temperature)
     if args.dump_values:
         v, _, converged = power_iteration_backward(
-            gv, rew, temperature=args.temperature, init="dijkstra")
+            gv, rew, temperature=args.temperature, init="exact")
         export_reward_table(v, args.dump_values)
         doc["values_converged"] = converged
     if args.out:

@@ -42,8 +42,9 @@ def evaluate(model_or_table, demos: list[Trajectory], g: RoadGraph, *,
     fails to converge, mirroring algorithms for which the likelihood is
     undefined.  Each distinct destination is planned once, on one reversed
     graph for the table: one Dijkstra pass, one greedy policy that every walk
-    to it follows and, with nll=True, one backward pass from the Dijkstra
-    values and its softmax policy.
+    to it follows and, with nll=True, one sparse solve for the soft values
+    (confirmed by the backward pass, which starts there) and its softmax
+    policy.
     """
     if not demos:
         raise ValidationError("no demos to evaluate")

@@ -2,7 +2,9 @@
 
 Everything here works on the padded (num_nodes, max_out_degree) slot layout:
 log-domain backups, deterministic max-reward values, stochastic policies, and
-forward mass propagation.
+forward mass propagation.  Converged soft values start from the exact fixed
+point, one sparse solve rescaled by the max-reward values, and the backups
+then confirm it; stationary edge mass is one sparse solve on the same system.
 """
 from __future__ import annotations
 
@@ -115,6 +117,59 @@ def _value_diff(a: np.ndarray, b: np.ndarray) -> float:
     return top
 
 
+def _identity_minus_slots(gv: GoalView, weights: np.ndarray) -> sp.csc_matrix:
+    """Sparse I - C over all nodes, C[s, s'] the sum of ``weights`` over the
+    valid slots s -> s': parallel edges sum, self-loops land on the diagonal
+    and the destination row of C is empty."""
+    g = gv.graph
+    valid = gv.slot_valid
+    rows, _ = np.nonzero(valid)
+    c = sp.csc_matrix((weights[valid], (rows, g.slot_target[valid])),
+                      shape=(g.num_nodes,) * 2)
+    return sp.identity(g.num_nodes, format="csc") - c
+
+
+def _solve(lhs: sp.spmatrix, rhs: np.ndarray) -> np.ndarray | None:
+    """SuperLU solution of lhs x = rhs; None if lhs is singular."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", sp.linalg.MatrixRankWarning)
+        try:
+            x = sp.linalg.spsolve(lhs, rhs)
+        except sp.linalg.MatrixRankWarning:
+            return None
+    return np.atleast_1d(np.asarray(x, dtype=np.float64))
+
+
+def _solved_start(gv: GoalView, rew: np.ndarray, v_best: np.ndarray,
+                  temperature: float) -> np.ndarray:
+    """Soft values from one sparse solve, for the backups to confirm.
+
+    With v_best the max-reward values over T, y = exp(v - v_best) solves
+    (I - C) y = e_dest, C[s, s'] summing exp(r/T + v_best(s') - v_best(s))
+    over the slots s -> s' between nodes that reach the destination; every
+    coefficient is at most 1 and y >= 1.  Such a positive y exists only when
+    the spectral radius of C is at most 1, so where y is singular, not
+    finite or not positive on a node that reaches the destination (an
+    infeasible table, or exp overflow), this returns v_best unchanged.
+    """
+    g = gv.graph
+    rew = np.asarray(rew, dtype=np.float64)
+    reach = np.isfinite(v_best)
+    live = gv.slot_valid & reach[:, None] & reach[g.safe_targets]
+    rows, cols = np.nonzero(live)
+    weights = np.zeros(live.shape)
+    weights[rows, cols] = np.exp(rew[g.slot_edge[rows, cols]] / temperature
+                                 + v_best[g.slot_target[rows, cols]] - v_best[rows])
+    rhs = np.zeros(g.num_nodes)
+    rhs[gv.destination] = 1.0
+    y = _solve(_identity_minus_slots(gv, weights), rhs)
+    if y is None or not np.all(np.isfinite(y[reach]) & (y[reach] > 0)):
+        return v_best
+    v = np.full(g.num_nodes, -np.inf)
+    v[reach] = np.log(y[reach]) + v_best[reach]
+    return v
+
+
 def power_iteration_backward(gv: GoalView, rew: np.ndarray, *,
                              temperature: float = 1.0, init="onehot",
                              tol: float = 1e-9, max_iters: int | None = None,
@@ -123,16 +178,24 @@ def power_iteration_backward(gv: GoalView, rew: np.ndarray, *,
     """Iterate softmax backups to the soft-value fixed point.
 
     init: 'onehot' (destination indicator), 'dijkstra' (max-reward values,
-    temperature-scaled), or an explicit starting vector.  Returns
-    (values, iterations, converged).
+    temperature-scaled), 'exact' (the sparse solve of ``_solved_start``,
+    which is the Dijkstra start where the solve fails), or an explicit
+    starting vector.  The backups and the stopping test are the same for
+    every start.  Returns (values, iterations, converged).
     """
     if temperature <= 0:
         raise ValidationError("temperature must be positive")
     rs = slot_rewards(gv, rew)
     if isinstance(init, str):
-        if init not in ("onehot", "dijkstra"):
+        if init not in ("onehot", "dijkstra", "exact"):
             raise ValidationError(f"unknown init {init!r}")
-        init = onehot_values(gv) if init == "onehot" else dijkstra_values(gv, rew) / temperature
+        if init == "onehot":
+            init = onehot_values(gv)
+        elif init == "dijkstra":
+            init = dijkstra_values(gv, rew) / temperature
+        else:
+            init = _solved_start(gv, rew, dijkstra_values(gv, rew) / temperature,
+                                 temperature)
     v = np.asarray(init, dtype=np.float64).copy()
     v[gv.destination] = 0.0
     if max_iters is None:
@@ -277,12 +340,15 @@ class Planner:
             GoalView(self.graph, dest), self.rew, self.best_values(dest)))
 
     def soft(self, dest: int) -> tuple[np.ndarray, Policy] | None:
-        """Converged soft values and their policy, from the Dijkstra start."""
+        """Converged soft values and their policy.  The backward pass starts
+        from the sparse solve on the memoised max-reward values (their own
+        values where the solve fails), as ``init="exact"`` does."""
         def make():
             gv = GoalView(self.graph, dest)
+            start = _solved_start(gv, self.rew, self.best_values(dest) / self.temperature,
+                                  self.temperature)
             v, _, conv = power_iteration_backward(
-                gv, self.rew, temperature=self.temperature,
-                init=self.best_values(dest) / self.temperature)
+                gv, self.rew, temperature=self.temperature, init=start)
             return (v, policy_from_values(gv, self.rew, v, self.temperature)) if conv else None
         return self.memo("soft", dest, make)
 
@@ -353,36 +419,18 @@ def rollout(gv: GoalView, schedule: list[tuple[Policy, int | None]],
 
 def closed_form_forward(gv: GoalView, pol: Policy,
                         initial_mass: np.ndarray) -> np.ndarray:
-    """Stationary-policy edge mass via the linear system (I - P1') z = b over
-    non-destination nodes; equals an untruncated rollout of (pol, None).
+    """Stationary-policy edge mass via the linear system (I - P)' z = m;
+    equals an untruncated rollout of (pol, None).  The destination row of P
+    is empty, so z is the expected visits of every other node.
     """
     g = gv.graph
     m = np.asarray(initial_mass, dtype=np.float64)
-    keep = np.ones(g.num_nodes, dtype=bool)
-    keep[gv.destination] = False
-    idx = np.full(g.num_nodes, -1, dtype=np.int64)
-    idx[keep] = np.arange(keep.sum())
-    valid = gv.slot_valid
-    rows_full, _ = np.nonzero(valid)
-    tgt = g.slot_target[valid]
-    prob = pol.probs[valid]
-    inner = keep[rows_full] & keep[tgt]
-    p1 = sp.csr_matrix((prob[inner], (idx[rows_full[inner]], idx[tgt[inner]])),
-                       shape=(int(keep.sum()),) * 2)
-    lhs = sp.identity(p1.shape[0], format="csc") - p1.T.tocsc()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", sp.linalg.MatrixRankWarning)
-        try:
-            z = sp.linalg.spsolve(lhs, m[keep])
-        except sp.linalg.MatrixRankWarning:
-            raise InfeasibilityError("forward system is singular: policy mass "
-                                     "never drains to the destination") from None
-    z = np.atleast_1d(np.asarray(z, dtype=np.float64))
-    if not np.all(np.isfinite(z)):
+    z = _solve(_identity_minus_slots(gv, pol.probs).T, m)
+    if z is None or not np.all(np.isfinite(z)):
         raise InfeasibilityError("forward system is singular: policy mass "
                                  "never drains to the destination")
+    valid = gv.slot_valid
+    rows, _ = np.nonzero(valid)
     edge_mass = np.zeros(g.num_edges)
-    zin = z[idx[rows_full]]
-    zin[~keep[rows_full]] = 0.0
-    np.add.at(edge_mass, g.slot_edge[valid], zin * prob)
+    np.add.at(edge_mass, g.slot_edge[valid], z[rows] * pol.probs[valid])
     return edge_mass

@@ -184,6 +184,38 @@ def dense_b1_lambda(gv: GoalView, rew: np.ndarray, temperature: float = 1.0) -> 
     return float(np.max(np.abs(np.linalg.eigvals(A))))
 
 
+def rollout_dense(gv: GoalView, schedule: list, initial_mass: np.ndarray, *,
+                  tol: float = 1e-12, max_steps: int = 1000):
+    """``rollout`` on a dense node-to-node matrix built per edge.  Returns
+    (edge_mass, steps, truncated, lost, absorbed, residual), where residual is
+    the mass still on the nodes when the rollout stops."""
+    g, d = gv.graph, gv.destination
+    m = np.array(initial_mass, dtype=np.float64)
+    absorbed, m[d] = m[d], 0.0
+    lost, steps, truncated = 0.0, 0, False
+    edge_mass = np.zeros(g.num_edges)
+    for pol, length in schedule:
+        p_edge = np.where(g.edge_src == d, 0.0, pol.probs[g.edge_src, g.edge_slot])
+        step = np.zeros((g.num_nodes, g.num_nodes))
+        for e in range(g.num_edges):
+            step[g.edge_src[e], g.edge_dst[e]] += p_edge[e]
+        k = 0
+        while (length is None or k < length) and m.sum() > tol:
+            if steps >= max_steps:
+                truncated = True
+                break
+            lost += m[pol.dead].sum()
+            edge_mass += m[g.edge_src] * p_edge
+            m = m @ step
+            absorbed, m[d] = absorbed + m[d], 0.0
+            steps, k = steps + 1, k + 1
+        if truncated:
+            break
+    if not truncated and m.sum() > tol and schedule[-1][1] is None:
+        truncated = True
+    return edge_mass, steps, truncated, lost, absorbed, m
+
+
 def fd_gradient(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
     """Central finite differences."""
     g = np.zeros_like(x, dtype=np.float64)
@@ -423,7 +455,7 @@ def evaluate_per_demo(rew: np.ndarray, demos: list, g: RoadGraph, *,
             iou_sum += len(a & b) / len(a | b)
         if nll_ok:
             sv, _, conv = power_iteration_backward(gv, rew, temperature=temperature,
-                                                   init="dijkstra")
+                                                   init="exact")
             if conv:
                 nll_sum += trajectory_policy_nll(gv, rew, sv, traj, temperature)
             else:
@@ -453,7 +485,7 @@ def sample_per_demo(model: RewardModel, g: RoadGraph, num_demos: int, *,
             pol = greedy_policy(gv, r, v)
         else:
             v, _, conv = power_iteration_backward(gv, r, temperature=temperature,
-                                                  init="dijkstra")
+                                                  init="exact")
             if not conv:
                 raise InfeasibilityError("softmax values did not converge")
             pol = policy_from_values(gv, r, v, temperature)

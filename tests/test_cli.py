@@ -1,5 +1,6 @@
 """End-to-end command line pipeline on a temporary workspace."""
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -151,8 +152,11 @@ def test_compress_rejects_demos_a_node_line_cannot_name(tmp_path, capsys):
     assert [t.edges for t in load_trajectories(cd, load_graph(cg))] == [(0,)]
     capsys.readouterr()
     (tmp_path / "d.txt").write_text("0 1 3\n0 2 3\n")
+    fresh = [str(tmp_path / n) for n in ("c2.txt", "m2.txt", "cd2.txt")]
+    argv[argv.index(cg)], argv[argv.index(mm)], argv[argv.index(cd)] = fresh
     assert main(argv) == 2
     assert "trajectory 1 takes parallel edge 1" in capsys.readouterr().err
+    assert not any(Path(p).exists() for p in fresh)  # the failed run wrote nothing
 
 
 def test_train_on_compressed_graph_pins_connectors(tmp_path, capsys):

@@ -24,9 +24,12 @@ from routeirl import (
     evaluate,
     gen_gridworld,
     gen_random_graph,
+    gen_two_state_loop,
     sample_demonstrations,
+    two_state_loop_rewards,
 )
 from routeirl.planners import (
+    _default_iters,
     _logsumexp_rows,
     _value_diff,
     closed_form_forward,
@@ -49,6 +52,7 @@ from oracles import (
     max_backup,
     mp_soft_values,
     power_iteration_backward_linear,
+    rollout_dense,
     scipy_backward,
     evaluate_per_demo,
     sample_per_demo,
@@ -271,6 +275,48 @@ def test_rollout_matches_closed_form():
         res = rollout(gv, [(pol, None)], mass, tol=1e-15)
         cf = closed_form_forward(gv, pol, mass)
         assert np.max(np.abs(res.edge_mass - cf)) < 1e-10
+
+
+def _with_trap(g):
+    """g plus one node that nodes 0 and 1 enter and nothing leaves."""
+    trap = g.num_nodes
+    nodes = [(s, *g.coords[s]) for s in range(trap)] + [(trap, 0.5, 0.5)]
+    recs = [(e, int(g.edge_src[e]), int(g.edge_dst[e]), g.features[e])
+            for e in range(g.num_edges)]
+    recs += [(g.num_edges + u, u, trap, g.features[0]) for u in (0, 1)]
+    return build_graph(nodes, recs)
+
+
+def test_rollout_balances_mass_on_generated_graphs():
+    # absorbed + lost + the mass left on the nodes is the initial mass, for
+    # soft, greedy and mixed schedules, run out or cut at max_steps
+    lost_seen = 0
+    for seed in range(4):
+        rng = np.random.default_rng(seed + 70)
+        for g in (_with_trap(gen_random_graph(14 + seed, rng_seed=seed, extra_edges=12)),
+                  _loopy_multigraph(seed)):
+            rew = _rand_rewards(g, seed, lo=0.8, hi=1.6)
+            gv = GoalView(g, int(rng.integers(2, 14)))  # never the trap
+            v, _, conv = power_iteration_backward(gv, rew, init="exact")
+            assert conv
+            soft = policy_from_values(gv, rew, v)
+            greedy = greedy_policy(gv, rew, dijkstra_values(gv, rew))
+            mass = rng.uniform(0.0, 1.0, g.num_nodes)
+            for schedule, max_steps in (([(soft, None)], 1000), ([(greedy, None)], 1000),
+                                        ([(greedy, 2), (soft, 3), (greedy, None)], 1000),
+                                        ([(soft, 1), (greedy, 1), (soft, None)], 4)):
+                res = rollout(gv, schedule, mass, max_steps=max_steps)
+                edge_mass, steps, truncated, lost, absorbed, residual = rollout_dense(
+                    gv, schedule, mass, max_steps=max_steps)
+                assert abs(res.absorbed_mass + res.lost_mass + residual.sum()
+                           - mass.sum()) < 1e-12
+                assert (res.steps, res.truncated) == (steps, truncated)
+                assert truncated == (max_steps == 4)
+                assert abs(res.lost_mass - lost) < 1e-12
+                assert abs(res.absorbed_mass - absorbed) < 1e-12
+                assert np.max(np.abs(res.edge_mass - edge_mass)) < 1e-12
+                lost_seen += res.lost_mass > 0
+    assert lost_seen == 16  # the mass put on the trap is lost in every schedule
 
 
 def test_closed_form_raises_when_mass_is_trapped():
@@ -509,3 +555,37 @@ def test_shared_plans_equal_per_demo_replanning():
                        {"temperature": 0.7, "pairs": pairs}, {"temperature": 0.0, "pairs": pairs}):
                 assert (sample_demonstrations(model, g, 10, rng_seed=seed + 5, **kw)
                         == sample_per_demo(model, g, 10, rng_seed=seed + 5, **kw))
+
+
+def test_exact_start_agrees_with_power_iteration_and_falls_back():
+    # the sparse solve starts the backups at the fixed point: the values stay
+    # within the stopping tolerance of a tighter Dijkstra-started reference
+    cases = 0
+    for seed in range(4):
+        for g in (gen_random_graph(16 + seed, rng_seed=seed, extra_edges=14),
+                  _loopy_multigraph(seed)):
+            shaped = _shaped_rewards(g, seed)
+            assert np.max(shaped) > 0  # planned on the negative-cost routine
+            for rew in (_rand_rewards(g, seed, lo=0.8, hi=1.6), shaped):
+                for dest in (0, g.num_nodes // 2, g.num_nodes - 1):
+                    gv = GoalView(g, dest)
+                    ref, it_ref, conv = power_iteration_backward(
+                        gv, rew, temperature=0.7, init="dijkstra", tol=1e-12)
+                    v, iters, conv_x = power_iteration_backward(
+                        gv, rew, temperature=0.7, init="exact")
+                    if not conv:
+                        continue
+                    assert conv_x and iters <= 2 < it_ref
+                    assert np.array_equal(np.isneginf(v), np.isneginf(ref))
+                    fin = np.isfinite(ref)
+                    assert np.max(np.abs(v[fin] - ref[fin])) <= 1e-9
+                    cases += 1
+    assert cases >= 40
+    # lambda = 2 e^-0.1 > 1: no positive solution, so the Dijkstra start runs
+    # and fails exactly as it does on its own
+    g = gen_two_state_loop()
+    gv = GoalView(g, 2)
+    rew = two_state_loop_rewards(g, 0.1, 0.1)
+    runs = [power_iteration_backward(gv, rew, init=init) for init in ("dijkstra", "exact")]
+    assert runs[0][1:] == runs[1][1:] == (_default_iters(g.num_nodes), False)
+    assert np.array_equal(runs[0][0], runs[1][0])
