@@ -76,15 +76,13 @@ def _skipped(reason: str) -> GradientReport:
 
 
 def state_mass(g: RoadGraph, nodes) -> np.ndarray:
-    m = np.zeros(g.num_nodes)
-    np.add.at(m, np.fromiter(nodes, dtype=np.int64), 1.0)
-    return m
+    return np.bincount(np.fromiter(nodes, dtype=np.int64),
+                       minlength=g.num_nodes).astype(np.float64)
 
 
 def edge_mass_of(g: RoadGraph, edges) -> np.ndarray:
-    m = np.zeros(g.num_edges)
-    np.add.at(m, np.fromiter(edges, dtype=np.int64), 1.0)
-    return m
+    return np.bincount(np.fromiter(edges, dtype=np.int64),
+                       minlength=g.num_edges).astype(np.float64)
 
 
 def _check_demo(g: RoadGraph, traj: Trajectory) -> None:

@@ -5,6 +5,11 @@ log-domain backups, deterministic max-reward values, stochastic policies, and
 forward mass propagation.  Converged soft values start from the exact fixed
 point, one sparse solve rescaled by the max-reward values, and the backups
 then confirm it; stationary edge mass is one sparse solve on the same system.
+The two hot kernels make no reduction per short row: the log-sum-exp of rows
+under 8 slots reduces down the columns of the transposed table, and a rollout
+step works on the flat list of valid slots, adding slot mass in place and
+moving node mass with one bincount; both add in the order the row-wise code
+did, so results are bitwise equal.
 """
 from __future__ import annotations
 
@@ -67,16 +72,23 @@ def _logsumexp_rows(q: np.ndarray) -> np.ndarray:
     its ties are split out of the sum, v = log1p(rest / ties) + log(ties) +
     max.  Rows where that is not finite (all -inf, or a +inf or NaN entry)
     take log(sum(exp(q))) as scipy does, so a row of -inf gives -inf.
+
+    Rows of fewer than 8 entries reduce down the columns of the contiguous
+    transpose: numpy sums such a row in order, ((e0+e1)+e2)+e3, and a
+    reduction along axis 0 adds in that same order, one vectorised pass per
+    column instead of one short reduction per row.  From 8 entries numpy
+    sums a row in pairwise blocks, so wider tables keep the row layout.
     """
     if q.shape[1] == 0:
         return np.full(q.shape[0], -np.inf)
-    top = q.max(axis=1, keepdims=True)
-    tied = q == top
-    ties = tied.sum(axis=1)
+    t, axis = (q, 1) if q.shape[1] >= 8 else (np.ascontiguousarray(q.T), 0)
+    top = t.max(axis=axis, keepdims=True)
+    tied = t == top
+    ties = tied.sum(axis=axis)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        e = np.exp(q - top)
+        e = np.exp(t - top)
         np.putmask(e, tied, 0.0)
-        v = np.log1p(e.sum(axis=1) / ties) + np.log(ties) + top[:, 0]
+        v = np.log1p(e.sum(axis=axis) / ties) + np.log(ties) + top.ravel()
         finite = np.isfinite(v)
         if not finite.all():
             v[~finite] = np.log(np.exp(q[~finite]).sum(axis=1))
@@ -380,39 +392,39 @@ def rollout(gv: GoalView, schedule: list[tuple[Policy, int | None]],
         raise ValidationError("initial mass length != node count")
     if np.any(m < 0):
         raise ValidationError("initial mass must be nonnegative")
-    edge_mass = np.zeros(g.num_edges)
     absorbed = float(m[gv.destination])
     m[gv.destination] = 0.0
     lost = 0.0
     steps = 0
     truncated = False
     valid = gv.slot_valid
-    eidx = g.slot_edge[valid]
+    rows = np.nonzero(valid)[0]
     tidx = g.slot_target[valid]
+    slot_mass = np.zeros(rows.size)  # an edge has one slot: this sums its edge mass
     for pol, length in schedule:
         if pol.destination != gv.destination:
             raise ValidationError("policy destination != rollout destination")
+        pv = pol.probs[valid]
+        dead = np.flatnonzero(pol.dead)
         k = 0
         while (length is None or k < length) and m.sum() > tol:
             if steps >= max_steps:
                 truncated = True
                 break
-            dead_loss = m[pol.dead]
-            lost += float(dead_loss.sum())
-            slot_mass = m[:, None] * pol.probs
-            sm = slot_mass[valid]
-            np.add.at(edge_mass, eidx, sm)
-            m_new = np.zeros_like(m)
-            np.add.at(m_new, tidx, sm)
-            absorbed += float(m_new[gv.destination])
-            m_new[gv.destination] = 0.0
-            m = m_new
+            lost += float(m[dead].sum())
+            sm = m[rows] * pv
+            slot_mass += sm
+            m = np.bincount(tidx, sm, minlength=g.num_nodes)  # adds in slot order
+            absorbed += float(m[gv.destination])
+            m[gv.destination] = 0.0
             steps += 1
             k += 1
         if truncated:
             break
     if not truncated and m.sum() > tol and schedule and schedule[-1][1] is None:
         truncated = True
+    edge_mass = np.zeros(g.num_edges)
+    edge_mass[g.slot_edge[valid]] = slot_mass
     return RolloutResult(edge_mass=edge_mass, steps=steps, truncated=truncated,
                          lost_mass=lost, absorbed_mass=absorbed)
 
@@ -432,5 +444,5 @@ def closed_form_forward(gv: GoalView, pol: Policy,
     valid = gv.slot_valid
     rows, _ = np.nonzero(valid)
     edge_mass = np.zeros(g.num_edges)
-    np.add.at(edge_mass, g.slot_edge[valid], z[rows] * pol.probs[valid])
+    edge_mass[g.slot_edge[valid]] += z[rows] * pol.probs[valid]  # one slot per edge
     return edge_mass

@@ -60,9 +60,8 @@ def cheap_bounds(gv: GoalView, rew: np.ndarray,
     mask = ~np.isneginf(logw)
     w = np.where(mask, np.exp(logw), 0.0)
     row = float(np.max(w.sum(axis=1), initial=0.0))
-    col_acc = np.zeros(g.num_nodes)
-    np.add.at(col_acc, tgt[mask], w[mask])
-    col = float(np.max(col_acc, initial=0.0))
+    col = float(np.max(np.bincount(tgt[mask], w[mask], minlength=g.num_nodes),
+                       initial=0.0))
     return row, col
 
 

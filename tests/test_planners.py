@@ -289,16 +289,25 @@ def _with_trap(g):
 
 def test_rollout_balances_mass_on_generated_graphs():
     # absorbed + lost + the mass left on the nodes is the initial mass, for
-    # soft, greedy and mixed schedules, run out or cut at max_steps
+    # soft, greedy and mixed schedules, run out or cut at max_steps; the
+    # dense multigraph has rows of 8 or more slots
     lost_seen = 0
     for seed in range(4):
         rng = np.random.default_rng(seed + 70)
-        for g in (_with_trap(gen_random_graph(14 + seed, rng_seed=seed, extra_edges=12)),
-                  _loopy_multigraph(seed)):
-            rew = _rand_rewards(g, seed, lo=0.8, hi=1.6)
+        dense = _loopy_multigraph(seed, extra_edges=90)
+        assert dense.max_out_degree >= 8
+        for g, lo in ((_with_trap(gen_random_graph(14 + seed, rng_seed=seed, extra_edges=12)),
+                       0.8), (_loopy_multigraph(seed), 0.8), (dense, 2.5)):
+            rew = _rand_rewards(g, seed, lo=lo, hi=lo + 0.8)
             gv = GoalView(g, int(rng.integers(2, 14)))  # never the trap
             v, _, conv = power_iteration_backward(gv, rew, init="exact")
             assert conv
+            if g is dense:  # one backup over rows of 8+ slots, against scipy
+                v_prev = rng.normal(size=g.num_nodes)
+                q, v_next = softmax_backup(gv, slot_rewards(gv, rew), v_prev)
+                want = logsumexp(q, axis=1)
+                want[gv.destination] = 0.0
+                assert np.array_equal(v_next, want)
             soft = policy_from_values(gv, rew, v)
             greedy = greedy_policy(gv, rew, dijkstra_values(gv, rew))
             mass = rng.uniform(0.0, 1.0, g.num_nodes)
@@ -364,10 +373,13 @@ def test_max_backup_converges_to_dijkstra():
 
 
 def test_logsumexp_rows_matches_scipy_bitwise():
+    # rows of fewer than 8 entries reduce down the transpose, wider ones
+    # along the rows: every width from 1 to 9 runs both layouts
     rng = np.random.default_rng(17)
+    shapes = [(1, 1), (7, 1), (400, 4), (3400, 3)] + [(100, w) for w in range(1, 10)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for shape in ((1, 1), (7, 1), (100, 4), (400, 4), (3400, 3)):
+        for shape in shapes:
             rows, cols = shape
             for scale in (1.0, 40.0):
                 q = rng.normal(scale=scale, size=shape)
@@ -380,6 +392,12 @@ def test_logsumexp_rows_matches_scipy_bitwise():
                 q[rows // 5] = 700.0 - rng.random(cols)  # near +-700
                 q[-1] = -700.0 - rng.random(cols)
                 assert np.array_equal(_logsumexp_rows(q), logsumexp(q, axis=1))
+                view = np.concatenate([q, q[:, ::-1]], axis=1)[:, ::2]  # strided
+                assert view.size == 1 or not view.flags.c_contiguous
+                assert np.array_equal(_logsumexp_rows(view), logsumexp(view, axis=1))
+            blank = np.full(shape, -np.inf)
+            assert np.array_equal(_logsumexp_rows(blank), logsumexp(blank, axis=1))
+            assert np.all(np.isneginf(_logsumexp_rows(blank)))
 
 
 def test_value_diff_reads_infinities():
@@ -443,13 +461,24 @@ def test_library_does_not_import_scipy_special(monkeypatch):
     assert routeirl.dominant_eigenvalue(gv, rew).converged
 
 
+def test_planners_call_no_ufunc_at():
+    # the kernels scatter with bincount and slot-ordered fancy indexing,
+    # which the bitwise tests pin; np.add.at and the other ufunc.at scatters
+    # cost more per element on large graphs and stay out
+    tree = ast.parse(Path(routeirl.planners.__file__).read_text())
+    hits = [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "at"]
+    assert not hits
+
+
 # ---------------------------------------------------------------------------
 # one planner per reward table
 
 
-def _loopy_multigraph(seed):
+def _loopy_multigraph(seed, extra_edges=12):
     """A generated graph plus parallel copies of some edges and self-loops."""
-    base = gen_random_graph(14, rng_seed=seed, extra_edges=12)
+    base = gen_random_graph(14, rng_seed=seed, extra_edges=extra_edges)
     rng = np.random.default_rng(seed)
     recs = [(e, int(base.edge_src[e]), int(base.edge_dst[e]), base.features[e])
             for e in range(base.num_edges)]
