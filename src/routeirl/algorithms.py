@@ -95,27 +95,30 @@ def _check_demo(g: RoadGraph, traj: Trajectory) -> None:
 
 def receding_horizon_gradient(model: RewardModel, g: RoadGraph,
                               traj: Trajectory, cfg: IrlConfig, *,
-                              margin: float | None = None) -> GradientReport:
+                              margin: float | None = None,
+                              plan: Planner | None = None) -> GradientReport:
     """RH(H) gradient; ``cfg.margin`` and ``cfg.algorithm`` are not read, and
     ``cfg.init`` only at H=inf.
 
     With ``margin`` (H=0 only) the planner sees rewards raised by ``margin``
     on every edge but the connectors and the demo's own, and the report
     carries the margin loss r_aug.rho_best - r.rho_demo instead of an NLL.
+    Without one, ``plan`` (a Planner on the model's rewards) may be shared
+    by the demos of a batch.
     """
     _check_demo(g, traj)
     horizon = cfg.horizon
     if margin is not None and horizon != 0:
         raise ValidationError("a margin applies at horizon 0 only")
-    r = edge_rewards(model, g)
-    r_plan = r
+    r = edge_rewards(model, g) if plan is None else plan.rew
     if margin is not None:
         margins = np.full(g.num_edges, margin)
         margins[g.connector_flags] = 0.0
         margins[list(traj.edges)] = 0.0
-        r_plan = r + margins
+        plan = Planner(g, r + margins, cfg.temperature)
+    elif plan is None:
+        plan = Planner(g, r, cfg.temperature)
     gv = GoalView(g, traj.destination)
-    plan = Planner(g, r_plan, cfg.temperature)
     v_best = plan.best_values(gv.destination)
     origin = traj.nodes[0]
     if np.isneginf(v_best[origin]):
@@ -172,7 +175,7 @@ def receding_horizon_gradient(model: RewardModel, g: RoadGraph,
         # receding-horizon likelihood: every step under the planned policy
         nll = trajectory_nll(g, traj, pol)
     else:
-        loss = float(r_plan @ rho_best - r @ rho_tau)
+        loss = float(plan.rew @ rho_best - r @ rho_tau)
     return GradientReport(gradient=grad, nll=nll, loss=loss,
                           backward_iters=backward_iters, rollout_steps=steps,
                           truncated=truncated)
@@ -203,8 +206,13 @@ def demo_gradient(model: RewardModel, g: RoadGraph, traj: Trajectory,
 def batch_gradient(model: RewardModel, g: RoadGraph,
                    trajectories: list[Trajectory], cfg: IrlConfig
                    ) -> tuple[np.ndarray | None, list[GradientReport]]:
-    """Mean ascent direction over the non-skipped demos, in input order."""
-    reports = [demo_gradient(model, g, traj, cfg) for traj in trajectories]
+    """Mean ascent direction over the non-skipped demos, in input order.
+    Without a margin (all but ``mmp``) the demos share one Planner."""
+    horizon, temperature, margin = algorithm_settings(cfg)
+    rh_cfg = replace(cfg, horizon=horizon, temperature=temperature)
+    plan = None if margin is not None else Planner(g, edge_rewards(model, g), temperature)
+    reports = [receding_horizon_gradient(model, g, traj, rh_cfg, margin=margin, plan=plan)
+               for traj in trajectories]
     grads = [rep.gradient for rep in reports if not rep.skipped]
     if not grads:
         return None, reports

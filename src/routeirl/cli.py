@@ -247,21 +247,24 @@ def cmd_sweep_horizon(args) -> int:
     weights = _parse_weights(args.weights, dim)
     horizons = _parse_horizons(args.horizons)
     timing_demos = demos[:args.batch]
-    rows = []
-    for h in horizons:
-        icfg = IrlConfig(algorithm="receding_horizon", horizon=h,
-                         temperature=args.temperature)
-        model = LinearReward(weights)
-        for _ in range(2):  # warm the caches before timing
-            batch_gradient(model, g, timing_demos, icfg)
-        best = math.inf
-        for _ in range(args.timing_rounds):
-            t0 = time.perf_counter()
-            for _ in range(args.reps):
+    model = LinearReward(weights)
+    icfgs = [IrlConfig(algorithm="receding_horizon", horizon=h,
+                       temperature=args.temperature) for h in horizons]
+    for icfg in icfgs * 2:  # warm the caches before timing
+        batch_gradient(model, g, timing_demos, icfg)
+    # best of the rounds; a round alternates the horizons batch by batch, so
+    # a burst of host load slows every horizon's time alike
+    best = [math.inf] * len(icfgs)
+    for _ in range(args.timing_rounds):
+        spent = [0.0] * len(icfgs)
+        for _ in range(args.reps):
+            for i, icfg in enumerate(icfgs):
+                t0 = time.perf_counter()
                 batch_gradient(model, g, timing_demos, icfg)
-            best = min(best, time.perf_counter() - t0)
-        steps_per_sec = args.reps / best
-
+                spent[i] += time.perf_counter() - t0
+        best = [min(b, t) for b, t in zip(best, spent)]
+    rows = []
+    for h, t in zip(horizons, best):
         tcfg = TrainConfig(algorithm="receding_horizon", horizon=h,
                            temperature=args.temperature, epochs=1,
                            steps_per_epoch=args.train_steps,
@@ -272,7 +275,7 @@ def cmd_sweep_horizon(args) -> int:
         trained, _ = train_expert(shards[0], LinearReward(weights), tcfg)
         res = evaluate(trained, shards[0].eval_demos, shards[0].subgraph,
                        temperature=args.temperature, nll=False)
-        rows.append(("inf" if math.isinf(h) else str(int(h)), steps_per_sec, res.acc))
+        rows.append(("inf" if math.isinf(h) else str(int(h)), args.reps / t, res.acc))
     write_csv([("horizon", "steps_per_sec", "accuracy"), *rows], args.out)
     _manifest(args, args.out)
     print(json.dumps({"horizons": len(rows), "out": args.out}))

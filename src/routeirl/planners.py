@@ -5,11 +5,8 @@ log-domain backups, deterministic max-reward values, stochastic policies, and
 forward mass propagation.  Converged soft values start from the exact fixed
 point, one sparse solve rescaled by the max-reward values, and the backups
 then confirm it; stationary edge mass is one sparse solve on the same system.
-The two hot kernels make no reduction per short row: the log-sum-exp of rows
-under 8 slots reduces down the columns of the transposed table, and a rollout
-step works on the flat list of valid slots, adding slot mass in place and
-moving node mass with one bincount; both add in the order the row-wise code
-did, so results are bitwise equal.
+The log-sum-exp and the rollout step make no reduction per short row yet add
+in the row-wise order, so they are bitwise equal to it (see their comments).
 """
 from __future__ import annotations
 
@@ -390,21 +387,20 @@ def rollout(gv: GoalView, schedule: list[tuple[Policy, int | None]],
     m = np.asarray(initial_mass, dtype=np.float64).copy()
     if m.shape[0] != g.num_nodes:
         raise ValidationError("initial mass length != node count")
-    if np.any(m < 0):
+    if (m < 0).any():
         raise ValidationError("initial mass must be nonnegative")
     absorbed = float(m[gv.destination])
     m[gv.destination] = 0.0
     lost = 0.0
     steps = 0
     truncated = False
-    valid = gv.slot_valid
-    rows = np.nonzero(valid)[0]
-    tidx = g.slot_target[valid]
+    eidx = g.slot_edge[gv.slot_valid]
+    rows, tidx = g.edge_src[eidx], g.edge_dst[eidx]
     slot_mass = np.zeros(rows.size)  # an edge has one slot: this sums its edge mass
     for pol, length in schedule:
         if pol.destination != gv.destination:
             raise ValidationError("policy destination != rollout destination")
-        pv = pol.probs[valid]
+        pv = pol.probs[gv.slot_valid]
         dead = np.flatnonzero(pol.dead)
         k = 0
         while (length is None or k < length) and m.sum() > tol:
@@ -424,7 +420,7 @@ def rollout(gv: GoalView, schedule: list[tuple[Policy, int | None]],
     if not truncated and m.sum() > tol and schedule and schedule[-1][1] is None:
         truncated = True
     edge_mass = np.zeros(g.num_edges)
-    edge_mass[g.slot_edge[valid]] = slot_mass
+    edge_mass[eidx] = slot_mass
     return RolloutResult(edge_mass=edge_mass, steps=steps, truncated=truncated,
                          lost_mass=lost, absorbed_mass=absorbed)
 

@@ -14,9 +14,11 @@ import routeirl.planners
 from routeirl import (
     GoalView,
     InfeasibilityError,
+    IrlConfig,
     LinearReward,
     SparsePerEdgeReward,
     Trajectory,
+    batch_gradient,
     build_graph,
     compress_graph,
     compress_trajectory,
@@ -557,6 +559,13 @@ def test_one_reversed_graph_per_call_and_one_plan_per_destination(monkeypatch):
     calls.clear()
     sample_demonstrations(m, g, len(pairs), rng_seed=2, temperature=0.0, pairs=pairs)
     assert calls == {"_reversed_graph": 1, "greedy_policy": dests}
+    # a minibatch shares one planner; mmp plans each demo on its own margins
+    calls.clear()
+    batch_gradient(m, g, demos, IrlConfig(horizon=3))
+    assert calls == {"_reversed_graph": 1, "greedy_policy": dests}
+    calls.clear()
+    batch_gradient(m, g, demos, IrlConfig(algorithm="mmp"))
+    assert calls == {"_reversed_graph": len(demos), "greedy_policy": len(demos)}
 
 
 def test_shared_plans_equal_per_demo_replanning():
