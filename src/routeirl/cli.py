@@ -254,17 +254,15 @@ def cmd_sweep_horizon(args) -> int:
         batch_gradient(model, g, timing_demos, icfg)
     # best of the rounds; a round alternates the horizons batch by batch, so
     # a burst of host load slows every horizon's time alike
-    best = [math.inf] * len(icfgs)
-    for _ in range(args.timing_rounds):
-        spent = [0.0] * len(icfgs)
+    spent = np.zeros((args.timing_rounds, len(icfgs)))
+    for rnd in range(args.timing_rounds):
         for _ in range(args.reps):
             for i, icfg in enumerate(icfgs):
                 t0 = time.perf_counter()
                 batch_gradient(model, g, timing_demos, icfg)
-                spent[i] += time.perf_counter() - t0
-        best = [min(b, t) for b, t in zip(best, spent)]
+                spent[rnd, i] += time.perf_counter() - t0
     rows = []
-    for h, t in zip(horizons, best):
+    for h, t in zip(horizons, spent.min(axis=0)):
         tcfg = TrainConfig(algorithm="receding_horizon", horizon=h,
                            temperature=args.temperature, epochs=1,
                            steps_per_epoch=args.train_steps,

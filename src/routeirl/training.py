@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algorithms import IrlConfig, algorithm_settings, batch_gradient
+from .algorithms import IrlConfig, algorithm_settings, demo_gradient
 from .errors import ValidationError
 from .graph import GoalView, RoadGraph, Trajectory, extract_subgraph
 from .io import load_config, save_checkpoint, write_csv
@@ -208,8 +208,8 @@ def train_expert(shard: Shard, model_init: RewardModel, cfg: TrainConfig,
             batch = [shard.demos[int(i)] for i in idx]
             if guard:
                 batch = [traj for traj in batch if guard_bound(traj.nodes[-1]) < 1.0]
-            batch_grad, reports = batch_gradient(model, shard.subgraph, batch, icfg)
-            kept = [rep for rep in reports if not rep.skipped]
+            kept = [rep for rep in (demo_gradient(model, shard.subgraph, traj, icfg)
+                                    for traj in batch) if not rep.skipped]
             skips = cfg.batch_size - len(kept)
             losses = [rep.nll if rep.nll is not None else rep.loss for rep in kept]
             warm = min(1.0, t / cfg.warmup) if cfg.warmup > 0 else 1.0
@@ -218,6 +218,7 @@ def train_expert(shard: Shard, model_init: RewardModel, cfg: TrainConfig,
             loss = float("nan")
             if kept:
                 epoch_had_update = True
+                batch_grad = np.mean([rep.gradient for rep in kept], axis=0)
                 grad_norm = float(np.linalg.norm(batch_grad))
                 finite = [x for x in losses if x is not None and math.isfinite(x)]
                 loss = float(np.mean(finite)) if finite else float("nan")
