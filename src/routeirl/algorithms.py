@@ -125,11 +125,12 @@ def receding_horizon_gradient(model: RewardModel, g: RoadGraph,
         return _skipped("origin cannot reach destination")
     # H=inf plans with soft values all the way and has no greedy tail
     pol_greedy = None if math.isinf(horizon) else plan.greedy(gv.destination)
-    rs = slot_rewards(gv, r)
     backward_iters = 0
     pol_soft: Policy | None = None
     v = v_best / cfg.temperature
     v[gv.destination] = 0.0
+    if horizon != 0:  # only softmax backups read the reward table
+        rs = slot_rewards(gv, r)
     if math.isinf(horizon):
         v, backward_iters, conv = power_iteration_backward(
             gv, r, temperature=cfg.temperature,

@@ -7,12 +7,17 @@ point, one sparse solve rescaled by the max-reward values, and the backups
 then confirm it; stationary edge mass is one sparse solve on the same system.
 The log-sum-exp and the rollout step make no reduction per short row yet add
 in the row-wise order, so they are bitwise equal to it (see their comments).
+A rollout's deterministic greedy tail does not step hop by hop: mass on one
+node walks the policy's successor array, bitwise equal to stepping, and mass
+on many nodes is summed on pointer-doubling tables built once per
+destination, equal to stepping up to rounding (see ``rollout``).
 """
 from __future__ import annotations
 
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -48,17 +53,156 @@ def dijkstra_values(gv: GoalView, rew: np.ndarray) -> np.ndarray:
     return Planner(gv.graph, rew).best_values(gv.destination)
 
 
+class Successors:
+    """A greedy policy's successor graph: the edge each live node takes.
+
+    Walks follow it one hop at a time (``greedy_path``, and a rollout tail
+    that starts on one node).  A tail that starts on many nodes sums the
+    flow through every node at once on the pointer-doubling tables of
+    ``_jump_tables``, built by the first such tail and kept.
+    """
+
+    def __init__(self, g: RoadGraph, destination: int, probs: np.ndarray,
+                 dead: np.ndarray):
+        self.graph = g
+        self.destination = destination
+        self.probs = probs
+        self.dead = dead
+
+    @cached_property
+    def edge(self) -> np.ndarray:
+        """Each node's edge id, -1 on dead rows; kept from the first walk or
+        tail only, so planners that never walk hold no extra array."""
+        g = self.graph
+        edge = g.slot_edge[np.arange(g.num_nodes), self.probs.argmax(axis=1)]
+        edge[self.dead] = -1
+        return edge
+
+    @cached_property
+    def tables(self):
+        """``_jump_tables`` of the successor array, built by the first tail
+        that holds mass on more than one node."""
+        return _jump_tables(self.graph, self.destination, self.edge)
+
+    def walk(self, origin: int, limit: int) -> tuple[list[int], list[int]] | None:
+        """(edges, nodes) of the walk from origin to the first dead row (the
+        destination or a dead end); None if it takes more than limit hops."""
+        edge, dst = self.edge, self.graph.edge_dst
+        edges, nodes = [], [origin]
+        e = int(edge[origin])
+        while e >= 0:
+            if len(edges) == limit:
+                return None
+            edges.append(e)
+            nodes.append(int(dst[e]))
+            e = int(edge[nodes[-1]])
+        return edges, nodes
+
+    def tail(self, m: np.ndarray, tol: float, budget: int):
+        """A stepped rollout's run-out of node mass m (destination entry 0)
+        in closed form: (steps, edge ids, their mass, absorbed, lost).
+
+        Mass on one node walks its path, so every figure is the stepped one
+        bitwise.  Mass on many nodes sums the flow through every node on
+        the jump tables (``_visits``).  The stepped rollout stops once the
+        mass left on the nodes is at most tol; ``depth`` gives that step
+        count before any work.  None where the rollout must step: a walk
+        or the successor graph loops, the tail takes more than budget
+        steps, or one step finishes it.
+        """
+        if np.count_nonzero(m) == 1:
+            u = int(m.argmax())
+            walk = self.walk(u, min(budget, self.graph.num_nodes))
+            if walk is None:
+                return None
+            edges, nodes = walk
+            x = float(m[u])
+            if nodes[-1] == self.destination:
+                return len(edges), edges, x, x, 0.0
+            # a dead end loses the mass one step after it arrives
+            return (None if len(edges) >= budget else
+                    (len(edges) + 1, edges, x, 0.0, x))
+        if self.tables is False:
+            return None
+        tables, depth, live, live_edge, ends = self.tables
+        # beyond[-1 - j]: the mass that j steps leave on the nodes
+        beyond = np.bincount(depth, m)[::-1].cumsum()[:-1]
+        steps = int(np.count_nonzero(beyond > tol))
+        if steps <= 1 or steps > budget:
+            return None
+        # stepping moves the mass it leaves exactly `steps` hops; all other
+        # mass reaches the sink within 2**bit_length(steps) hops
+        left = steps < beyond.size and beyond[-1 - steps] > 0.0
+        v = np.zeros(self.graph.num_nodes + 1)
+        v[:-1] = m
+        flow = _visits(tables, v, steps if left else 1 << steps.bit_length())
+        _, absorbed, lost = np.bincount(ends, flow, minlength=3)
+        return steps, live_edge, flow[live], float(absorbed), float(lost)
+
+
+def _visits(tables: list[np.ndarray], v: np.ndarray, hops: int) -> np.ndarray:
+    """Sum over i < hops of mass v moved i hops on, tables[k] moving 2**k:
+    a window of 2**b hops is b doublings v += v moved 2**k on, and hops
+    splits into such windows by its binary digits."""
+    total = None
+    for b in reversed(range(hops.bit_length())):
+        if hops >> b & 1:
+            w = v
+            for jump in tables[:b]:
+                w = w + np.bincount(jump, w, minlength=v.size)
+            total = w if total is None else total + w
+            hops -= 1 << b
+            if hops:
+                v = np.bincount(tables[b], v, minlength=v.size)
+    return total
+
+
+def _jump_tables(g: RoadGraph, destination: int, edge: np.ndarray):
+    """Pointer-doubling tables of a successor graph: (tables, depth, live
+    rows, their edges, ends), or False if the graph loops.
+
+    Node num_nodes is a sink that the destination and the dead rows lead
+    to and that leads to itself.  tables[k] maps every node 2**k hops on.
+    depth[u] is the number of steps a stepped rollout takes to finish
+    mass on u: the hops to the destination, or the hops to a dead end
+    plus the step that loses it there.  It is the count of nodes other
+    than the destination and the sink among the first 2**k on u's path,
+    summed level by level as the tables double: once every node maps to
+    the sink, it is exact.  A path of num_nodes hops repeats a node, so a
+    table that still leaves the sink's reach at 2**k > num_nodes marks a
+    loop.  ends marks the rows whose flow is absorbed (1) or lost (2).
+    """
+    n = g.num_nodes
+    live = np.flatnonzero(edge >= 0)
+    jump = np.full(n + 1, n)
+    jump[live] = g.edge_dst[edge[live]]
+    ends = (jump == destination) + 2 * (jump == n)  # 1: into the destination, 2: dead
+    ends[destination] = ends[n] = 0
+    depth = np.ones(n + 1, dtype=np.int64)
+    depth[destination] = depth[n] = 0
+    tables = [jump]
+    while jump.min() < n:
+        if len(tables) > n.bit_length():
+            return False
+        depth += depth[jump]
+        jump = jump[jump]
+        tables.append(jump)
+    return tables, depth[:n], live, edge[live], ends
+
+
 @dataclass
 class Policy:
     """Per-slot action distribution conditioned on one destination.
 
     Rows with no usable action (including the destination row, which is
-    absorbing) are all-zero and marked dead.
+    absorbing) are all-zero and marked dead.  A greedy policy also carries
+    its successor graph.
     """
 
     probs: np.ndarray          # (num_nodes, max_out_degree)
     destination: int
     dead: np.ndarray           # (num_nodes,) bool
+    successors: Successors | None = None
 
 
 def _logsumexp_rows(q: np.ndarray) -> np.ndarray:
@@ -257,7 +401,8 @@ def greedy_policy(gv: GoalView, rew: np.ndarray, v: np.ndarray) -> Policy:
     live[gv.destination] = False
     probs[rows[live], best[live]] = 1.0
     dead = ~live
-    return Policy(probs=probs, destination=gv.destination, dead=dead)
+    return Policy(probs=probs, destination=gv.destination, dead=dead,
+                  successors=Successors(g, gv.destination, probs, dead))
 
 
 def trajectory_nll(g: RoadGraph, traj: Trajectory, pol: Policy) -> float:
@@ -278,23 +423,14 @@ def trajectory_policy_nll(gv: GoalView, rew: np.ndarray, v: np.ndarray,
 
 
 def greedy_path(g: RoadGraph, pol: Policy, origin: int) -> Trajectory | None:
-    """Follow a greedy policy (see ``greedy_policy``) from origin; None if it
+    """Walk a greedy policy (see ``greedy_policy``) from origin; None if it
     never reaches the destination (dead end or a tie-broken loop)."""
-    node = origin
-    nodes = [origin]
-    edges = []
-    for _ in range(g.num_nodes + 1):
-        if node == pol.destination:
-            if not edges:
-                return None
-            return Trajectory(nodes=tuple(nodes), edges=tuple(edges))
-        if pol.dead[node]:
-            return None
-        slot = int(np.argmax(pol.probs[node]))
-        edges.append(int(g.slot_edge[node, slot]))
-        node = int(g.slot_target[node, slot])
-        nodes.append(node)
-    return None
+    if pol.successors is None:
+        raise ValidationError("greedy_path needs a greedy policy")
+    walk = pol.successors.walk(origin, g.num_nodes)  # a longer walk loops
+    if walk is None or not walk[0] or walk[1][-1] != pol.destination:
+        return None
+    return Trajectory(nodes=tuple(walk[1]), edges=tuple(walk[0]))
 
 
 def _reversed_graph(g: RoadGraph, rew: np.ndarray) -> sp.csr_matrix:
@@ -310,10 +446,12 @@ class Planner:
 
     Per table: the reversed graph and the shortest-path routine that runs on
     it (negative-cost when any reward is positive).  Per destination,
-    computed on first use and kept: max-reward values, greedy policy, and
-    converged soft values and policy (None if the backward pass diverges).
-    GoalViews are not kept: their slot masks would add S x V bytes per
-    destination.  The arrays it returns must not be modified.
+    computed on first use and kept: max-reward values, greedy policy (its
+    successor array and jump tables are built by the first walk and the
+    first rollout tail that need them), and converged soft values and
+    policy (None if the backward pass diverges).  GoalViews are not kept:
+    their slot masks would add S x V bytes per destination.  The arrays it
+    returns must not be modified.
     """
 
     def __init__(self, g: RoadGraph, rew: np.ndarray, temperature: float = 1.0):
@@ -380,6 +518,16 @@ def rollout(gv: GoalView, schedule: list[tuple[Policy, int | None]],
     residual mass falls to tol (only sensible as the final entry).  Mass
     reaching the destination is absorbed immediately and emits no further
     edge mass.  Edge mass accumulates per original edge id.
+
+    A (greedy policy, None) entry runs in closed form on the policy's
+    ``Successors``, with the steps, truncation flag, lost and absorbed mass
+    that stepping reports.  Mass on one node walks its path, bitwise equal
+    to stepping: this is every tail at H=0 and for ``mmp``.  Mass on many
+    nodes is summed on jump tables that the destination's first such tail
+    builds; its sums run in another order, so they agree with stepping to
+    rounding.  The tail steps as before where its successor graph loops
+    (first-slot tie loops), where it would pass max_steps, and where one
+    step finishes it.
     """
     g = gv.graph
     if max_steps is None:
@@ -389,24 +537,34 @@ def rollout(gv: GoalView, schedule: list[tuple[Policy, int | None]],
         raise ValidationError("initial mass length != node count")
     if (m < 0).any():
         raise ValidationError("initial mass must be nonnegative")
+    if any(pol.destination != gv.destination for pol, _ in schedule):
+        raise ValidationError("policy destination != rollout destination")
     absorbed = float(m[gv.destination])
     m[gv.destination] = 0.0
     lost = 0.0
     steps = 0
     truncated = False
-    eidx = g.slot_edge[gv.slot_valid]
-    rows, tidx = g.edge_src[eidx], g.edge_dst[eidx]
-    slot_mass = np.zeros(rows.size)  # an edge has one slot: this sums its edge mass
+    eidx = None  # the valid slots' edges, set up by the first step
+    tail = None
     for pol, length in schedule:
-        if pol.destination != gv.destination:
-            raise ValidationError("policy destination != rollout destination")
-        pv = pol.probs[gv.slot_valid]
-        dead = np.flatnonzero(pol.dead)
+        if length is None and pol.successors is not None and m.sum() > tol:
+            tail = pol.successors.tail(m, tol, max_steps - steps)
+            if tail is not None:
+                break
+        pv = None
         k = 0
         while (length is None or k < length) and m.sum() > tol:
             if steps >= max_steps:
                 truncated = True
                 break
+            if pv is None:
+                if eidx is None:
+                    eidx = g.slot_edge[gv.slot_valid]
+                    rows, tidx = g.edge_src[eidx], g.edge_dst[eidx]
+                    # an edge has one slot: this sums its edge mass
+                    slot_mass = np.zeros(rows.size)
+                pv = pol.probs[gv.slot_valid]
+                dead = np.flatnonzero(pol.dead)
             lost += float(m[dead].sum())
             sm = m[rows] * pv
             slot_mass += sm
@@ -417,10 +575,17 @@ def rollout(gv: GoalView, schedule: list[tuple[Policy, int | None]],
             k += 1
         if truncated:
             break
-    if not truncated and m.sum() > tol and schedule and schedule[-1][1] is None:
-        truncated = True
     edge_mass = np.zeros(g.num_edges)
-    edge_mass[eidx] = slot_mass
+    if eidx is not None:
+        edge_mass[eidx] = slot_mass
+    if tail is not None:
+        tail_steps, tail_edges, tail_mass, tail_absorbed, tail_lost = tail
+        steps += tail_steps
+        edge_mass[tail_edges] += tail_mass
+        absorbed += tail_absorbed
+        lost += tail_lost
+    elif not truncated and m.sum() > tol and schedule and schedule[-1][1] is None:
+        truncated = True
     return RolloutResult(edge_mass=edge_mass, steps=steps, truncated=truncated,
                          lost_mass=lost, absorbed_mass=absorbed)
 

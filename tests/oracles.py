@@ -216,6 +216,21 @@ def rollout_dense(gv: GoalView, schedule: list, initial_mass: np.ndarray, *,
     return edge_mass, steps, truncated, lost, absorbed, m
 
 
+def greedy_path_argmax(g: RoadGraph, pol, origin: int):
+    """``greedy_path`` as an argmax over the policy's row at every hop."""
+    node, nodes, edges = origin, [origin], []
+    for _ in range(g.num_nodes + 1):
+        if node == pol.destination:
+            return Trajectory(nodes=tuple(nodes), edges=tuple(edges)) if edges else None
+        if pol.dead[node]:
+            return None
+        slot = int(np.argmax(pol.probs[node]))
+        edges.append(int(g.slot_edge[node, slot]))
+        node = int(g.slot_target[node, slot])
+        nodes.append(node)
+    return None
+
+
 def fd_gradient(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
     """Central finite differences."""
     g = np.zeros_like(x, dtype=np.float64)

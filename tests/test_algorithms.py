@@ -21,8 +21,8 @@ from routeirl import (
 import oracles
 import routeirl
 import routeirl.algorithms
-from routeirl.planners import (dijkstra_values, greedy_path, greedy_policy,
-                               power_iteration_backward)
+from routeirl.planners import (Successors, dijkstra_values, greedy_path,
+                               greedy_policy, power_iteration_backward)
 from oracles import (birl_gradient, diamond_graph, fd_gradient, loopy_graph,
                      maxent_gradient, mmp_gradient, mp_soft_values,
                      tie_loop_graph)
@@ -231,6 +231,38 @@ def test_reductions_on_generated_graphs():
                 _same_report(demo_gradient(m, g, demo, cfg),
                              ref_fn(m, g, demo, cfg), value,
                              iters=cfg.algorithm == "maxent")
+
+
+def test_closed_form_tails_keep_the_stepped_gradients(monkeypatch):
+    # every estimator with its greedy tails in closed form against the same
+    # estimator stepping them: H=0, mmp and H=inf stay bitwise; 1 <= H < inf
+    # sums its tails in another order, within 1e-12 of the largest entry
+    m = LinearReward(np.array([-1.0, -0.8]))
+    cfgs = [IrlConfig(horizon=h) for h in (0, 1, 2, 10, math.inf)]
+    cfgs += [IrlConfig(algorithm="mmp", margin=margin) for margin in (0.0, 0.5)]
+    cases = []
+    for seed in range(6):
+        g = gen_random_graph(10 + seed, rng_seed=seed, extra_edges=seed % 4 + 4)
+        for demo in sample_demonstrations(m, g, 3, rng_seed=seed):
+            cases += [(g, demo, cfg) for cfg in cfgs]
+    closed = [demo_gradient(m, g, demo, cfg) for g, demo, cfg in cases]
+    monkeypatch.setattr(Successors, "tail", lambda self, *args: None)
+    finite_h = 0
+    for (g, demo, cfg), rep in zip(cases, closed):
+        ref = demo_gradient(m, g, demo, cfg)
+        assert (rep.skipped, rep.reason, rep.backward_iters, rep.rollout_steps,
+                rep.truncated, rep.nll, rep.loss) == (
+            ref.skipped, ref.reason, ref.backward_iters, ref.rollout_steps,
+            ref.truncated, ref.nll, ref.loss)
+        if ref.skipped:
+            continue
+        if cfg.algorithm == "mmp" or cfg.horizon in (0, math.inf):
+            assert np.array_equal(rep.gradient, ref.gradient)
+        else:
+            bound = 1e-12 * max(1.0, np.abs(ref.gradient).max())
+            assert np.abs(rep.gradient - ref.gradient).max() <= bound
+            finite_h += 1
+    assert finite_h >= 40
 
 
 def _library_callers(names) -> list[str]:

@@ -31,6 +31,8 @@ from routeirl import (
     two_state_loop_rewards,
 )
 from routeirl.planners import (
+    Policy,
+    Successors,
     _default_iters,
     _logsumexp_rows,
     _value_diff,
@@ -50,6 +52,7 @@ from oracles import (
     best_path_reward,
     diamond_graph,
     enumerate_walks,
+    greedy_path_argmax,
     loopy_graph,
     max_backup,
     mp_soft_values,
@@ -59,6 +62,7 @@ from oracles import (
     evaluate_per_demo,
     sample_per_demo,
     soft_value_walks,
+    tie_loop_graph,
     walk_reward,
 )
 
@@ -330,6 +334,118 @@ def test_rollout_balances_mass_on_generated_graphs():
     assert lost_seen == 16  # the mass put on the trap is lost in every schedule
 
 
+def _tail_kind(succ, m, result):
+    """Which way ``Successors.tail`` ran the tail of mass m."""
+    if np.count_nonzero(m) == 1:
+        return "walk" if result is not None else "walk stepped"
+    if succ.tables is False:
+        return "loop stepped"
+    if result is None:
+        return "stepped"
+    # the stepped tail stops before the deepest mass it holds is finished
+    deepest = succ.tables[1][m > 0].max()
+    return "closed, mass left" if result[0] < deepest else "closed"
+
+
+def test_closed_form_tails_match_stepping_on_generated_graphs(monkeypatch):
+    # greedy tails against the dense stepped oracle on graphs with parallel
+    # edges, self-loops and traps, on first-slot tie loops (flat values),
+    # with mass below tol far out, and cut at max_steps
+    kinds = Counter()
+    real = Successors.tail
+
+    def tail(self, m, tol, budget):
+        result = real(self, m, tol, budget)
+        kinds[_tail_kind(self, m, result)] += 1
+        return result
+
+    monkeypatch.setattr(Successors, "tail", tail)
+    truncated_seen = 0
+    for seed in range(4):
+        rng = np.random.default_rng(seed + 90)
+        for g in (_with_trap(gen_random_graph(14 + seed, rng_seed=seed, extra_edges=12)),
+                  _loopy_multigraph(seed), gen_gridworld(6, 6, feature_spec="random",
+                                                         rng_seed=seed), tie_loop_graph()):
+            rew = _rand_rewards(g, seed, lo=0.8, hi=1.6)
+            gv = GoalView(g, int(rng.integers(2, g.num_nodes)))  # never the trap
+            v, _, conv = power_iteration_backward(gv, rew, init="exact")
+            soft = policy_from_values(gv, rew, v) if conv else None
+            far = dijkstra_values(gv, rew) < -4.0
+            spread = rng.uniform(0.0, 1.0, g.num_nodes)
+            faint = np.where(far, 1e-14, spread)  # stepping leaves the faint mass
+            heads = [[]] if soft is None else [[], [(soft, 1)], [(soft, 3)]]
+            for values in (dijkstra_values(gv, rew), np.zeros(g.num_nodes)):
+                pol = greedy_policy(gv, rew, values)
+                for mass in (np.eye(g.num_nodes)[int(rng.integers(g.num_nodes))],
+                             spread, faint):
+                    for head in heads:
+                        for max_steps in (1000, 4):
+                            # a fresh successor graph per rollout, so every
+                            # rollout builds its own tables
+                            schedule = head + [(Policy(pol.probs, pol.destination, pol.dead,
+                                                       Successors(g, pol.destination,
+                                                                  pol.probs, pol.dead)), None)]
+                            res = rollout(gv, schedule, mass, max_steps=max_steps)
+                            edge_mass, steps, truncated, lost, absorbed, _ = rollout_dense(
+                                gv, schedule, mass, max_steps=max_steps)
+                            assert (res.steps, res.truncated) == (steps, truncated)
+                            bound = 1e-12 * max(1.0, np.abs(edge_mass).max())
+                            assert np.abs(res.edge_mass - edge_mass).max() <= bound
+                            assert abs(res.lost_mass - lost) <= 1e-12 * max(1.0, lost)
+                            assert abs(res.absorbed_mass - absorbed) <= 1e-12 * max(1.0, absorbed)
+                            truncated_seen += truncated
+    assert truncated_seen > 0
+    assert set(kinds) == {"walk", "walk stepped", "loop stepped", "stepped", "closed",
+                          "closed, mass left"}, kinds
+
+
+def test_unit_mass_tails_equal_stepping_bitwise():
+    # one node's mass walks its path: every figure of the report is the
+    # stepped rollout's, bitwise, soft steps before the tail or not
+    for seed in range(4):
+        for g in (_with_trap(gen_random_graph(14 + seed, rng_seed=seed, extra_edges=12)),
+                  _loopy_multigraph(seed), tie_loop_graph()):
+            rew = _rand_rewards(g, seed, lo=0.8, hi=1.6)
+            dest = seed % g.num_nodes
+            gv = GoalView(g, dest)
+            soft = policy_from_values(gv, rew, dijkstra_values(gv, rew))
+            for values in (dijkstra_values(gv, rew), np.zeros(g.num_nodes)):
+                greedy = greedy_policy(gv, rew, values)
+                stepped = Policy(greedy.probs, greedy.destination, greedy.dead)
+                for origin in range(g.num_nodes):
+                    mass = np.zeros(g.num_nodes)
+                    mass[origin] = 0.7
+                    for head in ([], [(soft, 0)]):
+                        a = rollout(gv, head + [(greedy, None)], mass, max_steps=50)
+                        b = rollout(gv, head + [(stepped, None)], mass, max_steps=50)
+                        assert np.array_equal(a.edge_mass, b.edge_mass)
+                        assert (a.steps, a.truncated, a.lost_mass, a.absorbed_mass) == (
+                            b.steps, b.truncated, b.lost_mass, b.absorbed_mass)
+
+
+def test_greedy_path_walks_the_argmax():
+    # the successor walk against an argmax per row per hop, on traps,
+    # parallel edges, self-loops and flat-value tie loops
+    checked = loops = 0
+    for seed in range(4):
+        for g in (_with_trap(gen_random_graph(14 + seed, rng_seed=seed, extra_edges=12)),
+                  _loopy_multigraph(seed), tie_loop_graph(), loopy_graph()):
+            rew = _rand_rewards(g, seed)
+            for dest in range(g.num_nodes):
+                gv = GoalView(g, dest)
+                for values in (dijkstra_values(gv, rew), np.zeros(g.num_nodes)):
+                    pol = greedy_policy(gv, rew, values)
+                    for origin in range(g.num_nodes):
+                        want = greedy_path_argmax(g, pol, origin)
+                        assert greedy_path(g, pol, origin) == want
+                        checked += 1
+                        loops += want is None and not pol.dead[origin]
+    assert checked > 1000 and loops > 0
+    soft = policy_from_values(gv, rew, dijkstra_values(gv, rew))
+    with pytest.raises(routeirl.ValidationError):
+        greedy_path(g, soft, 0)
+
+
 def test_closed_form_raises_when_mass_is_trapped():
     # greedy tie-break walks 1 -> 2 -> 1 forever: the linear system is singular
     nodes = [(0, 0.0, 0.0), (1, 1.0, 0.0), (2, 2.0, 0.0), (3, 3.0, 0.0)]
@@ -545,11 +661,13 @@ def test_one_reversed_graph_per_call_and_one_plan_per_destination(monkeypatch):
     demos = sample_demonstrations(m, g, len(pairs), rng_seed=1, pairs=pairs)
     dests = len({d for _, d in pairs})
     calls = Counter()
-    for name in ("_reversed_graph", "greedy_policy", "power_iteration_backward"):
+    for name in ("_reversed_graph", "greedy_policy", "power_iteration_backward",
+                 "_jump_tables"):
         def counting(*args, _real=getattr(routeirl.planners, name), _name=name, **kw):
             calls[_name] += 1
             return _real(*args, **kw)
         monkeypatch.setattr(routeirl.planners, name, counting)
+    # greedy walks and T=0 samples build no jump tables
     evaluate(m, demos, g)
     assert calls == {"_reversed_graph": 1, "greedy_policy": dests,
                      "power_iteration_backward": dests}
@@ -559,9 +677,14 @@ def test_one_reversed_graph_per_call_and_one_plan_per_destination(monkeypatch):
     calls.clear()
     sample_demonstrations(m, g, len(pairs), rng_seed=2, temperature=0.0, pairs=pairs)
     assert calls == {"_reversed_graph": 1, "greedy_policy": dests}
-    # a minibatch shares one planner; mmp plans each demo on its own margins
+    # a minibatch shares one planner, and its destinations' greedy tails
+    # build their tables once; H=0 tails walk, and mmp plans each demo on
+    # its own margins
     calls.clear()
     batch_gradient(m, g, demos, IrlConfig(horizon=3))
+    assert calls == {"_reversed_graph": 1, "greedy_policy": dests, "_jump_tables": dests}
+    calls.clear()
+    batch_gradient(m, g, demos, IrlConfig(horizon=0))
     assert calls == {"_reversed_graph": 1, "greedy_policy": dests}
     calls.clear()
     batch_gradient(m, g, demos, IrlConfig(algorithm="mmp"))
