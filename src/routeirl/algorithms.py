@@ -272,6 +272,14 @@ def sample_demonstrations(model: RewardModel, g: RoadGraph, num_demos: int, *,
 
 def _sample_walk(g: RoadGraph, pol: Policy, origin: int, dest: int,
                  rng: np.random.Generator) -> Trajectory | None:
+    """One walk under pol, or None where it revisits a node or dead-ends.
+
+    A greedy policy's walk follows its successor array.  It still draws one
+    double per hop: ``rng.choice`` on a one-hot row draws exactly one and
+    returns the row's slot, so the stream, and every later walk, is the one
+    a draw per hop from the policy's rows gives.
+    """
+    successor = None if pol.successors is None else pol.successors.edge
     node = origin
     seen = {origin}
     nodes = [origin]
@@ -281,15 +289,19 @@ def _sample_walk(g: RoadGraph, pol: Policy, origin: int, dest: int,
             return Trajectory(nodes=tuple(nodes), edges=tuple(edges))
         if pol.dead[node]:
             return None
-        row = pol.probs[node]
-        total = row.sum()
-        if total <= 0:
-            return None
-        slot = int(rng.choice(g.max_out_degree, p=row / total))
-        nxt = int(g.slot_target[node, slot])
+        if successor is not None:
+            rng.random()
+            e = int(successor[node])
+        else:
+            row = pol.probs[node]
+            total = row.sum()
+            if total <= 0:
+                return None
+            e = int(g.slot_edge[node, rng.choice(g.max_out_degree, p=row / total)])
+        nxt = int(g.edge_dst[e])
         if nxt in seen:
             return None
-        edges.append(int(g.slot_edge[node, slot]))
+        edges.append(e)
         nodes.append(nxt)
         seen.add(nxt)
         node = nxt

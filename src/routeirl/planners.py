@@ -11,6 +11,9 @@ A rollout's deterministic greedy tail does not step hop by hop: mass on one
 node walks the policy's successor array, bitwise equal to stepping, and mass
 on many nodes is summed on pointer-doubling tables built once per
 destination, equal to stepping up to rounding (see ``rollout``).
+A greedy policy is that successor array: walks, T=0 samples, tails and
+greedy NLLs read it, and its one-hot (num_nodes, max_out_degree) table is
+built only when a rollout must step it (see ``Policy``).
 """
 from __future__ import annotations
 
@@ -54,29 +57,19 @@ def dijkstra_values(gv: GoalView, rew: np.ndarray) -> np.ndarray:
 
 
 class Successors:
-    """A greedy policy's successor graph: the edge each live node takes.
+    """A greedy policy's successor graph: the edge each node takes, -1 on
+    dead rows (the destination and dead ends).
 
-    Walks follow it one hop at a time (``greedy_path``, and a rollout tail
-    that starts on one node).  A tail that starts on many nodes sums the
-    flow through every node at once on the pointer-doubling tables of
-    ``_jump_tables``, built by the first such tail and kept.
+    Walks follow it one hop at a time (``greedy_path``, T=0 sampling, and a
+    rollout tail that starts on one node).  A tail that starts on many
+    nodes sums the flow through every node at once on the pointer-doubling
+    tables of ``_jump_tables``, built by the first such tail and kept.
     """
 
-    def __init__(self, g: RoadGraph, destination: int, probs: np.ndarray,
-                 dead: np.ndarray):
+    def __init__(self, g: RoadGraph, destination: int, edge: np.ndarray):
         self.graph = g
         self.destination = destination
-        self.probs = probs
-        self.dead = dead
-
-    @cached_property
-    def edge(self) -> np.ndarray:
-        """Each node's edge id, -1 on dead rows; kept from the first walk or
-        tail only, so planners that never walk hold no extra array."""
-        g = self.graph
-        edge = g.slot_edge[np.arange(g.num_nodes), self.probs.argmax(axis=1)]
-        edge[self.dead] = -1
-        return edge
+        self.edge = edge
 
     @cached_property
     def tables(self):
@@ -190,19 +183,33 @@ def _jump_tables(g: RoadGraph, destination: int, edge: np.ndarray):
     return tables, depth[:n], live, edge[live], ends
 
 
-@dataclass
 class Policy:
     """Per-slot action distribution conditioned on one destination.
 
     Rows with no usable action (including the destination row, which is
-    absorbing) are all-zero and marked dead.  A greedy policy also carries
-    its successor graph.
+    absorbing) are all-zero and marked dead.  A greedy policy is its
+    successor graph: it is made without ``probs``, and the one-hot table of
+    its edges is built on first read and kept.  Only a stepped rollout (a
+    tie loop, a one-step tail, a tail past max_steps) and the test oracles
+    read it; walks, rollout tails and NLLs read the successor array.
     """
 
-    probs: np.ndarray          # (num_nodes, max_out_degree)
-    destination: int
-    dead: np.ndarray           # (num_nodes,) bool
-    successors: Successors | None = None
+    def __init__(self, probs: np.ndarray | None, destination: int,
+                 dead: np.ndarray, successors: Successors | None = None):
+        if probs is not None:
+            self.probs = probs
+        self.destination = destination
+        self.dead = dead            # (num_nodes,) bool
+        self.successors = successors
+
+    @cached_property
+    def probs(self) -> np.ndarray:
+        """(num_nodes, max_out_degree); a greedy policy's is one-hot."""
+        g, edge = self.successors.graph, self.successors.edge
+        probs = np.zeros((g.num_nodes, g.max_out_degree))
+        live = np.flatnonzero(edge >= 0)
+        probs[live, g.edge_slot[edge[live]]] = 1.0
+        return probs
 
 
 def _logsumexp_rows(q: np.ndarray) -> np.ndarray:
@@ -388,25 +395,33 @@ def policy_from_values(gv: GoalView, rew: np.ndarray, v: np.ndarray,
 def greedy_policy(gv: GoalView, rew: np.ndarray, v: np.ndarray) -> Policy:
     """Deterministic argmax of r + v(s'); ties resolve to the first slot,
     i.e. the smallest successor id and smallest edge id among parallels.
-    Temperature cancels in the argmax, so this is scale-free.
+    Temperature cancels in the argmax, so this is scale-free.  The policy
+    is its successor array (see ``Policy``).
     """
-    rs = slot_rewards(gv, rew)
-    q = rs + v[gv.graph.safe_targets]
-    q[~gv.slot_valid] = -np.inf
     g = gv.graph
-    probs = np.zeros((g.num_nodes, g.max_out_degree))
-    best = np.argmax(q, axis=1)
-    rows = np.arange(g.num_nodes)
-    live = ~np.isneginf(q[rows, best])
-    live[gv.destination] = False
-    probs[rows[live], best[live]] = 1.0
-    dead = ~live
-    return Policy(probs=probs, destination=gv.destination, dead=dead,
-                  successors=Successors(g, gv.destination, probs, dead))
+    rew = np.asarray(rew, dtype=np.float64)
+    if rew.shape[0] != g.num_edges:
+        raise ValidationError("reward table length != edge count")
+    # the slot table of r + v(s'), each edge's sum gathered into its slot;
+    # invalid slots (SENTINEL, -1) read the appended -inf
+    q = np.append(rew + v[g.edge_dst], -np.inf)[g.slot_edge]
+    q[gv.destination] = -np.inf
+    # flat index of each row's first max slot
+    best = np.arange(g.num_nodes) * g.max_out_degree + np.argmax(q, axis=1)
+    dead = np.isneginf(q.ravel()[best])
+    dead[gv.destination] = True
+    edge = g.slot_edge.ravel()[best]
+    edge[dead] = -1
+    return Policy(None, gv.destination, dead, Successors(g, gv.destination, edge))
 
 
 def trajectory_nll(g: RoadGraph, traj: Trajectory, pol: Policy) -> float:
-    """-sum_t log pi(a_t | s_t) over the trajectory's edges."""
+    """-sum_t log pi(a_t | s_t) over the trajectory's edges.  Under a greedy
+    policy that is 0.0 if every edge is its node's successor edge, else inf."""
+    if pol.successors is not None:
+        edges = np.asarray(traj.edges)
+        on_path = np.array_equal(pol.successors.edge[g.edge_src[edges]], edges)
+        return 0.0 if on_path else math.inf
     nll = 0.0
     for e in traj.edges:
         p = pol.probs[g.edge_src[e], g.edge_slot[e]]
@@ -447,11 +462,11 @@ class Planner:
     Per table: the reversed graph and the shortest-path routine that runs on
     it (negative-cost when any reward is positive).  Per destination,
     computed on first use and kept: max-reward values, greedy policy (its
-    successor array and jump tables are built by the first walk and the
-    first rollout tail that need them), and converged soft values and
-    policy (None if the backward pass diverges).  GoalViews are not kept:
-    their slot masks would add S x V bytes per destination.  The arrays it
-    returns must not be modified.
+    successor array; the jump tables are built by the first rollout tail
+    that needs them, and the one-hot table only by a stepped rollout), and
+    converged soft values and policy (None if the backward pass diverges).
+    GoalViews are not kept: their slot masks would add S x V bytes per
+    destination.  The arrays it returns must not be modified.
     """
 
     def __init__(self, g: RoadGraph, rew: np.ndarray, temperature: float = 1.0):

@@ -5,7 +5,8 @@ explicit walk enumeration, dense eigensolves, high-precision fixed points,
 central differences, the backward pass and spectral power iteration on scipy's logsumexp, and the
 classical MaxEnt, BIRL and MMP estimators written out independently of the
 receding-horizon estimator that the library runs them as, and `evaluate` and
-`sample_demonstrations` replanned from scratch for every demo.
+`sample_demonstrations` replanned from scratch for every demo, the samples
+drawn hop by hop with `rng.choice` from the policy's rows.
 """
 import mpmath as mp
 import numpy as np
@@ -14,8 +15,7 @@ from scipy.special import logsumexp
 from routeirl import (InfeasibilityError, Metrics, RoadGraph, GoalView,
                       ValidationError, build_graph)
 from routeirl.algorithms import (GradientReport, IrlConfig, _check_demo,
-                                 _sample_walk, _skipped, edge_mass_of,
-                                 state_mass)
+                                 _skipped, edge_mass_of, state_mass)
 from routeirl.graph import Trajectory
 from routeirl.planners import (dijkstra_values, greedy_path, greedy_policy,
                                policy_from_q, policy_from_values,
@@ -214,6 +214,21 @@ def rollout_dense(gv: GoalView, schedule: list, initial_mass: np.ndarray, *,
     if not truncated and m.sum() > tol and schedule[-1][1] is None:
         truncated = True
     return edge_mass, steps, truncated, lost, absorbed, m
+
+
+def greedy_probs_dense(gv: GoalView, rew: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """A greedy policy's one-hot table from the padded slot tables: a 1 on
+    each live row's first argmax of r + v(s')."""
+    g = gv.graph
+    q = slot_rewards(gv, rew) + v[g.safe_targets]
+    q[~gv.slot_valid] = -np.inf
+    probs = np.zeros(q.shape)
+    best = np.argmax(q, axis=1)
+    rows = np.arange(g.num_nodes)
+    live = ~np.isneginf(q[rows, best])
+    live[gv.destination] = False
+    probs[rows[live], best[live]] = 1.0
+    return probs
 
 
 def greedy_path_argmax(g: RoadGraph, pol, origin: int):
@@ -509,9 +524,37 @@ def sample_per_demo(model: RewardModel, g: RoadGraph, num_demos: int, *,
                 raise ValidationError(f"pair ({origin}, {dest}) is disconnected")
             failures += 1
             continue
-        walk = _sample_walk(g, pol, origin, dest, rng)
+        walk = sample_walk_choice(g, pol, origin, dest, rng)
         if walk is None:
             failures += 1
         else:
             out.append(walk)
     return out
+
+
+def sample_walk_choice(g: RoadGraph, pol, origin: int, dest: int, rng):
+    """A sampled walk drawing every hop with ``rng.choice`` from the policy's
+    row, greedy (one-hot) or soft; None where it revisits a node or
+    dead-ends."""
+    node = origin
+    seen = {origin}
+    nodes = [origin]
+    edges = []
+    for _ in range(g.num_nodes):
+        if node == dest:
+            return Trajectory(nodes=tuple(nodes), edges=tuple(edges))
+        if pol.dead[node]:
+            return None
+        row = pol.probs[node]
+        total = row.sum()
+        if total <= 0:
+            return None
+        slot = int(rng.choice(g.max_out_degree, p=row / total))
+        nxt = int(g.slot_target[node, slot])
+        if nxt in seen:
+            return None
+        edges.append(int(g.slot_edge[node, slot]))
+        nodes.append(nxt)
+        seen.add(nxt)
+        node = nxt
+    return None

@@ -418,6 +418,34 @@ def test_sample_demonstrations_properties():
     assert d[0] == best
 
 
+def test_greedy_sampling_draws_as_a_choice_per_hop(monkeypatch):
+    # T=0 walks follow the successor array and draw one double per hop tried;
+    # the reference draws every hop with rng.choice from the one-hot rows.
+    # One call's demos come after the draws of every walk rejected before
+    # them, revisits included, so equal demos pin the draw counts
+    revisits = 0
+    real = oracles.sample_walk_choice
+
+    def walk(g, pol, origin, dest, rng):
+        nonlocal revisits
+        out = real(g, pol, origin, dest, rng)
+        # a walk that is rejected without a dead end revisits a node
+        revisits += out is None and pol.successors.walk(origin, g.num_nodes) is None
+        return out
+
+    monkeypatch.setattr(oracles, "sample_walk_choice", walk)
+    graphs = [gen_random_graph(8 + seed, rng_seed=seed, extra_edges=6 + seed)
+              for seed in range(8)] + [loopy_graph(), tie_loop_graph()]
+    sampled = 0
+    for i, g in enumerate(graphs):
+        for w in (-1.0, 0.0, -0.1):
+            m = LinearReward(np.full(g.feature_dim, w))
+            want = oracles.sample_per_demo(m, g, 8, rng_seed=i, temperature=0.0)
+            assert sample_demonstrations(m, g, 8, rng_seed=i, temperature=0.0) == want
+            sampled += len(want)
+    assert sampled == 8 * 3 * len(graphs) and revisits > 0
+
+
 def test_irl_config_validation():
     with pytest.raises(ValidationError):
         IrlConfig(algorithm="qlearning")

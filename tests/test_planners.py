@@ -53,6 +53,7 @@ from oracles import (
     diamond_graph,
     enumerate_walks,
     greedy_path_argmax,
+    greedy_probs_dense,
     loopy_graph,
     max_backup,
     mp_soft_values,
@@ -382,9 +383,9 @@ def test_closed_form_tails_match_stepping_on_generated_graphs(monkeypatch):
                         for max_steps in (1000, 4):
                             # a fresh successor graph per rollout, so every
                             # rollout builds its own tables
-                            schedule = head + [(Policy(pol.probs, pol.destination, pol.dead,
+                            schedule = head + [(Policy(None, pol.destination, pol.dead,
                                                        Successors(g, pol.destination,
-                                                                  pol.probs, pol.dead)), None)]
+                                                                  pol.successors.edge)), None)]
                             res = rollout(gv, schedule, mass, max_steps=max_steps)
                             edge_mass, steps, truncated, lost, absorbed, _ = rollout_dense(
                                 gv, schedule, mass, max_steps=max_steps)
@@ -424,8 +425,9 @@ def test_unit_mass_tails_equal_stepping_bitwise():
 
 
 def test_greedy_path_walks_the_argmax():
-    # the successor walk against an argmax per row per hop, on traps,
-    # parallel edges, self-loops and flat-value tie loops
+    # the successor array's one-hot table against the padded slot tables'
+    # argmax, and the successor walk against an argmax per row per hop, on
+    # traps, parallel edges, self-loops and flat-value tie loops
     checked = loops = 0
     for seed in range(4):
         for g in (_with_trap(gen_random_graph(14 + seed, rng_seed=seed, extra_edges=12)),
@@ -435,6 +437,8 @@ def test_greedy_path_walks_the_argmax():
                 gv = GoalView(g, dest)
                 for values in (dijkstra_values(gv, rew), np.zeros(g.num_nodes)):
                     pol = greedy_policy(gv, rew, values)
+                    assert np.array_equal(pol.probs, greedy_probs_dense(gv, rew, values))
+                    assert np.array_equal(pol.dead, pol.probs.sum(axis=1) == 0)
                     for origin in range(g.num_nodes):
                         want = greedy_path_argmax(g, pol, origin)
                         assert greedy_path(g, pol, origin) == want
@@ -661,11 +665,15 @@ def test_one_reversed_graph_per_call_and_one_plan_per_destination(monkeypatch):
     demos = sample_demonstrations(m, g, len(pairs), rng_seed=1, pairs=pairs)
     dests = len({d for _, d in pairs})
     calls = Counter()
+    greedy = []  # every greedy policy planned
     for name in ("_reversed_graph", "greedy_policy", "power_iteration_backward",
                  "_jump_tables"):
         def counting(*args, _real=getattr(routeirl.planners, name), _name=name, **kw):
             calls[_name] += 1
-            return _real(*args, **kw)
+            out = _real(*args, **kw)
+            if _name == "greedy_policy":
+                greedy.append(out)
+            return out
         monkeypatch.setattr(routeirl.planners, name, counting)
     # greedy walks and T=0 samples build no jump tables
     evaluate(m, demos, g)
@@ -681,11 +689,15 @@ def test_one_reversed_graph_per_call_and_one_plan_per_destination(monkeypatch):
     # build their tables once; H=0 tails walk, and mmp plans each demo on
     # its own margins
     calls.clear()
-    batch_gradient(m, g, demos, IrlConfig(horizon=3))
-    assert calls == {"_reversed_graph": 1, "greedy_policy": dests, "_jump_tables": dests}
-    calls.clear()
     batch_gradient(m, g, demos, IrlConfig(horizon=0))
     assert calls == {"_reversed_graph": 1, "greedy_policy": dests}
+    # walks, T=0 samples and walked tails read only the successor array:
+    # no greedy policy so far has built its one-hot table
+    assert len(greedy) == 3 * dests
+    assert not any("probs" in vars(pol) for pol in greedy)
+    calls.clear()
+    batch_gradient(m, g, demos, IrlConfig(horizon=3))
+    assert calls == {"_reversed_graph": 1, "greedy_policy": dests, "_jump_tables": dests}
     calls.clear()
     batch_gradient(m, g, demos, IrlConfig(algorithm="mmp"))
     assert calls == {"_reversed_graph": len(demos), "greedy_policy": len(demos)}
