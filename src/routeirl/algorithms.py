@@ -274,12 +274,19 @@ def _sample_walk(g: RoadGraph, pol: Policy, origin: int, dest: int,
                  rng: np.random.Generator) -> Trajectory | None:
     """One walk under pol, or None where it revisits a node or dead-ends.
 
-    A greedy policy's walk follows its successor array.  It still draws one
-    double per hop: ``rng.choice`` on a one-hot row draws exactly one and
-    returns the row's slot, so the stream, and every later walk, is the one
-    a draw per hop from the policy's rows gives.
+    Every hop tried draws one double, as ``rng.choice`` from the policy's
+    row does, so the stream, and every later walk, is the one that choice
+    gives.  A greedy policy's walk follows its successor array (choice on a
+    one-hot row returns the row's slot).  A soft policy's walk takes the
+    slot choice returns for the double, read from the policy's ``draws``
+    table; a dead row, or one that sums to at most 0, rejects the walk
+    without a draw.
     """
-    successor = None if pol.successors is None else pol.successors.edge
+    if pol.successors is not None:
+        successor, stop = pol.successors.edge, pol.dead
+    else:
+        successor = None
+        cdf, stop = pol.draws
     node = origin
     seen = {origin}
     nodes = [origin]
@@ -287,17 +294,13 @@ def _sample_walk(g: RoadGraph, pol: Policy, origin: int, dest: int,
     for _ in range(g.num_nodes):  # a walk that revisits no node takes < S steps
         if node == dest:
             return Trajectory(nodes=tuple(nodes), edges=tuple(edges))
-        if pol.dead[node]:
+        if stop[node]:
             return None
         if successor is not None:
             rng.random()
             e = int(successor[node])
         else:
-            row = pol.probs[node]
-            total = row.sum()
-            if total <= 0:
-                return None
-            e = int(g.slot_edge[node, rng.choice(g.max_out_degree, p=row / total)])
+            e = int(g.slot_edge[node, cdf[node].searchsorted(rng.random(), side="right")])
         nxt = int(g.edge_dst[e])
         if nxt in seen:
             return None

@@ -67,6 +67,20 @@ class RoadGraph:
         return order, starts, self.edge_src[order[starts]], indptr
 
     @cached_property
+    def slot_pattern(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """CSC sparsity pattern of an (S, S) matrix with an entry per edge
+        (row src, column dst) and on the diagonal, each column's rows
+        ascending: (each edge's position, each node's diagonal position,
+        each position's row, the column pointer).  Parallel edges share a
+        position.  Indices are 32-bit where they fit, as scipy keeps them."""
+        n, E = self.num_nodes, self.num_edges
+        key = np.concatenate([self.edge_dst * n + self.edge_src, np.arange(n) * (n + 1)])
+        pairs, at = np.unique(key, return_inverse=True)
+        idx = np.int32 if max(pairs.size, n) <= np.iinfo(np.int32).max else np.int64
+        indptr = np.searchsorted(pairs // n, np.arange(n + 1)).astype(idx)
+        return at[:E], at[E:], (pairs % n).astype(idx), indptr
+
+    @cached_property
     def out_degree(self) -> np.ndarray:
         return self.slot_valid.sum(axis=1).astype(np.int64)
 

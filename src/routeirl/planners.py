@@ -13,7 +13,12 @@ on many nodes is summed on pointer-doubling tables built once per
 destination, equal to stepping up to rounding (see ``rollout``).
 A greedy policy is that successor array: walks, T=0 samples, tails and
 greedy NLLs read it, and its one-hot (num_nodes, max_out_degree) table is
-built only when a rollout must step it (see ``Policy``).
+built only when a rollout must step it (see ``Policy``).  A soft policy's
+T>0 samples draw on a table of its rows' normalised cumulative sums, built
+by its first walk, and take the slot ``Generator.choice`` would take for
+the same draw.  The sparse I - C of both solves is summed into a sparsity
+pattern the graph builds once, bitwise scipy's own assembly of it (see
+``_identity_minus_slots``).
 """
 from __future__ import annotations
 
@@ -191,7 +196,9 @@ class Policy:
     successor graph: it is made without ``probs``, and the one-hot table of
     its edges is built on first read and kept.  Only a stepped rollout (a
     tie loop, a one-step tail, a tail past max_steps) and the test oracles
-    read it; walks, rollout tails and NLLs read the successor array.
+    read it; walks, rollout tails and NLLs read the successor array.  A
+    soft policy's walks draw on its ``draws`` table, built by the first
+    walk and kept.
     """
 
     def __init__(self, probs: np.ndarray | None, destination: int,
@@ -210,6 +217,42 @@ class Policy:
         live = np.flatnonzero(edge >= 0)
         probs[live, g.edge_slot[edge[live]]] = 1.0
         return probs
+
+    @cached_property
+    def draws(self) -> tuple[np.ndarray, np.ndarray]:
+        """``_draw_table`` of the rows, built by the first soft walk."""
+        return _draw_table(self.probs, self.dead)
+
+
+# Generator.choice's tolerance on a probability row's sum
+_SUM_ATOL = math.sqrt(np.finfo(np.float64).eps)
+
+
+def _draw_table(probs: np.ndarray, dead: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(cdf, stuck): each row's normalised cumulative sums, and the rows a
+    walk rejects (dead, or summing to at most 0).
+
+    cdf is built with the operations ``Generator.choice(p=row / row.sum())``
+    performs on a row (p.cumsum(), then divided by its last entry; numpy
+    sums a contiguous table's rows as it sums each row alone), so
+    ``cdf[node].searchsorted(rng.random(), side="right")`` is the slot that
+    choice draws from the same stream.  choice's input checks are made
+    here, once: a live row with a NaN or negative probability, or a sum
+    off 1, raises ValueError.
+    """
+    probs = np.ascontiguousarray(probs)
+    total = probs.sum(axis=1)
+    stuck = dead | (total <= 0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # stuck rows
+        p = probs / total[:, None]
+        cdf = p.cumsum(axis=1)
+        bad = ~stuck & ((p < 0).any(axis=1)
+                        | ~(np.abs(cdf[:, -1:] - 1.0) <= _SUM_ATOL).all(axis=1))
+        if bad.any():
+            raise ValueError(f"probabilities of node {np.flatnonzero(bad)[0]} "
+                             "are NaN, negative or do not sum to 1")
+        cdf /= cdf[:, -1:]
+    return cdf, stuck
 
 
 def _logsumexp_rows(q: np.ndarray) -> np.ndarray:
@@ -278,15 +321,25 @@ def _value_diff(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _identity_minus_slots(gv: GoalView, weights: np.ndarray) -> sp.csc_matrix:
-    """Sparse I - C over all nodes, C[s, s'] the sum of ``weights`` over the
-    valid slots s -> s': parallel edges sum, self-loops land on the diagonal
-    and the destination row of C is empty."""
+    """Sparse I - C over all nodes, C[s, s'] the sum of ``weights`` (one per
+    edge, that is per valid slot) over the edges s -> s': parallel edges
+    add in edge order, self-loops land on the diagonal and the destination
+    row of C is empty.
+
+    The sums go into the graph's ``slot_pattern``, and entries that come
+    out 0.0 are dropped, so the matrix is bitwise the one scipy builds as
+    ``identity - csc_matrix((weights, (src, dst)))``: its duplicate sum adds
+    a pair's edges in slot order, and its subtraction drops zeros.
+    """
     g = gv.graph
-    valid = gv.slot_valid
-    rows, _ = np.nonzero(valid)
-    c = sp.csc_matrix((weights[valid], (rows, g.slot_target[valid])),
-                      shape=(g.num_nodes,) * 2)
-    return sp.identity(g.num_nodes, format="csc") - c
+    pos, diag, rows, indptr = g.slot_pattern
+    c = np.bincount(pos, weights, minlength=rows.size)
+    c[rows == gv.destination] = 0.0  # only the destination's edges sum there
+    data = 0.0 - c
+    data[diag] = 1.0 - c[diag]
+    keep = data != 0.0
+    indptr = np.append(0, np.cumsum(keep))[indptr].astype(indptr.dtype)
+    return sp.csc_matrix((data[keep], rows[keep], indptr), shape=(g.num_nodes,) * 2)
 
 
 def _solve(lhs: sp.spmatrix, rhs: np.ndarray) -> np.ndarray | None:
@@ -315,11 +368,10 @@ def _solved_start(gv: GoalView, rew: np.ndarray, v_best: np.ndarray,
     g = gv.graph
     rew = np.asarray(rew, dtype=np.float64)
     reach = np.isfinite(v_best)
-    live = gv.slot_valid & reach[:, None] & reach[g.safe_targets]
-    rows, cols = np.nonzero(live)
-    weights = np.zeros(live.shape)
-    weights[rows, cols] = np.exp(rew[g.slot_edge[rows, cols]] / temperature
-                                 + v_best[g.slot_target[rows, cols]] - v_best[rows])
+    src, dst = g.edge_src, g.edge_dst
+    live = np.flatnonzero(reach[src] & reach[dst] & (src != gv.destination))
+    weights = np.zeros(g.num_edges)
+    weights[live] = np.exp(rew[live] / temperature + v_best[dst[live]] - v_best[src[live]])
     rhs = np.zeros(g.num_nodes)
     rhs[gv.destination] = 1.0
     y = _solve(_identity_minus_slots(gv, weights), rhs)
@@ -613,7 +665,7 @@ def closed_form_forward(gv: GoalView, pol: Policy,
     """
     g = gv.graph
     m = np.asarray(initial_mass, dtype=np.float64)
-    z = _solve(_identity_minus_slots(gv, pol.probs).T, m)
+    z = _solve(_identity_minus_slots(gv, pol.probs[g.edge_src, g.edge_slot]).T, m)
     if z is None or not np.all(np.isfinite(z)):
         raise InfeasibilityError("forward system is singular: policy mass "
                                  "never drains to the destination")

@@ -6,10 +6,12 @@ central differences, the backward pass and spectral power iteration on scipy's l
 classical MaxEnt, BIRL and MMP estimators written out independently of the
 receding-horizon estimator that the library runs them as, and `evaluate` and
 `sample_demonstrations` replanned from scratch for every demo, the samples
-drawn hop by hop with `rng.choice` from the policy's rows.
+drawn hop by hop with `rng.choice` from the policy's rows, and the sparse
+I - C assembled through scipy's COO conversion and sparse subtraction.
 """
 import mpmath as mp
 import numpy as np
+import scipy.sparse as sp
 from scipy.special import logsumexp
 
 from routeirl import (InfeasibilityError, Metrics, RoadGraph, GoalView,
@@ -182,6 +184,19 @@ def dense_b1_lambda(gv: GoalView, rew: np.ndarray, temperature: float = 1.0) -> 
             continue
         A[s, t] += np.exp(rew[e] / temperature)
     return float(np.max(np.abs(np.linalg.eigvals(A))))
+
+
+def identity_minus_slots_coo(gv: GoalView, weights: np.ndarray) -> sp.csc_matrix:
+    """Sparse I - C built the plain scipy way: C from COO triplets over the
+    valid slots (one weight per edge; parallel edges summed by the CSC
+    conversion, the destination row left out), subtracted from a sparse
+    identity, which drops the entries that come out 0."""
+    g = gv.graph
+    valid = gv.slot_valid
+    rows, _ = np.nonzero(valid)
+    c = sp.csc_matrix((weights[g.slot_edge[valid]], (rows, g.slot_target[valid])),
+                      shape=(g.num_nodes,) * 2)
+    return sp.identity(g.num_nodes, format="csc") - c
 
 
 def rollout_dense(gv: GoalView, schedule: list, initial_mass: np.ndarray, *,

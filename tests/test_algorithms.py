@@ -1,5 +1,6 @@
 import ast
 import math
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from routeirl import (
 import oracles
 import routeirl
 import routeirl.algorithms
-from routeirl.planners import (Successors, dijkstra_values, greedy_path,
+from routeirl.planners import (Planner, Successors, dijkstra_values, greedy_path,
                                greedy_policy, power_iteration_backward)
 from oracles import (birl_gradient, diamond_graph, fd_gradient, loopy_graph,
                      maxent_gradient, mmp_gradient, mp_soft_values,
@@ -444,6 +445,122 @@ def test_greedy_sampling_draws_as_a_choice_per_hop(monkeypatch):
             assert sample_demonstrations(m, g, 8, rng_seed=i, temperature=0.0) == want
             sampled += len(want)
     assert sampled == 8 * 3 * len(graphs) and revisits > 0
+
+
+def _hub_graph() -> routeirl.RoadGraph:
+    """Node 0 leads to 1..8, to 2 over three parallel edges, and 3 and 6 are
+    dead ends, so row 0 has 10 slots with zero-probability ones between
+    live ones; the other nodes lead to 9, and 1, 4 and 8 back to 0."""
+    nodes = [(i, float(i), float(i % 3)) for i in range(10)]
+    pairs = [(0, t) for t in range(1, 9)] + [(0, 2), (0, 2)]
+    pairs += [(t, 9) for t in (1, 2, 4, 5, 7, 8)] + [(t, 0) for t in (1, 4, 8)]
+    pairs += [(9, 5), (5, 7)]
+    feats = np.random.default_rng(5).uniform(0.5, 2.0, (len(pairs), 2))
+    return routeirl.build_graph(nodes, [(i, u, w, feats[i]) for i, (u, w) in enumerate(pairs)])
+
+
+class _ScriptedDraws(np.random.Generator):
+    """A Generator whose first draws come from a script.  ``choice`` takes
+    its uniform from ``self.random``, so a scripted value reaches the
+    oracle's draw as it reaches the walk's."""
+
+    def __init__(self, seed, script):
+        super().__init__(np.random.PCG64(seed))
+        self.script = list(script)
+
+    def random(self, *args, **kw):
+        return np.float64(self.script.pop(0)) if self.script else super().random(*args, **kw)
+
+
+def test_soft_sampling_draws_as_a_choice_per_hop(monkeypatch):
+    # T > 0 walks draw on the policy's cdf table; the reference draws every
+    # hop with rng.choice.  Equal demos pin the draws of every walk rejected
+    # before them, revisits included
+    revisits = 0
+    real = oracles.sample_walk_choice
+
+    def walk(g, pol, origin, dest, rng):
+        nonlocal revisits
+        out = real(g, pol, origin, dest, rng)
+        # with the destination the only dead row, a rejection is a revisit
+        revisits += out is None and int(pol.dead.sum()) == 1
+        return out
+
+    monkeypatch.setattr(oracles, "sample_walk_choice", walk)
+    graphs = [gen_random_graph(8 + seed, rng_seed=seed, extra_edges=6 + seed)
+              for seed in range(6)] + [loopy_graph(), _hub_graph()]
+    sampled = 0
+    for i, g in enumerate(graphs):
+        for temperature in (1.0, 0.7):
+            m = LinearReward(np.full(g.feature_dim, -0.6))
+            want = oracles.sample_per_demo(m, g, 8, rng_seed=i, temperature=temperature)
+            got = sample_demonstrations(m, g, 8, rng_seed=i, temperature=temperature)
+            assert got == want
+            sampled += len(want)
+    assert sampled == 8 * 2 * len(graphs) and revisits > 0
+
+
+def test_soft_draws_take_choices_slot_on_cdf_boundaries():
+    # a double drawn exactly on (or one ulp either side of) a row's
+    # cumulative sum must land where rng.choice lands it: past a zero-
+    # probability slot (searchsorted side="right"), and against the
+    # renormalised sums, on rows of 8 or more slots and parallel edges
+    hub = _hub_graph()
+    assert hub.max_out_degree >= 8
+    graphs = [hub, loopy_graph()] + [gen_random_graph(9, rng_seed=s, extra_edges=9)
+                                     for s in range(3)]
+    seen = Counter()
+    for g in graphs:
+        rew = edge_rewards(LinearReward(np.full(g.feature_dim, -0.6)), g)
+        for temperature in (1.0, 0.7):
+            plan = Planner(g, rew, temperature)
+            for dest in range(g.num_nodes):
+                soft = plan.soft(dest)
+                if soft is None:
+                    continue
+                pol = soft[1]
+                for node in range(g.num_nodes):
+                    row = pol.probs[node]
+                    if pol.dead[node] or row.sum() <= 0:
+                        continue
+                    cdf = (row / row.sum()).cumsum()
+                    seen["renormalised"] += cdf[-1] != 1.0
+                    cdf /= cdf[-1]
+                    live = np.flatnonzero(row > 0)
+                    seen["zero between"] += live[-1] - live[0] + 1 > live.size
+                    seen["parallel"] += len(set(g.slot_target[node, live])) < live.size
+                    script = {0.0, np.nextafter(1.0, 0.0)}
+                    for c in cdf[cdf < 1.0]:
+                        script |= {c, np.nextafter(c, 0.0), np.nextafter(c, 1.0)}
+                    for u in sorted(script):
+                        a, b = _ScriptedDraws(node, [u]), _ScriptedDraws(node, [u])
+                        got = routeirl.algorithms._sample_walk(g, pol, node, dest, a)
+                        assert got == oracles.sample_walk_choice(g, pol, node, dest, b)
+                        assert a.bit_generator.state == b.bit_generator.state
+                        seen["draws"] += 1
+    assert seen["draws"] > 2000
+    assert min(seen[k] for k in ("renormalised", "zero between", "parallel")) > 0
+
+
+def test_soft_walk_keeps_choices_input_checks():
+    # a live row that rng.choice refuses raises as the reference raises;
+    # a dead row or one summing to at most 0 rejects the walk without a draw
+    g = diamond_graph()
+    dead = np.array([False, False, False, True])
+    for row0, raises in (([0.5, np.nan], True), ([1.5, -0.5], True),
+                         ([-0.5, 0.0], False), ([0.0, 0.0], False)):
+        probs = np.array([row0, [1.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
+        pol = routeirl.planners.Policy(probs, 3, dead)
+        if raises:
+            with pytest.raises(ValueError):
+                oracles.sample_walk_choice(g, pol, 0, 3, np.random.default_rng(0))
+            with pytest.raises(ValueError):
+                routeirl.algorithms._sample_walk(g, pol, 0, 3, np.random.default_rng(0))
+        else:
+            a, b = np.random.default_rng(0), np.random.default_rng(0)
+            assert oracles.sample_walk_choice(g, pol, 0, 3, a) is None
+            assert routeirl.algorithms._sample_walk(g, pol, 0, 3, b) is None
+            assert a.bit_generator.state == b.bit_generator.state
 
 
 def test_irl_config_validation():

@@ -34,6 +34,7 @@ from routeirl.planners import (
     Policy,
     Successors,
     _default_iters,
+    _identity_minus_slots,
     _logsumexp_rows,
     _value_diff,
     closed_form_forward,
@@ -667,7 +668,7 @@ def test_one_reversed_graph_per_call_and_one_plan_per_destination(monkeypatch):
     calls = Counter()
     greedy = []  # every greedy policy planned
     for name in ("_reversed_graph", "greedy_policy", "power_iteration_backward",
-                 "_jump_tables"):
+                 "_jump_tables", "_draw_table"):
         def counting(*args, _real=getattr(routeirl.planners, name), _name=name, **kw):
             calls[_name] += 1
             out = _real(*args, **kw)
@@ -675,13 +676,15 @@ def test_one_reversed_graph_per_call_and_one_plan_per_destination(monkeypatch):
                 greedy.append(out)
             return out
         monkeypatch.setattr(routeirl.planners, name, counting)
-    # greedy walks and T=0 samples build no jump tables
+    # greedy walks and T=0 samples build no jump tables, and only T > 0
+    # walks build draw tables, one per destination
     evaluate(m, demos, g)
     assert calls == {"_reversed_graph": 1, "greedy_policy": dests,
                      "power_iteration_backward": dests}
     calls.clear()
     sample_demonstrations(m, g, len(pairs), rng_seed=2, pairs=pairs)
-    assert calls == {"_reversed_graph": 1, "power_iteration_backward": dests}
+    assert calls == {"_reversed_graph": 1, "power_iteration_backward": dests,
+                     "_draw_table": dests}
     calls.clear()
     sample_demonstrations(m, g, len(pairs), rng_seed=2, temperature=0.0, pairs=pairs)
     assert calls == {"_reversed_graph": 1, "greedy_policy": dests}
@@ -762,3 +765,44 @@ def test_exact_start_agrees_with_power_iteration_and_falls_back():
     runs = [power_iteration_backward(gv, rew, init=init) for init in ("dijkstra", "exact")]
     assert runs[0][1:] == runs[1][1:] == (_default_iters(g.num_nodes), False)
     assert np.array_equal(runs[0][0], runs[1][0])
+
+
+def _with_triple_edge(g):
+    """g plus two more copies of edge 0, with their own features, so one
+    node pair carries three parallel edges."""
+    recs = [(e, int(g.edge_src[e]), int(g.edge_dst[e]), g.features[e])
+            for e in range(g.num_edges)]
+    recs += [(g.num_edges + k, recs[0][1], recs[0][2], g.features[0] * (1.3 + k))
+             for k in range(2)]
+    return build_graph([(s, *g.coords[s]) for s in range(g.num_nodes)], recs)
+
+
+def test_identity_minus_slots_equals_scipy_assembly():
+    # I - C summed into the graph's slot pattern is bitwise the matrix that
+    # scipy's COO conversion and sparse subtraction build, on multigraphs
+    # with self-loops, three parallel edges on one pair and a trap node,
+    # with weights that underflow to 0, weights of 1 on self-loops (1 - 1
+    # drops a diagonal entry) and the policies closed_form_forward solves on
+    graphs = [gen_random_graph(12 + seed, rng_seed=seed, extra_edges=10) for seed in range(3)]
+    graphs += [gen_gridworld(4, 5, feature_spec="random", rng_seed=2)]
+    graphs += [_with_trap(_with_triple_edge(_loopy_multigraph(seed))) for seed in range(3)]
+    built = dropped = 0
+    for g in graphs:
+        rng = np.random.default_rng(g.num_edges)
+        rew = _rand_rewards(g, g.num_nodes, lo=0.8, hi=1.6)
+        for dest in (2, g.num_nodes // 2, g.num_nodes - 2):
+            gv = GoalView(g, dest)
+            v, _, conv = power_iteration_backward(gv, rew, init="exact")
+            assert conv
+            policies = [policy_from_values(gv, rew, v),
+                        greedy_policy(gv, rew, dijkstra_values(gv, rew))]
+            for w in [np.exp(rng.uniform(-800.0, 1.0, g.num_edges)), np.ones(g.num_edges)] + \
+                    [pol.probs[g.edge_src, g.edge_slot] for pol in policies]:
+                got = _identity_minus_slots(gv, w)
+                want = oracles.identity_minus_slots_coo(gv, w)
+                for part in ("data", "indices", "indptr"):
+                    a, b = getattr(got, part), getattr(want, part)
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+                built += 1
+                dropped += got.nnz < g.slot_pattern[2].size
+    assert built == 4 * 3 * len(graphs) and dropped == built
