@@ -262,16 +262,16 @@ def cmd_sweep_horizon(args) -> int:
                 batch_gradient(model, g, timing_demos, icfg)
                 spent[rnd, i] += time.perf_counter() - t0
     rows = []
+    shard = partition_geographic(g, demos, 1, eval_fraction=0.25,
+                                 rng_seed=args.seed)[0][0]
     for h, t in zip(horizons, spent.min(axis=0)):
         tcfg = TrainConfig(algorithm="receding_horizon", horizon=h,
                            temperature=args.temperature, epochs=1,
                            steps_per_epoch=args.train_steps,
                            batch_size=args.batch, warmup=10,
                            rng_seed=args.seed)
-        shards, _ = partition_geographic(g, demos, 1, eval_fraction=0.25,
-                                         rng_seed=args.seed)
-        trained, _ = train_expert(shards[0], LinearReward(weights), tcfg)
-        res = evaluate(trained, shards[0].eval_demos, shards[0].subgraph,
+        trained, _ = train_expert(shard, LinearReward(weights), tcfg)
+        res = evaluate(trained, shard.eval_demos, shard.subgraph,
                        temperature=args.temperature, nll=False)
         rows.append(("inf" if math.isinf(h) else str(int(h)), args.reps / t, res.acc))
     write_csv([("horizon", "steps_per_sec", "accuracy"), *rows], args.out)

@@ -53,7 +53,7 @@ class RoadGraph:
 
     @cached_property
     def safe_targets(self) -> np.ndarray:
-        """slot_target with 0 on invalid slots (readers mask the goal row)."""
+        """slot_target with 0 on invalid slots (``slot_rewards`` masks them)."""
         return np.where(self.slot_valid, self.slot_target, 0)
 
     @cached_property
@@ -194,11 +194,12 @@ def _from_arrays(coords: np.ndarray, edge_src: np.ndarray, edge_dst: np.ndarray,
 
 
 @dataclass
-class GoalView(object):
-    """A graph conditioned on one destination.
+class GoalView:
+    """A graph conditioned on one destination: the pair and nothing more.
 
-    The destination is absorbing: its real out-edges are masked and planners
-    pin its value to zero.  Everything else is shared with the base graph.
+    The destination is absorbing: planners pin its value to zero, and the
+    slot reward table of ``planners.slot_rewards`` is -inf on its row, which
+    is the only per-destination slot mask the planners apply.
     """
 
     graph: RoadGraph
@@ -207,12 +208,6 @@ class GoalView(object):
     def __post_init__(self) -> None:
         if not (0 <= self.destination < self.graph.num_nodes):
             raise ValidationError(f"destination {self.destination} not in graph")
-
-    @cached_property
-    def slot_valid(self) -> np.ndarray:
-        mask = self.graph.slot_valid.copy()
-        mask[self.destination, :] = False
-        return mask
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,13 @@
 
 Everything here works on the padded (num_nodes, max_out_degree) slot layout:
 log-domain backups, deterministic max-reward values, stochastic policies, and
-forward mass propagation.  Converged soft values start from the exact fixed
-point, one sparse solve rescaled by the max-reward values, and the backups
-then confirm it; stationary edge mass is one sparse solve on the same system.
+forward mass propagation.  A destination's slot reward table
+(``slot_rewards``: -inf on invalid slots and on the destination's row) is
+its only mask; backups and policies apply no other, so the reward tables
+and values they take must hold no NaN or +inf (``_checked_rewards``).
+Converged soft values start from the exact fixed point, one sparse solve
+rescaled by the max-reward values, and the backups then confirm it;
+stationary edge mass is one sparse solve on the same system.
 The log-sum-exp and the rollout step make no reduction per short row yet add
 in the row-wise order, so they are bitwise equal to it (see their comments).
 A rollout's deterministic greedy tail does not step hop by hop: mass on one
@@ -39,15 +43,26 @@ def _default_iters(num_nodes: int) -> int:
     return max(100, 10 * num_nodes)
 
 
-def slot_rewards(gv: GoalView, rew: np.ndarray) -> np.ndarray:
-    """Per-slot reward table, -inf on invalid slots and the destination row."""
-    g = gv.graph
+def _checked_rewards(g: RoadGraph, rew) -> np.ndarray:
+    """rew as float64, one entry per edge.  NaN and +inf are rejected: the
+    backups, bounds and shortest paths would carry them on without an error.
+    -inf, an edge never taken, is a reward."""
     rew = np.asarray(rew, dtype=np.float64)
-    if rew.shape[0] != g.num_edges:
+    if rew.shape != (g.num_edges,):
         raise ValidationError("reward table length != edge count")
-    out = np.full((g.num_nodes, g.max_out_degree), -np.inf)
-    valid = gv.slot_valid
-    out[valid] = rew[g.slot_edge[valid]]
+    if not rew.max(initial=-np.inf) < np.inf:  # a NaN entry makes the max NaN
+        e = int(np.flatnonzero(~(rew < np.inf))[0])
+        raise ValidationError(f"edge {e} has reward {rew[e]}: NaN and +inf are not rewards")
+    return rew
+
+
+def slot_rewards(gv: GoalView, rew: np.ndarray) -> np.ndarray:
+    """Per-slot reward table, -inf on invalid slots and the destination row:
+    the destination's only mask (see the module docstring)."""
+    g = gv.graph
+    # invalid slots (SENTINEL, -1) read the appended -inf
+    out = np.concatenate((_checked_rewards(g, rew), [-np.inf]))[g.slot_edge]
+    out[gv.destination] = -np.inf
     return out
 
 
@@ -290,12 +305,12 @@ def softmax_backup(gv: GoalView, rew_slots: np.ndarray, v_prev: np.ndarray,
                    temperature: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     """One log-domain backup: Q = r/T + v(s'), v = logsumexp_a Q, v(dest)=0.
 
-    rew_slots is ``slot_rewards(gv, rew)``; Q is -inf on invalid slots, and a
-    row with no finite Q (a dead end) gets v = -inf.  The log-sum-exp is
-    ``_logsumexp_rows``, bitwise equal to scipy's.
+    rew_slots is ``slot_rewards(gv, rew)``, whose -inf entries (invalid
+    slots, the destination row) stay -inf in Q as v_prev holds no NaN or
+    +inf; a row with no finite Q (a dead end) gets v = -inf.  The
+    log-sum-exp is ``_logsumexp_rows``, bitwise equal to scipy's.
     """
     q = rew_slots / temperature + v_prev[gv.graph.safe_targets]
-    q[~gv.slot_valid] = -np.inf
     v = _logsumexp_rows(q)
     v[gv.destination] = 0.0
     return q, v
@@ -425,14 +440,14 @@ def power_iteration_backward(gv: GoalView, rew: np.ndarray, *,
 
 
 def policy_from_q(gv: GoalView, q: np.ndarray, v: np.ndarray) -> Policy:
+    """The softmax policy exp(Q - v) of a backup's (Q, v), v holding no NaN
+    or +inf.  Q's -inf entries (invalid slots, the destination row) give
+    probability 0 with no mask; a dead row (v = -inf, every Q -inf) gives
+    NaN, which is zeroed."""
     with np.errstate(invalid="ignore"):  # dead rows: -inf minus -inf
         probs = np.exp(q - v[:, None])
     probs[np.isnan(probs)] = 0.0
-    probs[~gv.slot_valid] = 0.0
     dead = np.isneginf(v)
-    probs[dead] = 0.0
-    probs[gv.destination] = 0.0
-    dead = dead.copy()
     dead[gv.destination] = True
     return Policy(probs=probs, destination=gv.destination, dead=dead)
 
@@ -451,17 +466,10 @@ def greedy_policy(gv: GoalView, rew: np.ndarray, v: np.ndarray) -> Policy:
     is its successor array (see ``Policy``).
     """
     g = gv.graph
-    rew = np.asarray(rew, dtype=np.float64)
-    if rew.shape[0] != g.num_edges:
-        raise ValidationError("reward table length != edge count")
-    # the slot table of r + v(s'), each edge's sum gathered into its slot;
-    # invalid slots (SENTINEL, -1) read the appended -inf
-    q = np.append(rew + v[g.edge_dst], -np.inf)[g.slot_edge]
-    q[gv.destination] = -np.inf
+    q = slot_rewards(gv, _checked_rewards(g, rew) + v[g.edge_dst])
     # flat index of each row's first max slot
     best = np.arange(g.num_nodes) * g.max_out_degree + np.argmax(q, axis=1)
-    dead = np.isneginf(q.ravel()[best])
-    dead[gv.destination] = True
+    dead = np.isneginf(q.ravel()[best])  # the destination row among them
     edge = g.slot_edge.ravel()[best]
     edge[dead] = -1
     return Policy(None, gv.destination, dead, Successors(g, gv.destination, edge))
@@ -517,15 +525,12 @@ class Planner:
     successor array; the jump tables are built by the first rollout tail
     that needs them, and the one-hot table only by a stepped rollout), and
     converged soft values and policy (None if the backward pass diverges).
-    GoalViews are not kept: their slot masks would add S x V bytes per
-    destination.  The arrays it returns must not be modified.
+    The arrays it returns must not be modified.
     """
 
     def __init__(self, g: RoadGraph, rew: np.ndarray, temperature: float = 1.0):
         self.graph = g
-        self.rew = np.asarray(rew, dtype=np.float64)
-        if self.rew.shape != (g.num_edges,):
-            raise ValidationError("reward table length != edge count")
+        self.rew = _checked_rewards(g, rew)
         self.temperature = temperature
         self._reversed = _reversed_graph(g, self.rew)
         self._gain = bool(self.rew.size and np.max(self.rew) > 0)
@@ -626,11 +631,12 @@ def rollout(gv: GoalView, schedule: list[tuple[Policy, int | None]],
                 break
             if pv is None:
                 if eidx is None:
-                    eidx = g.slot_edge[gv.slot_valid]
+                    # the destination row holds no mass and no probability
+                    eidx = g.slot_edge[g.slot_valid]
                     rows, tidx = g.edge_src[eidx], g.edge_dst[eidx]
                     # an edge has one slot: this sums its edge mass
                     slot_mass = np.zeros(rows.size)
-                pv = pol.probs[gv.slot_valid]
+                pv = pol.probs[g.slot_valid]
                 dead = np.flatnonzero(pol.dead)
             lost += float(m[dead].sum())
             sm = m[rows] * pv
@@ -665,12 +671,9 @@ def closed_form_forward(gv: GoalView, pol: Policy,
     """
     g = gv.graph
     m = np.asarray(initial_mass, dtype=np.float64)
-    z = _solve(_identity_minus_slots(gv, pol.probs[g.edge_src, g.edge_slot]).T, m)
+    probs = pol.probs[g.edge_src, g.edge_slot]
+    z = _solve(_identity_minus_slots(gv, probs).T, m)
     if z is None or not np.all(np.isfinite(z)):
         raise InfeasibilityError("forward system is singular: policy mass "
                                  "never drains to the destination")
-    valid = gv.slot_valid
-    rows, _ = np.nonzero(valid)
-    edge_mass = np.zeros(g.num_edges)
-    edge_mass[g.slot_edge[valid]] += z[rows] * pol.probs[valid]  # one slot per edge
-    return edge_mass
+    return z[g.edge_src] * probs

@@ -17,8 +17,8 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import ValidationError
 from .graph import GoalView, Trajectory, gen_two_state_loop, two_state_loop_rewards
-from .planners import (_logsumexp_rows, _value_diff, power_iteration_backward,
-                       slot_rewards, trajectory_policy_nll)
+from .planners import (_checked_rewards, _logsumexp_rows, _value_diff,
+                       power_iteration_backward, slot_rewards, trajectory_policy_nll)
 
 FEASIBLE = "Feasible"
 INFEASIBLE = "Infeasible"
@@ -45,9 +45,10 @@ def classify(lam: float, band: float = DEFAULT_BAND) -> str:
 def _b1_slots(gv: GoalView, rew: np.ndarray, temperature: float):
     """Log-weights of the non-destination block in slot layout (-inf off the
     block), and slot targets that are safe to index with."""
-    logw = slot_rewards(gv, np.asarray(rew, dtype=np.float64) / temperature)
-    logw[gv.graph.slot_target == gv.destination] = -np.inf
-    return logw, gv.graph.safe_targets
+    g = gv.graph
+    logw = _checked_rewards(g, rew) / temperature
+    logw[g.edge_dst == gv.destination] = -np.inf
+    return slot_rewards(gv, logw), g.safe_targets
 
 
 def cheap_bounds(gv: GoalView, rew: np.ndarray,
@@ -117,8 +118,7 @@ def dominant_eigenvalue(gv: GoalView, rew: np.ndarray, *,
     x[gv.destination] = -np.inf
     mu_hist: list[float] = []
     for it in range(1, max_iters + 1):
-        y = _logsumexp_rows(logw + x[tgt])
-        y[gv.destination] = -np.inf
+        y = _logsumexp_rows(logw + x[tgt])  # -inf on the destination's row
         y = np.logaddexp(y, logc + x)
         lognum, lognorm = _logsumexp_rows(np.stack((x + y, 2.0 * x)))
         if np.isneginf(lognum):

@@ -27,7 +27,6 @@ from .errors import ValidationError
 from .graph import GoalView, RoadGraph, Trajectory, extract_subgraph
 from .io import load_config, save_checkpoint, write_csv
 from .metrics import evaluate
-from .planners import Planner
 from .rewards import RewardModel, edge_rewards, project_nonpositive
 from .spectral import cheap_bounds
 
@@ -187,12 +186,16 @@ def train_expert(shard: Shard, model_init: RewardModel, cfg: TrainConfig,
     t = 0
     if checkpoint_dir is not None:
         Path(checkpoint_dir).mkdir(parents=True, exist_ok=True)
-    # one planner per model state: the epoch bound and the guard share it
-    plan = Planner(shard.subgraph, edge_rewards(model, shard.subgraph), cfg.temperature)
+    # the epoch bound and the guard share one bound per destination and
+    # model state
+    rew = edge_rewards(model, shard.subgraph)
+    bounds: dict[int, float] = {}
 
     def guard_bound(dest: int) -> float:
-        return plan.memo("bound", dest, lambda: min(
-            cheap_bounds(GoalView(shard.subgraph, dest), plan.rew, cfg.temperature)))
+        if dest not in bounds:
+            bounds[dest] = min(cheap_bounds(GoalView(shard.subgraph, dest), rew,
+                                            cfg.temperature))
+        return bounds[dest]
 
     for epoch in range(cfg.epochs):
         bound = max([0.0] + [guard_bound(d) for d in dests])
@@ -227,8 +230,8 @@ def train_expert(shard: Shard, model_init: RewardModel, cfg: TrainConfig,
                     params[sl] = opt.step(params[sl], batch_grad[sl], scale)
                 model.set_params(params)
                 project_nonpositive(model)
-                plan = Planner(shard.subgraph, edge_rewards(model, shard.subgraph),
-                               cfg.temperature)
+                rew = edge_rewards(model, shard.subgraph)
+                bounds.clear()
             history.steps.append({
                 "step": t, "epoch": epoch, "loss": loss,
                 "grad_norm": grad_norm, "skips": skips, "lr_scale": scale,
@@ -319,10 +322,7 @@ def assemble_global(g: RoadGraph, shards: list[Shard],
     table = np.full(g.num_edges, np.nan)
     for shard, model in zip(shards, models):
         rew = edge_rewards(model, shard.subgraph)
-        owned_nodes = set(int(n) for n in shard.owned_nodes)
-        src_global = shard.node_ids[shard.subgraph.edge_src]
-        owned_edge = np.fromiter((int(s) in owned_nodes for s in src_global),
-                                 dtype=bool, count=src_global.shape[0])
+        owned_edge = np.isin(shard.node_ids[shard.subgraph.edge_src], shard.owned_nodes)
         table[shard.edge_ids[owned_edge]] = rew[owned_edge]
     if np.any(np.isnan(table)):
         missing = int(np.isnan(table).sum())

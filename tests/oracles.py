@@ -26,6 +26,14 @@ from routeirl.planners import (dijkstra_values, greedy_path, greedy_policy,
 from routeirl.rewards import RewardModel, backprop, edge_rewards
 
 
+def goal_slots(gv: GoalView) -> np.ndarray:
+    """The slots a plan toward gv's destination may take: the valid slots
+    off the destination's row, worked out here from the slot table."""
+    valid = gv.graph.slot_edge >= 0
+    valid[gv.destination] = False
+    return valid
+
+
 def diamond_graph() -> RoadGraph:
     """Two parallel two-edge routes 0->3; top route is cheaper under w=[-1]."""
     nodes = [(0, 0.0, 0.0), (1, 0.0, 1.0), (2, 1.0, 0.0), (3, 1.0, 1.0)]
@@ -192,7 +200,7 @@ def identity_minus_slots_coo(gv: GoalView, weights: np.ndarray) -> sp.csc_matrix
     conversion, the destination row left out), subtracted from a sparse
     identity, which drops the entries that come out 0."""
     g = gv.graph
-    valid = gv.slot_valid
+    valid = goal_slots(gv)
     rows, _ = np.nonzero(valid)
     c = sp.csc_matrix((weights[g.slot_edge[valid]], (rows, g.slot_target[valid])),
                       shape=(g.num_nodes,) * 2)
@@ -236,7 +244,7 @@ def greedy_probs_dense(gv: GoalView, rew: np.ndarray, v: np.ndarray) -> np.ndarr
     each live row's first argmax of r + v(s')."""
     g = gv.graph
     q = slot_rewards(gv, rew) + v[g.safe_targets]
-    q[~gv.slot_valid] = -np.inf
+    q[~goal_slots(gv)] = -np.inf
     probs = np.zeros(q.shape)
     best = np.argmax(q, axis=1)
     rows = np.arange(g.num_nodes)
@@ -278,8 +286,9 @@ def fd_gradient(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
 
 
 def max_backup(gv: GoalView, rew_slots: np.ndarray, v_prev: np.ndarray) -> np.ndarray:
-    q = rew_slots + v_prev[np.where(gv.slot_valid, gv.graph.slot_target, 0)]
-    q[~gv.slot_valid] = -np.inf
+    valid = goal_slots(gv)
+    q = rew_slots + v_prev[np.where(valid, gv.graph.slot_target, 0)]
+    q[~valid] = -np.inf
     v = np.max(q, axis=1, initial=-np.inf)
     v[gv.destination] = 0.0
     return v
@@ -296,8 +305,9 @@ def power_iteration_backward_linear(gv: GoalView, rew: np.ndarray, *,
     """
     g = gv.graph
     w = np.exp(slot_rewards(gv, rew) / temperature).astype(dtype)
-    w[~gv.slot_valid] = 0
-    tgt = np.where(gv.slot_valid, g.slot_target, 0)
+    valid = goal_slots(gv)
+    w[~valid] = 0
+    tgt = np.where(valid, g.slot_target, 0)
     z = np.zeros(g.num_nodes, dtype=dtype)
     z[gv.destination] = 1
     if max_iters is None:
@@ -325,7 +335,8 @@ def scipy_backward(gv: GoalView, rew: np.ndarray, *, temperature: float = 1.0,
     power_iteration_backward returns them."""
     g = gv.graph
     rs = slot_rewards(gv, rew)
-    tgt = np.where(gv.slot_valid, g.slot_target, 0)
+    valid = goal_slots(gv)
+    tgt = np.where(valid, g.slot_target, 0)
     if init == "onehot":
         v = np.full(g.num_nodes, -np.inf)
     else:
@@ -335,7 +346,7 @@ def scipy_backward(gv: GoalView, rew: np.ndarray, *, temperature: float = 1.0,
         max_iters = max(100, 10 * g.num_nodes)
     for it in range(1, max_iters + 1):
         q = rs / temperature + v[tgt]
-        q[~gv.slot_valid] = -np.inf
+        q[~valid] = -np.inf
         v_new = logsumexp(q, axis=1)
         v_new[gv.destination] = 0.0
         both_inf = np.isneginf(v_new) & np.isneginf(v)
@@ -357,7 +368,7 @@ def scipy_dominant_eigenvalue(gv: GoalView, rew: np.ndarray, shift: float, *,
     iterations, converged).  Only for blocks with a cycle: the caller passes
     the shift (the library takes min(1, smallest cheap bound))."""
     g = gv.graph
-    mask = gv.slot_valid & (g.slot_target != gv.destination)
+    mask = goal_slots(gv) & (g.slot_target != gv.destination)
     logw = np.full((g.num_nodes, g.max_out_degree), -np.inf)
     logw[mask] = np.asarray(rew)[g.slot_edge[mask]] / temperature
     tgt = np.where(mask, g.slot_target, 0)
@@ -424,9 +435,10 @@ def birl_gradient(model: RewardModel, g: RoadGraph, traj: Trajectory,
         return _skipped("origin cannot reach destination")
     # softmax over optimal action values: Q = (r + v_best(s')) / T
     rs = slot_rewards(gv, r)
-    tgt = np.where(gv.slot_valid, g.slot_target, 0)
+    valid = goal_slots(gv)
+    tgt = np.where(valid, g.slot_target, 0)
     q = (rs + v_best[tgt]) / cfg.temperature
-    q[~gv.slot_valid] = -np.inf
+    q[~valid] = -np.inf
     v_soft = logsumexp(q, axis=1)
     v_soft[gv.destination] = 0.0
     pol_soft = policy_from_q(gv, q, v_soft)

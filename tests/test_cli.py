@@ -245,3 +245,41 @@ def test_unknown_command_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_reward_table_exits_two(tmp_path, capsys, bad):
+    gpath, dpath, rpath = (str(tmp_path / n) for n in ("g.txt", "d.txt", "r.txt"))
+    assert main(["gen-grid", "--width", "4", "--height", "4", "--seed", "0",
+                 "--num-demos", "5", "--out-graph", gpath, "--out-demos", dpath]) == 0
+    capsys.readouterr()
+    demo = load_trajectories(dpath, load_graph(gpath))[0]
+    rew = np.full(48, -3.0)
+    rew[demo.edges[0]] = bad
+    export_reward_table(rew, rpath)
+    for argv in (["eval", "--demos", dpath],
+                 ["diagnose", "--destination", str(demo.destination)]):
+        assert main(argv + ["--graph", gpath, "--rewards", rpath]) == 2
+        assert "NaN and +inf are not rewards" in capsys.readouterr().err
+
+
+def test_negative_infinite_rewards_and_values_load(tmp_path, capsys):
+    # -inf closes an edge; a node cut off by closed edges gets the value
+    # -inf, which the dumped values file keeps and reads back
+    gpath, dpath, rpath, vals = (str(tmp_path / n)
+                                 for n in ("g.txt", "d.txt", "r.txt", "v.txt"))
+    assert main(["gen-grid", "--width", "3", "--height", "3", "--seed", "0",
+                 "--num-demos", "2", "--out-graph", gpath, "--out-demos", dpath]) == 0
+    capsys.readouterr()
+    g = load_graph(gpath)
+    rew = np.full(g.num_edges, -1.0)
+    rew[g.out_edges(0)] = -np.inf
+    export_reward_table(rew, rpath)
+    code, doc = run(capsys, "diagnose", "--graph", gpath, "--rewards", rpath,
+                    "--destination", "8", "--dump-values", vals)
+    assert code == 0 and doc["values_converged"]
+    values = load_reward_table(vals)
+    assert values[0] == -np.inf and np.all(np.isfinite(values[1:]))
+    assert load_reward_table(rpath)[g.out_edges(0)].tolist() == [-np.inf, -np.inf]
+    code, _ = run(capsys, "eval", "--graph", gpath, "--demos", dpath, "--rewards", rpath)
+    assert code == 0

@@ -1,6 +1,8 @@
 import ast
+import dataclasses
 import warnings
 from collections import Counter
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +55,7 @@ from oracles import (
     best_path_reward,
     diamond_graph,
     enumerate_walks,
+    goal_slots,
     greedy_path_argmax,
     greedy_probs_dense,
     loopy_graph,
@@ -185,7 +188,7 @@ def test_policy_rows_are_distributions():
     assert np.all(pol.probs[pol.dead] == 0.0)
     assert pol.dead[4]  # destination is absorbing
     # probabilities only on valid slots
-    assert np.all(pol.probs[~gv.slot_valid] == 0.0)
+    assert np.all(pol.probs[~goal_slots(gv)] == 0.0)
 
 
 def test_trajectory_policy_nll_is_stepwise_product():
@@ -806,3 +809,55 @@ def test_identity_minus_slots_equals_scipy_assembly():
                 built += 1
                 dropped += got.nnz < g.slot_pattern[2].size
     assert built == 4 * 3 * len(graphs) and dropped == built
+
+
+# ---------------------------------------------------------------------------
+# reward tables and goal views
+
+
+def test_non_finite_reward_tables_are_rejected():
+    # NaN and +inf raise wherever a reward table enters planning; -inf, an
+    # edge never taken, is a reward
+    g = loopy_graph()
+    gv = GoalView(g, 4)
+    demos = [Trajectory.from_nodes(g, [0, 1, 4]), Trajectory.from_nodes(g, [2, 3, 4])]
+    for bad in (np.nan, np.inf):
+        rew = _rand_rewards(g, 1)
+        rew[6] = bad  # edge 1 -> 4, on the first demo
+        calls = [lambda: routeirl.planners.Planner(g, rew),
+                 lambda: slot_rewards(gv, rew),
+                 lambda: greedy_policy(gv, rew, np.zeros(g.num_nodes)),
+                 lambda: dijkstra_values(gv, rew),
+                 lambda: power_iteration_backward(gv, rew, init="onehot"),
+                 lambda: routeirl.cheap_bounds(gv, rew),
+                 lambda: routeirl.dominant_eigenvalue(gv, rew),
+                 lambda: evaluate(rew, demos, g)]
+        for call in calls:
+            with pytest.raises(routeirl.ValidationError, match=r"edge 6 .*NaN and \+inf"):
+                call()
+    rew = _rand_rewards(g, 1)
+    rew[6] = -np.inf
+    assert slot_rewards(gv, rew)[1, g.edge_slot[6]] == -np.inf
+    v, _, conv = power_iteration_backward(gv, rew, init="exact")
+    assert conv and np.all(np.isfinite(v))
+    assert evaluate(rew, demos, g).nll > 0.0
+    assert routeirl.dominant_eigenvalue(gv, rew).classification == "Feasible"
+
+
+def test_goal_view_is_a_graph_and_a_destination():
+    # the slot reward table is a destination's only mask: a view holds the
+    # pair and keeps nothing per destination, whatever is planned on it
+    assert [f.name for f in dataclasses.fields(GoalView)] == ["graph", "destination"]
+    assert not [name for name, attr in vars(GoalView).items()
+                if isinstance(attr, (cached_property, property))]
+    g = loopy_graph()
+    gv = GoalView(g, 4)
+    rew = _rand_rewards(g, 1)
+    v, _, _ = power_iteration_backward(gv, rew, init="exact")
+    pol = policy_from_values(gv, rew, v)
+    greedy = greedy_policy(gv, rew, dijkstra_values(gv, rew))
+    mass = np.ones(g.num_nodes)
+    rollout(gv, [(pol, 2), (greedy, None)], mass)
+    closed_form_forward(gv, pol, mass)
+    routeirl.dominant_eigenvalue(gv, rew)
+    assert set(vars(gv)) == {"graph", "destination"}

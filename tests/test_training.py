@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+import routeirl.planners
+import routeirl.training
 from routeirl import (CompositeReward, DenseNetReward, GoalView, LinearReward,
                       SparsePerEdgeReward, Trajectory, ValidationError,
                       cheap_bounds, gen_gridworld, load_checkpoint)
@@ -270,7 +272,7 @@ def test_checkpoints_written_per_epoch(tmp_path):
 
 
 def test_epoch_bound_reads_the_model_after_the_last_update(tmp_path):
-    # the planner the epoch bound and the guard read is rebuilt on every
+    # the bounds the epoch bound and the guard read are reset on every
     # update, so each epoch's bound is the previous epoch's final model's
     _, shard = _single_shard()
     cfg = _small_cfg(algorithm="maxent", epochs=3, steps_per_epoch=4, warmup=0,
@@ -283,6 +285,23 @@ def test_epoch_bound_reads_the_model_after_the_last_update(tmp_path):
         rew = edge_rewards(load_checkpoint(path)[0], shard.subgraph)
         assert hist.epoch_bounds[epoch + 1] == max(
             min(cheap_bounds(GoalView(shard.subgraph, d), rew)) for d in dests)
+
+
+def test_guard_builds_no_planner(monkeypatch):
+    # the guard keeps plain bounds per destination: every reversed graph
+    # built in training belongs to a demo's gradient
+    _, shard = _single_shard()
+    calls = {"_reversed_graph": 0, "demo_gradient": 0}
+    for module, name in ((routeirl.planners, "_reversed_graph"),
+                         (routeirl.training, "demo_gradient")):
+        def counting(*args, _real=getattr(module, name), _name=name, **kw):
+            calls[_name] += 1
+            return _real(*args, **kw)
+        monkeypatch.setattr(module, name, counting)
+    _, hist = train_expert(shard, LinearReward(np.array([-2.0, -2.0])),
+                           _small_cfg(algorithm="maxent", epochs=2))
+    assert len(hist.steps) == 16 and calls["demo_gradient"] > 0
+    assert calls["_reversed_graph"] == calls["demo_gradient"]
 
 
 def test_history_csv_round_trip(tmp_path):
