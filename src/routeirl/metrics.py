@@ -42,9 +42,11 @@ def evaluate(model_or_table, demos: list[Trajectory], g: RoadGraph, *,
     fails to converge, mirroring algorithms for which the likelihood is
     undefined.  Each distinct destination is planned once, on one reversed
     graph for the table: one Dijkstra pass, one greedy policy that every walk
-    to it follows and, with nll=True, one sparse solve for the soft values
-    (confirmed by the backward pass, which starts there) and its softmax
-    policy.
+    to it follows and, with nll=True, its soft values and softmax policy,
+    started at Z = x / x_d on the table's one LU factor of I - A and
+    confirmed by the backward pass (the max-reward values start it where
+    I - A is singular, exp overflows, a reaching value lies below about
+    -745, or the destination is infeasible).
     """
     if not demos:
         raise ValidationError("no demos to evaluate")

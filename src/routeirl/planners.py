@@ -6,9 +6,11 @@ forward mass propagation.  A destination's slot reward table
 (``slot_rewards``: -inf on invalid slots and on the destination's row) is
 its only mask; backups and policies apply no other, so the reward tables
 and values they take must hold no NaN or +inf (``_checked_rewards``).
-Converged soft values start from the exact fixed point, one sparse solve
-rescaled by the max-reward values, and the backups then confirm it;
-stationary edge mass is one sparse solve on the same system.
+Converged soft values start from the exact fixed point, Z = exp(v) = x / x_d
+with x = M^-1 e_d on one LU factor of the table's M = I - A, and the backups
+confirm it (``Planner.exact_start``: the max-reward values where M is
+singular, or x / x_d is not finite and positive on a reaching node, as a
+value below about -745 underflows); stationary edge mass solves I - P.
 The log-sum-exp and the rollout step make no reduction per short row yet add
 in the row-wise order, so they are bitwise equal to it (see their comments).
 A rollout's deterministic greedy tail does not step hop by hop: mass on one
@@ -20,8 +22,8 @@ greedy NLLs read it, and its one-hot (num_nodes, max_out_degree) table is
 built only when a rollout must step it (see ``Policy``).  A soft policy's
 T>0 samples draw on a table of its rows' normalised cumulative sums, built
 by its first walk, and take the slot ``Generator.choice`` would take for
-the same draw.  The sparse I - C of both solves is summed into a sparsity
-pattern the graph builds once, bitwise scipy's own assembly of it (see
+the same draw.  The sparse I - A and I - P are summed into a sparsity
+pattern the graph builds once, bitwise scipy's own assembly of them (see
 ``_identity_minus_slots``).
 """
 from __future__ import annotations
@@ -335,66 +337,23 @@ def _value_diff(a: np.ndarray, b: np.ndarray) -> float:
     return top
 
 
-def _identity_minus_slots(gv: GoalView, weights: np.ndarray) -> sp.csc_matrix:
+def _identity_minus_slots(g: RoadGraph, weights: np.ndarray) -> sp.csc_matrix:
     """Sparse I - C over all nodes, C[s, s'] the sum of ``weights`` (one per
     edge, that is per valid slot) over the edges s -> s': parallel edges
-    add in edge order, self-loops land on the diagonal and the destination
-    row of C is empty.
+    add in edge order and self-loops land on the diagonal.
 
     The sums go into the graph's ``slot_pattern``, and entries that come
     out 0.0 are dropped, so the matrix is bitwise the one scipy builds as
     ``identity - csc_matrix((weights, (src, dst)))``: its duplicate sum adds
     a pair's edges in slot order, and its subtraction drops zeros.
     """
-    g = gv.graph
     pos, diag, rows, indptr = g.slot_pattern
     c = np.bincount(pos, weights, minlength=rows.size)
-    c[rows == gv.destination] = 0.0  # only the destination's edges sum there
     data = 0.0 - c
     data[diag] = 1.0 - c[diag]
     keep = data != 0.0
     indptr = np.append(0, np.cumsum(keep))[indptr].astype(indptr.dtype)
     return sp.csc_matrix((data[keep], rows[keep], indptr), shape=(g.num_nodes,) * 2)
-
-
-def _solve(lhs: sp.spmatrix, rhs: np.ndarray) -> np.ndarray | None:
-    """SuperLU solution of lhs x = rhs; None if lhs is singular."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", sp.linalg.MatrixRankWarning)
-        try:
-            x = sp.linalg.spsolve(lhs, rhs)
-        except sp.linalg.MatrixRankWarning:
-            return None
-    return np.atleast_1d(np.asarray(x, dtype=np.float64))
-
-
-def _solved_start(gv: GoalView, rew: np.ndarray, v_best: np.ndarray,
-                  temperature: float) -> np.ndarray:
-    """Soft values from one sparse solve, for the backups to confirm.
-
-    With v_best the max-reward values over T, y = exp(v - v_best) solves
-    (I - C) y = e_dest, C[s, s'] summing exp(r/T + v_best(s') - v_best(s))
-    over the slots s -> s' between nodes that reach the destination; every
-    coefficient is at most 1 and y >= 1.  Such a positive y exists only when
-    the spectral radius of C is at most 1, so where y is singular, not
-    finite or not positive on a node that reaches the destination (an
-    infeasible table, or exp overflow), this returns v_best unchanged.
-    """
-    g = gv.graph
-    rew = np.asarray(rew, dtype=np.float64)
-    reach = np.isfinite(v_best)
-    src, dst = g.edge_src, g.edge_dst
-    live = np.flatnonzero(reach[src] & reach[dst] & (src != gv.destination))
-    weights = np.zeros(g.num_edges)
-    weights[live] = np.exp(rew[live] / temperature + v_best[dst[live]] - v_best[src[live]])
-    rhs = np.zeros(g.num_nodes)
-    rhs[gv.destination] = 1.0
-    y = _solve(_identity_minus_slots(gv, weights), rhs)
-    if y is None or not np.all(np.isfinite(y[reach]) & (y[reach] > 0)):
-        return v_best
-    v = np.full(g.num_nodes, -np.inf)
-    v[reach] = np.log(y[reach]) + v_best[reach]
-    return v
 
 
 def power_iteration_backward(gv: GoalView, rew: np.ndarray, *,
@@ -405,8 +364,8 @@ def power_iteration_backward(gv: GoalView, rew: np.ndarray, *,
     """Iterate softmax backups to the soft-value fixed point.
 
     init: 'onehot' (destination indicator), 'dijkstra' (max-reward values,
-    temperature-scaled), 'exact' (the sparse solve of ``_solved_start``,
-    which is the Dijkstra start where the solve fails), or an explicit
+    temperature-scaled), 'exact' (``Planner.exact_start``, Z = x / x_d on
+    the table's LU factor, else the Dijkstra start), or an explicit
     starting vector.  The backups and the stopping test are the same for
     every start.  Returns (values, iterations, converged).
     """
@@ -421,8 +380,7 @@ def power_iteration_backward(gv: GoalView, rew: np.ndarray, *,
         elif init == "dijkstra":
             init = dijkstra_values(gv, rew) / temperature
         else:
-            init = _solved_start(gv, rew, dijkstra_values(gv, rew) / temperature,
-                                 temperature)
+            init = Planner(gv.graph, rew, temperature).exact_start(gv.destination)
     v = np.asarray(init, dtype=np.float64).copy()
     v[gv.destination] = 0.0
     if max_iters is None:
@@ -519,13 +477,14 @@ def _reversed_graph(g: RoadGraph, rew: np.ndarray) -> sp.csr_matrix:
 class Planner:
     """One reward table's planning state, shared by all its destinations.
 
-    Per table: the reversed graph and the shortest-path routine that runs on
-    it (negative-cost when any reward is positive).  Per destination,
-    computed on first use and kept: max-reward values, greedy policy (its
-    successor array; the jump tables are built by the first rollout tail
-    that needs them, and the one-hot table only by a stepped rollout), and
-    converged soft values and policy (None if the backward pass diverges).
-    The arrays it returns must not be modified.
+    Per table: the reversed graph, the shortest-path routine that runs on it
+    (negative-cost when any reward is positive), and the first soft plan's
+    LU factor of M = I - A (each start Z = x / x_d, see ``exact_start``).
+    Per destination, computed on first use and kept: max-reward values,
+    greedy policy (its successor array; the jump tables are built by the
+    first rollout tail that needs them, and the one-hot table only by a
+    stepped rollout), and converged soft values and policy (None if the
+    backward pass diverges).  The arrays it returns must not be modified.
     """
 
     def __init__(self, g: RoadGraph, rew: np.ndarray, temperature: float = 1.0):
@@ -560,16 +519,51 @@ class Planner:
 
     def soft(self, dest: int) -> tuple[np.ndarray, Policy] | None:
         """Converged soft values and their policy.  The backward pass starts
-        from the sparse solve on the memoised max-reward values (their own
-        values where the solve fails), as ``init="exact"`` does."""
+        at ``exact_start`` (Z = x / x_d, one solve on the table's factor;
+        the max-reward values where that fails), as ``init="exact"`` does."""
         def make():
             gv = GoalView(self.graph, dest)
-            start = _solved_start(gv, self.rew, self.best_values(dest) / self.temperature,
-                                  self.temperature)
             v, _, conv = power_iteration_backward(
-                gv, self.rew, temperature=self.temperature, init=start)
+                gv, self.rew, temperature=self.temperature, init=self.exact_start(dest))
             return (v, policy_from_values(gv, self.rew, v, self.temperature)) if conv else None
         return self.memo("soft", dest, make)
+
+    @cached_property
+    def _factor(self):
+        """``splu`` of M = I - A, A[s, s'] summing exp(r/T) over the edges
+        s -> s'; None where exp overflows or M is singular.  The ordering
+        is the one with the fastest solves on the cli-pipeline graph."""
+        with np.errstate(over="ignore"):
+            w = np.exp(self.rew / self.temperature)
+        if not w.max(initial=0.0) < np.inf:
+            return None
+        try:
+            return sp.linalg.splu(_identity_minus_slots(self.graph, w),
+                                  permc_spec="MMD_AT_PLUS_A")
+        except RuntimeError:  # exactly singular
+            return None
+
+    def exact_start(self, dest: int) -> np.ndarray:
+        """Soft values toward dest for the backups to confirm.  Z = exp(v)
+        solves (I - A_d) Z = e_d, A_d being A with row d cleared, that is M
+        plus e_d A[d, :]; by Sherman-Morrison Z = x / x_d, x = M^-1 e_d (a
+        walk to d is a first passage and then loops at d).  A positive Z
+        exists only when A_d's spectral radius is at most 1.  Where M is
+        singular, or x / x_d is not finite and positive on a node that
+        reaches d (an infeasible destination, exp overflow, or a value
+        below about -745, whose x underflows), this returns v_best/T."""
+        v_best = self.best_values(dest) / self.temperature
+        if self._factor is None:
+            return v_best
+        x = self._factor.solve(np.eye(1, self.graph.num_nodes, dest)[0])  # M^-1 e_d
+        reach = np.isfinite(v_best)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            z = x[reach] / x[dest]
+        if not np.all((z > 0) & (z < np.inf)):
+            return v_best
+        v = np.full(self.graph.num_nodes, -np.inf)
+        v[reach] = np.log(z)
+        return v
 
 
 @dataclass
@@ -672,8 +666,10 @@ def closed_form_forward(gv: GoalView, pol: Policy,
     g = gv.graph
     m = np.asarray(initial_mass, dtype=np.float64)
     probs = pol.probs[g.edge_src, g.edge_slot]
-    z = _solve(_identity_minus_slots(gv, probs).T, m)
-    if z is None or not np.all(np.isfinite(z)):
+    with warnings.catch_warnings():  # a singular system solves to NaN
+        warnings.simplefilter("ignore", sp.linalg.MatrixRankWarning)
+        z = np.atleast_1d(sp.linalg.spsolve(_identity_minus_slots(g, probs).T, m))
+    if not np.all(np.isfinite(z)):
         raise InfeasibilityError("forward system is singular: policy mass "
                                  "never drains to the destination")
     return z[g.edge_src] * probs

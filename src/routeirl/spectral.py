@@ -56,13 +56,15 @@ def cheap_bounds(gv: GoalView, rew: np.ndarray,
     """Exact max row / column sums of exp-rewards over the non-destination
     block; each upper-bounds the dominant eigenvalue.
     """
-    g = gv.graph
-    logw, tgt = _b1_slots(gv, rew, temperature)
+    return _bounds(gv.graph.num_nodes, *_b1_slots(gv, rew, temperature))
+
+
+def _bounds(num_nodes: int, logw: np.ndarray, tgt: np.ndarray) -> tuple[float, float]:
+    """``cheap_bounds`` of a B1 slot table from ``_b1_slots``."""
     mask = ~np.isneginf(logw)
     w = np.where(mask, np.exp(logw), 0.0)
     row = float(np.max(w.sum(axis=1), initial=0.0))
-    col = float(np.max(np.bincount(tgt[mask], w[mask], minlength=g.num_nodes),
-                       initial=0.0))
+    col = float(np.max(np.bincount(tgt[mask], w[mask], minlength=num_nodes), initial=0.0))
     return row, col
 
 
@@ -100,7 +102,7 @@ def dominant_eigenvalue(gv: GoalView, rew: np.ndarray, *,
     logw, tgt = _b1_slots(gv, rew, temperature)
     if max_iters is None:
         max_iters = max(1000, 30 * g.num_nodes)
-    bounds = cheap_bounds(gv, rew, temperature)
+    bounds = _bounds(g.num_nodes, logw, tgt)
     if min(bounds) == 0.0 or not _block_has_cycle(g.num_nodes, logw, tgt):
         # Acyclic block: nilpotent, spectral radius exactly zero.  (Power
         # iteration must not run here -- the shift below would hand it a

@@ -6,9 +6,12 @@ central differences, the backward pass and spectral power iteration on scipy's l
 classical MaxEnt, BIRL and MMP estimators written out independently of the
 receding-horizon estimator that the library runs them as, and `evaluate` and
 `sample_demonstrations` replanned from scratch for every demo, the samples
-drawn hop by hop with `rng.choice` from the policy's rows, and the sparse
-I - C assembled through scipy's COO conversion and sparse subtraction.
+drawn hop by hop with `rng.choice` from the policy's rows, the sparse
+I - C assembled through scipy's COO conversion and sparse subtraction, and
+the exact start solved per destination on a rescaled system.
 """
+import warnings
+
 import mpmath as mp
 import numpy as np
 import scipy.sparse as sp
@@ -194,17 +197,48 @@ def dense_b1_lambda(gv: GoalView, rew: np.ndarray, temperature: float = 1.0) -> 
     return float(np.max(np.abs(np.linalg.eigvals(A))))
 
 
-def identity_minus_slots_coo(gv: GoalView, weights: np.ndarray) -> sp.csc_matrix:
+def identity_minus_slots_coo(g: RoadGraph, weights: np.ndarray) -> sp.csc_matrix:
     """Sparse I - C built the plain scipy way: C from COO triplets over the
     valid slots (one weight per edge; parallel edges summed by the CSC
-    conversion, the destination row left out), subtracted from a sparse
-    identity, which drops the entries that come out 0."""
-    g = gv.graph
-    valid = goal_slots(gv)
+    conversion), subtracted from a sparse identity, which drops the entries
+    that come out 0."""
+    valid = g.slot_edge >= 0
     rows, _ = np.nonzero(valid)
     c = sp.csc_matrix((weights[g.slot_edge[valid]], (rows, g.slot_target[valid])),
                       shape=(g.num_nodes,) * 2)
     return sp.identity(g.num_nodes, format="csc") - c
+
+
+def solved_start(gv: GoalView, rew: np.ndarray, temperature: float = 1.0) -> np.ndarray:
+    """The exact start as one rescaled sparse solve per destination.
+
+    With v_best the max-reward values over T, y = exp(v - v_best) solves
+    (I - C) y = e_dest, C[s, s'] summing exp(r/T + v_best(s') - v_best(s))
+    over the edges s -> s' off the destination's row between nodes that
+    reach it: every coefficient is at most 1 and y >= 1.  Returns v_best
+    where y is singular, not finite or not positive on a reaching node.
+    """
+    g = gv.graph
+    rew = np.asarray(rew, dtype=np.float64)
+    v_best = dijkstra_values(gv, rew) / temperature
+    reach = np.isfinite(v_best)
+    src, dst = g.edge_src, g.edge_dst
+    live = np.flatnonzero(reach[src] & reach[dst] & (src != gv.destination))
+    weights = np.zeros(g.num_edges)
+    weights[live] = np.exp(rew[live] / temperature + v_best[dst[live]] - v_best[src[live]])
+    rhs = np.zeros(g.num_nodes)
+    rhs[gv.destination] = 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", sp.linalg.MatrixRankWarning)
+        try:
+            y = sp.linalg.spsolve(identity_minus_slots_coo(g, weights), rhs)
+        except sp.linalg.MatrixRankWarning:
+            return v_best
+    if not np.all(np.isfinite(y[reach]) & (y[reach] > 0)):
+        return v_best
+    v = np.full(g.num_nodes, -np.inf)
+    v[reach] = np.log(y[reach]) + v_best[reach]
+    return v
 
 
 def rollout_dense(gv: GoalView, schedule: list, initial_mass: np.ndarray, *,

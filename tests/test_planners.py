@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import math
 import warnings
 from collections import Counter
 from functools import cached_property
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 import scipy.special
 from scipy.special import logsumexp
 
@@ -770,6 +772,142 @@ def test_exact_start_agrees_with_power_iteration_and_falls_back():
     assert np.array_equal(runs[0][0], runs[1][0])
 
 
+def test_shared_factor_start_matches_the_rescaled_solve():
+    # one factor per table: every destination's start agrees with the
+    # per-destination rescaled solve and with a tight reference, and the
+    # backups confirm it at once, on generated graphs, multigraphs with
+    # parallel edges and self-loops, and a trap node, for linear and shaped
+    # mixed-sign rewards at two temperatures
+    cases = 0
+    for seed in range(3):
+        for g in (gen_random_graph(16 + seed, rng_seed=seed, extra_edges=14),
+                  _loopy_multigraph(seed),
+                  _with_trap(gen_random_graph(14 + seed, rng_seed=seed + 5, extra_edges=12))):
+            for rew in (_rand_rewards(g, seed, lo=0.8, hi=1.6), _shaped_rewards(g, seed)):
+                for temperature in (1.0, 0.7):
+                    plan = routeirl.planners.Planner(g, rew, temperature)
+                    for dest in range(2, g.num_nodes, 3):  # never the trap
+                        gv = GoalView(g, dest)
+                        ref, it_ref, conv = power_iteration_backward(
+                            gv, rew, temperature=temperature, init="dijkstra", tol=1e-12)
+                        if not conv:
+                            continue
+                        start = plan.exact_start(dest)
+                        want = oracles.solved_start(gv, rew, temperature)
+                        fin = np.isfinite(ref)
+                        for other in (ref, want):
+                            assert np.array_equal(np.isneginf(start), np.isneginf(other))
+                            assert np.max(np.abs(start[fin] - other[fin])) <= 1e-10
+                        v, iters, conv_x = power_iteration_backward(
+                            gv, rew, temperature=temperature, init=start)
+                        assert conv_x and iters <= 2 < it_ref
+                        cases += 1
+    assert cases >= 150
+
+
+def test_exact_start_falls_back_where_the_factor_fails():
+    # nodes 0 <-> 1 at reward 0, destination 1: M = I - A is singular, while
+    # the destination's block (row 1 cleared) is nilpotent and its values
+    # are the max-reward ones, so the pass converges from that start
+    g = build_graph([(0, 0.0, 0.0), (1, 1.0, 0.0)],
+                    [(0, 0, 1, [1.0, 0.0]), (1, 1, 0, [1.0, 0.0])])
+    plan = routeirl.planners.Planner(g, np.zeros(2))
+    assert plan._factor is None
+    gv = GoalView(g, 1)
+    assert np.array_equal(plan.exact_start(1), dijkstra_values(gv, np.zeros(2)))
+    v, iters, conv = power_iteration_backward(gv, np.zeros(2), init="exact")
+    assert conv and iters == 1 and np.array_equal(v, [0.0, 0.0])
+    assert evaluate(np.zeros(2), [Trajectory.from_nodes(g, [0, 1])], g).nll == 0.0
+    # exp(r/T) overflows on an edge into the destination: no factor, and no
+    # RuntimeWarning (an error under the test settings); the destination is
+    # feasible, and its pass runs as the max-reward start's does
+    g = loopy_graph()
+    rew = _rand_rewards(g, 1)
+    rew[6] = 800.0  # edge 1 -> 4
+    gv = GoalView(g, 4)
+    for temperature in (1.0, 0.7):
+        plan = routeirl.planners.Planner(g, rew, temperature)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert plan._factor is None
+            start = plan.exact_start(4)
+        assert np.array_equal(start, plan.best_values(4) / temperature)
+        runs = [power_iteration_backward(gv, rew, temperature=temperature, init=init)
+                for init in ("dijkstra", "exact")]
+        assert runs[0][1:] == runs[1][1:] and runs[1][2]
+        assert np.array_equal(runs[0][0], runs[1][0])
+
+
+def test_exact_start_on_a_nonsingular_factor_of_an_indefinite_table():
+    # 0 <-> 1 on two parallel edges each way at reward -0.1, with exits to
+    # destination 2: M is nonsingular but the destination's spectral radius
+    # is 2 e^-0.1 > 1, so x / x_d is negative and the pass runs and fails as
+    # from the max-reward start
+    nodes = [(0, 0.0, 0.0), (1, 1.0, 0.0), (2, 0.5, 1.0)]
+    f = [1.0, 0.0]
+    pairs = [(0, 1), (0, 1), (1, 0), (1, 0), (0, 2), (1, 2)]
+    g = build_graph(nodes, [(e, u, w, f) for e, (u, w) in enumerate(pairs)])
+    rew = np.array([-0.1] * 4 + [-1.0] * 2)
+    plan = routeirl.planners.Planner(g, rew)
+    assert plan._factor is not None
+    assert np.array_equal(plan.exact_start(2), plan.best_values(2))
+    gv = GoalView(g, 2)
+    runs = [power_iteration_backward(gv, rew, init=init) for init in ("dijkstra", "exact")]
+    assert runs[0][1:] == runs[1][1:] == (_default_iters(g.num_nodes), False)
+    assert np.array_equal(runs[0][0], runs[1][0])
+    # two zero-reward routes 0 -> 2 and three edges back out of the
+    # destination at -0.5: A's spectral radius passes 1 and x is negative
+    # everywhere, yet the destination is feasible and x / x_d is its Z, so
+    # one backup confirms it
+    pairs = [(0, 1), (0, 2), (1, 2), (2, 0), (2, 0), (2, 0)]
+    g = build_graph(nodes, [(e, u, w, f) for e, (u, w) in enumerate(pairs)])
+    rew = np.array([0.0] * 3 + [-0.5] * 3)
+    plan = routeirl.planners.Planner(g, rew)
+    assert plan._factor.solve(np.eye(3)[2]).max() < 0.0
+    assert np.max(np.abs(plan.exact_start(2) - [math.log(2.0), 0.0, 0.0])) <= 1e-15
+    v, iters, conv = power_iteration_backward(GoalView(g, 2), rew, init="exact")
+    assert conv and iters == 1
+
+
+def test_one_factor_per_table(monkeypatch):
+    # evaluate factorises once for all its destinations and solves once per
+    # destination; T=0 sampling and finite-H, H=0 and H=inf gradients
+    # factorise nothing
+    g = gen_gridworld(5, 5, feature_spec="random", rng_seed=3)
+    m = LinearReward(np.array([-1.2, -0.9]))
+    pairs = [(0, 24), (3, 24), (7, 12), (1, 12), (20, 24), (5, 6), (9, 6)]
+    demos = sample_demonstrations(m, g, len(pairs), rng_seed=1, pairs=pairs)
+    dests = len({d for _, d in pairs})
+    calls = Counter()
+    real = scipy.sparse.linalg.splu
+
+    class Counted:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, rhs):
+            calls["solve"] += 1
+            return self.lu.solve(rhs)
+
+    def splu(*args, **kw):
+        calls["splu"] += 1
+        return Counted(real(*args, **kw))
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", splu)
+    evaluate(m, demos, g)
+    assert calls == {"splu": 1, "solve": dests}
+    calls.clear()
+    sample_demonstrations(m, g, len(pairs), rng_seed=2, temperature=0.7, pairs=pairs)
+    assert calls == {"splu": 1, "solve": dests}
+    calls.clear()
+    evaluate(m, demos, g, nll=False)
+    sample_demonstrations(m, g, len(pairs), rng_seed=2, temperature=0.0, pairs=pairs)
+    for horizon in (0, 3, math.inf):
+        batch_gradient(m, g, demos, IrlConfig(horizon=horizon))
+    batch_gradient(m, g, demos, IrlConfig(algorithm="maxent"))
+    assert not calls
+
+
 def _with_triple_edge(g):
     """g plus two more copies of edge 0, with their own features, so one
     node pair carries three parallel edges."""
@@ -785,7 +923,9 @@ def test_identity_minus_slots_equals_scipy_assembly():
     # scipy's COO conversion and sparse subtraction build, on multigraphs
     # with self-loops, three parallel edges on one pair and a trap node,
     # with weights that underflow to 0, weights of 1 on self-loops (1 - 1
-    # drops a diagonal entry) and the policies closed_form_forward solves on
+    # drops a diagonal entry), the exp-reward weights a planner factorises
+    # and the policies closed_form_forward solves on (their destination rows
+    # are 0, and dropped)
     graphs = [gen_random_graph(12 + seed, rng_seed=seed, extra_edges=10) for seed in range(3)]
     graphs += [gen_gridworld(4, 5, feature_spec="random", rng_seed=2)]
     graphs += [_with_trap(_with_triple_edge(_loopy_multigraph(seed))) for seed in range(3)]
@@ -793,22 +933,24 @@ def test_identity_minus_slots_equals_scipy_assembly():
     for g in graphs:
         rng = np.random.default_rng(g.num_edges)
         rew = _rand_rewards(g, g.num_nodes, lo=0.8, hi=1.6)
+        weights = [np.exp(rng.uniform(-800.0, 1.0, g.num_edges)), np.ones(g.num_edges),
+                   np.exp(rew)]
         for dest in (2, g.num_nodes // 2, g.num_nodes - 2):
             gv = GoalView(g, dest)
             v, _, conv = power_iteration_backward(gv, rew, init="exact")
             assert conv
-            policies = [policy_from_values(gv, rew, v),
-                        greedy_policy(gv, rew, dijkstra_values(gv, rew))]
-            for w in [np.exp(rng.uniform(-800.0, 1.0, g.num_edges)), np.ones(g.num_edges)] + \
-                    [pol.probs[g.edge_src, g.edge_slot] for pol in policies]:
-                got = _identity_minus_slots(gv, w)
-                want = oracles.identity_minus_slots_coo(gv, w)
-                for part in ("data", "indices", "indptr"):
-                    a, b = getattr(got, part), getattr(want, part)
-                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-                built += 1
-                dropped += got.nnz < g.slot_pattern[2].size
-    assert built == 4 * 3 * len(graphs) and dropped == built
+            weights += [pol.probs[g.edge_src, g.edge_slot]
+                        for pol in (policy_from_values(gv, rew, v),
+                                    greedy_policy(gv, rew, dijkstra_values(gv, rew)))]
+        for w in weights:
+            got = _identity_minus_slots(g, w)
+            want = oracles.identity_minus_slots_coo(g, w)
+            for part in ("data", "indices", "indptr"):
+                a, b = getattr(got, part), getattr(want, part)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            built += 1
+            dropped += got.nnz < g.slot_pattern[2].size
+    assert built == 9 * len(graphs) and dropped >= 7 * len(graphs)
 
 
 # ---------------------------------------------------------------------------

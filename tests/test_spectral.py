@@ -161,7 +161,8 @@ def test_dominant_eigenvalue_matches_scipy_reference_bitwise():
             gv = GoalView(g, dest)
             for temperature in (1.0, 0.6):
                 rep = dominant_eigenvalue(gv, rew, temperature=temperature)
-                shift = min(1.0, *cheap_bounds(gv, rew, temperature))
+                assert rep.upper_bounds == cheap_bounds(gv, rew, temperature)
+                shift = min(1.0, *rep.upper_bounds)
                 want = scipy_dominant_eigenvalue(gv, rew, shift,
                                                  temperature=temperature)
                 assert rep.iterations > 0
