@@ -153,9 +153,9 @@ def receding_horizon_gradient(model: RewardModel, g: RoadGraph,
     if horizon == 0 or math.isinf(horizon):
         # one stationary policy drives both rollouts, and a rollout is linear
         # in its initial mass: rho_theta - rho_star is the origin's rollout
+        # at H=0 the origin reaches the destination (checked above), so its
+        # walk on the shortest-path tree is absorbed there
         roll = rollout(gv, [(pol, None)], state_mass(g, [origin]))
-        if horizon == 0 and roll.absorbed_mass < 1.0:
-            return _skipped("greedy walk failed to reach the destination")
         rho_best = roll.edge_mass
         residual = (rho_tau - rho_best) / cfg.temperature
         steps, truncated = roll.steps, roll.truncated

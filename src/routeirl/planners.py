@@ -13,16 +13,13 @@ singular, or x / x_d is not finite and positive on a reaching node, as a
 value below about -745 underflows); stationary edge mass solves I - P.
 The log-sum-exp and the rollout step make no reduction per short row yet add
 in the row-wise order, so they are bitwise equal to it (see their comments).
-A rollout's deterministic greedy tail does not step hop by hop: mass on one
-node walks the policy's successor array, bitwise equal to stepping, and mass
-on many nodes is summed on pointer-doubling tables built once per
-destination, equal to stepping up to rounding (see ``rollout``).
-A greedy policy is that successor array: walks, T=0 samples, tails and
-greedy NLLs read it, and its one-hot (num_nodes, max_out_degree) table is
-built only when a rollout must step it (see ``Policy``).  A soft policy's
-T>0 samples draw on a table of its rows' normalised cumulative sums, built
-by its first walk, and take the slot ``Generator.choice`` would take for
-the same draw.  The sparse I - A and I - P are summed into a sparsity
+A greedy policy is the successor array of the shortest-path forest that
+the max-reward search returns, so exact ties follow the tree and no walk
+loops; walks, T=0 samples, greedy NLLs and closed-form rollout tails read
+it (see ``Planner.greedy`` and ``rollout``).  A soft policy's T>0 samples
+draw on a table of its rows' normalised cumulative sums, built by its
+first walk, and take the slot ``Generator.choice`` would take for the
+same draw.  The sparse I - A and I - P are summed into a sparsity
 pattern the graph builds once, bitwise scipy's own assembly of them (see
 ``_identity_minus_slots``).
 """
@@ -79,8 +76,8 @@ def dijkstra_values(gv: GoalView, rew: np.ndarray) -> np.ndarray:
 
 
 class Successors:
-    """A greedy policy's successor graph: the edge each node takes, -1 on
-    dead rows (the destination and dead ends).
+    """A greedy policy's successor forest: the edge each node takes, -1 on
+    dead rows (the destination and the nodes that cannot reach it).
 
     Walks follow it one hop at a time (``greedy_path``, T=0 sampling, and a
     rollout tail that starts on one node).  A tail that starts on many
@@ -99,73 +96,67 @@ class Successors:
         that holds mass on more than one node."""
         return _jump_tables(self.graph, self.destination, self.edge)
 
-    def walk(self, origin: int, limit: int) -> tuple[list[int], list[int]] | None:
+    def walk(self, origin: int) -> tuple[list[int], list[int]]:
         """(edges, nodes) of the walk from origin to the first dead row (the
-        destination or a dead end); None if it takes more than limit hops."""
+        destination or a node that cannot reach it)."""
         edge, dst = self.edge, self.graph.edge_dst
         edges, nodes = [], [origin]
         e = int(edge[origin])
         while e >= 0:
-            if len(edges) == limit:
-                return None
             edges.append(e)
             nodes.append(int(dst[e]))
             e = int(edge[nodes[-1]])
         return edges, nodes
 
     def tail(self, m: np.ndarray, tol: float, budget: int):
-        """A stepped rollout's run-out of node mass m (destination entry 0)
-        in closed form: (steps, edge ids, their mass, absorbed, lost).
+        """A rollout's run-out of node mass m (destination entry 0, sum above
+        tol) in at most budget steps, in closed form: (steps, edge ids,
+        their mass, absorbed, lost, truncated) as stepping reports them.
 
         Mass on one node walks its path, so every figure is the stepped one
         bitwise.  Mass on many nodes sums the flow through every node on
-        the jump tables (``_visits``).  The stepped rollout stops once the
-        mass left on the nodes is at most tol; ``depth`` gives that step
-        count before any work.  None where the rollout must step: a walk
-        or the successor graph loops, the tail takes more than budget
-        steps, or one step finishes it.
+        the jump tables (``_visits``); stepping stops once at most tol is
+        left on the nodes, and ``depth`` counts those steps before any work.
         """
         if np.count_nonzero(m) == 1:
             u = int(m.argmax())
-            walk = self.walk(u, min(budget, self.graph.num_nodes))
-            if walk is None:
-                return None
-            edges, nodes = walk
+            edges, nodes = self.walk(u)
             x = float(m[u])
-            if nodes[-1] == self.destination:
-                return len(edges), edges, x, x, 0.0
-            # a dead end loses the mass one step after it arrives
-            return (None if len(edges) >= budget else
-                    (len(edges) + 1, edges, x, 0.0, x))
-        if self.tables is False:
-            return None
+            into = nodes[-1] == self.destination
+            # a dead row off the destination loses the mass one step after it arrives
+            steps = len(edges) + (not into)
+            if steps > budget:
+                return budget, edges[:budget], x, 0.0, 0.0, True
+            return steps, edges, x, x if into else 0.0, 0.0 if into else x, False
         tables, depth, live, live_edge, ends = self.tables
         # beyond[-1 - j]: the mass that j steps leave on the nodes
         beyond = np.bincount(depth, m)[::-1].cumsum()[:-1]
         steps = int(np.count_nonzero(beyond > tol))
-        if steps <= 1 or steps > budget:
-            return None
-        # stepping moves the mass it leaves exactly `steps` hops; all other
-        # mass reaches the sink within 2**bit_length(steps) hops
-        left = steps < beyond.size and beyond[-1 - steps] > 0.0
+        cut = steps > budget
+        if cut:
+            steps = hops = budget
+        elif steps < beyond.size and beyond[-1 - steps] > 0.0:
+            hops = steps  # stepping moves the mass it leaves exactly `steps` hops
+        else:
+            hops = 1 << steps.bit_length()  # all mass reaches the sink within this
         v = np.zeros(self.graph.num_nodes + 1)
         v[:-1] = m
-        flow = _visits(tables, v, steps if left else 1 << steps.bit_length())
+        flow = _visits(tables, v, hops)
         _, absorbed, lost = np.bincount(ends, flow, minlength=3)
-        return steps, live_edge, flow[live], float(absorbed), float(lost)
+        return steps, live_edge, flow[live], float(absorbed), float(lost), cut
 
 
 def _visits(tables: list[np.ndarray], v: np.ndarray, hops: int) -> np.ndarray:
     """Sum over i < hops of mass v moved i hops on, tables[k] moving 2**k:
     a window of 2**b hops is b doublings v += v moved 2**k on, and hops
     splits into such windows by its binary digits."""
-    total = None
+    total = np.zeros_like(v)
     for b in reversed(range(hops.bit_length())):
         if hops >> b & 1:
             w = v
             for jump in tables[:b]:
                 w = w + np.bincount(jump, w, minlength=v.size)
-            total = w if total is None else total + w
+            total += w
             hops -= 1 << b
             if hops:
                 v = np.bincount(tables[b], v, minlength=v.size)
@@ -173,19 +164,18 @@ def _visits(tables: list[np.ndarray], v: np.ndarray, hops: int) -> np.ndarray:
 
 
 def _jump_tables(g: RoadGraph, destination: int, edge: np.ndarray):
-    """Pointer-doubling tables of a successor graph: (tables, depth, live
-    rows, their edges, ends), or False if the graph loops.
+    """Pointer-doubling tables of a successor forest: (tables, depth, live
+    rows, their edges, ends).
 
     Node num_nodes is a sink that the destination and the dead rows lead
     to and that leads to itself.  tables[k] maps every node 2**k hops on.
     depth[u] is the number of steps a stepped rollout takes to finish
-    mass on u: the hops to the destination, or the hops to a dead end
+    mass on u: the hops to the destination, or the hops to a dead row
     plus the step that loses it there.  It is the count of nodes other
     than the destination and the sink among the first 2**k on u's path,
     summed level by level as the tables double: once every node maps to
-    the sink, it is exact.  A path of num_nodes hops repeats a node, so a
-    table that still leaves the sink's reach at 2**k > num_nodes marks a
-    loop.  ends marks the rows whose flow is absorbed (1) or lost (2).
+    the sink, it is exact, by 2**k >= num_nodes in a forest.  ends marks
+    the rows whose flow is absorbed (1) or lost (2).
     """
     n = g.num_nodes
     live = np.flatnonzero(edge >= 0)
@@ -197,8 +187,6 @@ def _jump_tables(g: RoadGraph, destination: int, edge: np.ndarray):
     depth[destination] = depth[n] = 0
     tables = [jump]
     while jump.min() < n:
-        if len(tables) > n.bit_length():
-            return False
         depth += depth[jump]
         jump = jump[jump]
         tables.append(jump)
@@ -209,31 +197,18 @@ class Policy:
     """Per-slot action distribution conditioned on one destination.
 
     Rows with no usable action (including the destination row, which is
-    absorbing) are all-zero and marked dead.  A greedy policy is its
-    successor graph: it is made without ``probs``, and the one-hot table of
-    its edges is built on first read and kept.  Only a stepped rollout (a
-    tie loop, a one-step tail, a tail past max_steps) and the test oracles
-    read it; walks, rollout tails and NLLs read the successor array.  A
-    soft policy's walks draw on its ``draws`` table, built by the first
-    walk and kept.
+    absorbing) are marked dead.  A soft policy holds its (num_nodes,
+    max_out_degree) ``probs``, zero on dead rows, and its walks draw on its
+    ``draws`` table, built by the first walk and kept.  A greedy policy is
+    its ``successors`` and has no probs (None).
     """
 
     def __init__(self, probs: np.ndarray | None, destination: int,
                  dead: np.ndarray, successors: Successors | None = None):
-        if probs is not None:
-            self.probs = probs
+        self.probs = probs
         self.destination = destination
         self.dead = dead            # (num_nodes,) bool
         self.successors = successors
-
-    @cached_property
-    def probs(self) -> np.ndarray:
-        """(num_nodes, max_out_degree); a greedy policy's is one-hot."""
-        g, edge = self.successors.graph, self.successors.edge
-        probs = np.zeros((g.num_nodes, g.max_out_degree))
-        live = np.flatnonzero(edge >= 0)
-        probs[live, g.edge_slot[edge[live]]] = 1.0
-        return probs
 
     @cached_property
     def draws(self) -> tuple[np.ndarray, np.ndarray]:
@@ -417,17 +392,30 @@ def policy_from_values(gv: GoalView, rew: np.ndarray, v: np.ndarray,
     return policy_from_q(gv, q, v_new)
 
 
-def greedy_policy(gv: GoalView, rew: np.ndarray, v: np.ndarray) -> Policy:
-    """Deterministic argmax of r + v(s'); ties resolve to the first slot,
-    i.e. the smallest successor id and smallest edge id among parallels.
-    Temperature cancels in the argmax, so this is scale-free.  The policy
-    is its successor array (see ``Policy``).
-    """
+def greedy_policy(gv: GoalView, rew: np.ndarray) -> Policy:
+    """The planner's greedy policy of the max-reward values: an argmax of
+    r + v(s') per live row, on the shortest-path tree (``_tree_policy``)."""
+    return Planner(gv.graph, rew).greedy(gv.destination)
+
+
+def _tree_policy(gv: GoalView, rew: np.ndarray, v: np.ndarray,
+                 tree: np.ndarray) -> Policy:
+    """The successor forest of max-reward values v and their shortest-path
+    tree (tree[u]: the node after u, negative on dead rows).  The tree edge
+    attains the row max of r + v(s') exactly, r + v(tree[u]) being
+    -(dist(tree[u]) + w) in floats, so a row keeps its first max slot
+    unless a tie takes it off the tree; then it takes its first max slot
+    to tree[u], the lowest edge id among parallels."""
     g = gv.graph
-    q = slot_rewards(gv, _checked_rewards(g, rew) + v[g.edge_dst])
+    width = g.max_out_degree
+    q = slot_rewards(gv, rew + v[g.edge_dst])
     # flat index of each row's first max slot
-    best = np.arange(g.num_nodes) * g.max_out_degree + np.argmax(q, axis=1)
-    dead = np.isneginf(q.ravel()[best])  # the destination row among them
+    best = np.arange(g.num_nodes) * width + np.argmax(q, axis=1)
+    dead = tree < 0  # the destination row and the rows whose max is -inf
+    off = np.flatnonzero((g.slot_target.ravel()[best] != tree) & ~dead)
+    if off.size:
+        to_tree = np.where(g.slot_target[off] == tree[off, None], q[off], -np.inf)
+        best[off] = off * width + np.argmax(to_tree, axis=1)
     edge = g.slot_edge.ravel()[best]
     edge[dead] = -1
     return Policy(None, gv.destination, dead, Successors(g, gv.destination, edge))
@@ -456,14 +444,14 @@ def trajectory_policy_nll(gv: GoalView, rew: np.ndarray, v: np.ndarray,
 
 
 def greedy_path(g: RoadGraph, pol: Policy, origin: int) -> Trajectory | None:
-    """Walk a greedy policy (see ``greedy_policy``) from origin; None if it
-    never reaches the destination (dead end or a tie-broken loop)."""
+    """Walk a greedy policy (see ``greedy_policy``) from origin; None if
+    origin is the destination or cannot reach it."""
     if pol.successors is None:
         raise ValidationError("greedy_path needs a greedy policy")
-    walk = pol.successors.walk(origin, g.num_nodes)  # a longer walk loops
-    if walk is None or not walk[0] or walk[1][-1] != pol.destination:
+    edges, nodes = pol.successors.walk(origin)
+    if not edges or nodes[-1] != pol.destination:
         return None
-    return Trajectory(nodes=tuple(walk[1]), edges=tuple(walk[0]))
+    return Trajectory(nodes=tuple(nodes), edges=tuple(edges))
 
 
 def _reversed_graph(g: RoadGraph, rew: np.ndarray) -> sp.csr_matrix:
@@ -481,9 +469,9 @@ class Planner:
     (negative-cost when any reward is positive), and the first soft plan's
     LU factor of M = I - A (each start Z = x / x_d, see ``exact_start``).
     Per destination, computed on first use and kept: max-reward values,
-    greedy policy (its successor array; the jump tables are built by the
-    first rollout tail that needs them, and the one-hot table only by a
-    stepped rollout), and converged soft values and policy (None if the
+    greedy policy (on the tree the same search returns, which is dropped
+    once the policy is built; its jump tables are built by the first tail
+    that needs them), and converged soft values and policy (None if the
     backward pass diverges).  The arrays it returns must not be modified.
     """
 
@@ -502,20 +490,28 @@ class Planner:
         return self._memo[kind, dest]
 
     def best_values(self, dest: int) -> np.ndarray:
-        return self.memo("best", dest,
-                         lambda: self._shortest_paths(GoalView(self.graph, dest)))
+        if ("best", dest) not in self._memo:
+            # the tree waits for the greedy policy (see ``greedy``)
+            self._memo["best", dest], self._memo["tree", dest] = self._shortest_paths(dest)
+        return self._memo["best", dest]
 
-    def _shortest_paths(self, gv: GoalView) -> np.ndarray:
+    def _shortest_paths(self, dest: int) -> tuple[np.ndarray, np.ndarray]:
+        """(max-reward values, each node's successor on the shortest-path
+        tree, negative where it has none) from one search toward dest."""
         if not self._gain:
-            return -dijkstra(self._reversed, indices=gv.destination)
+            dist, tree = dijkstra(self._reversed, indices=dest, return_predecessors=True)
+            return -dist, tree
         try:
-            return -bellman_ford(self._reversed, indices=gv.destination)
+            dist, tree = bellman_ford(self._reversed, indices=dest, return_predecessors=True)
         except NegativeCycleError:
             raise InfeasibilityError("reward-gain cycle: best path is unbounded") from None
+        return -dist, tree
 
     def greedy(self, dest: int) -> Policy:
-        return self.memo("greedy", dest, lambda: greedy_policy(
-            GoalView(self.graph, dest), self.rew, self.best_values(dest)))
+        """The greedy policy of the max-reward values, on their tree."""
+        return self.memo("greedy", dest, lambda: _tree_policy(
+            GoalView(self.graph, dest), self.rew, self.best_values(dest),
+            self._memo.pop(("tree", dest))))
 
     def soft(self, dest: int) -> tuple[np.ndarray, Policy] | None:
         """Converged soft values and their policy.  The backward pass starts
@@ -585,15 +581,12 @@ def rollout(gv: GoalView, schedule: list[tuple[Policy, int | None]],
     reaching the destination is absorbed immediately and emits no further
     edge mass.  Edge mass accumulates per original edge id.
 
-    A (greedy policy, None) entry runs in closed form on the policy's
-    ``Successors``, with the steps, truncation flag, lost and absorbed mass
-    that stepping reports.  Mass on one node walks its path, bitwise equal
-    to stepping: this is every tail at H=0 and for ``mmp``.  Mass on many
-    nodes is summed on jump tables that the destination's first such tail
-    builds; its sums run in another order, so they agree with stepping to
-    rounding.  The tail steps as before where its successor graph loops
-    (first-slot tie loops), where it would pass max_steps, and where one
-    step finishes it.
+    Policies with probs step.  A greedy policy runs only as a (policy,
+    None) tail, in closed form on its ``Successors``, with the figures
+    (cut and truncated at max_steps too) that stepping its one-hot rows
+    reports.  Mass on one node walks its path, bitwise equal to stepping:
+    every tail at H=0 and for ``mmp``.  Mass on many nodes is summed on the
+    destination's jump tables, equal to stepping up to rounding.
     """
     g = gv.graph
     if max_steps is None:
@@ -603,8 +596,11 @@ def rollout(gv: GoalView, schedule: list[tuple[Policy, int | None]],
         raise ValidationError("initial mass length != node count")
     if (m < 0).any():
         raise ValidationError("initial mass must be nonnegative")
-    if any(pol.destination != gv.destination for pol, _ in schedule):
-        raise ValidationError("policy destination != rollout destination")
+    for pol, length in schedule:
+        if pol.destination != gv.destination:
+            raise ValidationError("policy destination != rollout destination")
+        if pol.successors is not None and length is not None:
+            raise ValidationError("a greedy policy runs only as a rollout's tail (steps None)")
     absorbed = float(m[gv.destination])
     m[gv.destination] = 0.0
     lost = 0.0
@@ -613,10 +609,10 @@ def rollout(gv: GoalView, schedule: list[tuple[Policy, int | None]],
     eidx = None  # the valid slots' edges, set up by the first step
     tail = None
     for pol, length in schedule:
-        if length is None and pol.successors is not None and m.sum() > tol:
-            tail = pol.successors.tail(m, tol, max_steps - steps)
-            if tail is not None:
-                break
+        if pol.successors is not None:
+            if m.sum() > tol:
+                tail = pol.successors.tail(m, tol, max_steps - steps)
+            break
         pv = None
         k = 0
         while (length is None or k < length) and m.sum() > tol:
@@ -646,7 +642,7 @@ def rollout(gv: GoalView, schedule: list[tuple[Policy, int | None]],
     if eidx is not None:
         edge_mass[eidx] = slot_mass
     if tail is not None:
-        tail_steps, tail_edges, tail_mass, tail_absorbed, tail_lost = tail
+        tail_steps, tail_edges, tail_mass, tail_absorbed, tail_lost, truncated = tail
         steps += tail_steps
         edge_mass[tail_edges] += tail_mass
         absorbed += tail_absorbed
@@ -661,8 +657,10 @@ def closed_form_forward(gv: GoalView, pol: Policy,
                         initial_mass: np.ndarray) -> np.ndarray:
     """Stationary-policy edge mass via the linear system (I - P)' z = m;
     equals an untruncated rollout of (pol, None).  The destination row of P
-    is empty, so z is the expected visits of every other node.
-    """
+    is empty, so z is the expected visits of every other node.  A greedy
+    policy has no P (its rollout tail is closed-form already)."""
+    if pol.successors is not None:
+        raise ValidationError("closed_form_forward needs a policy with a probability table")
     g = gv.graph
     m = np.asarray(initial_mass, dtype=np.float64)
     probs = pol.probs[g.edge_src, g.edge_slot]

@@ -6,7 +6,8 @@ central differences, the backward pass and spectral power iteration on scipy's l
 classical MaxEnt, BIRL and MMP estimators written out independently of the
 receding-horizon estimator that the library runs them as, and `evaluate` and
 `sample_demonstrations` replanned from scratch for every demo, the samples
-drawn hop by hop with `rng.choice` from the policy's rows, the sparse
+drawn hop by hop with `rng.choice` from the policy's rows, greedy policies
+stepped on one-hot tables, the sparse
 I - C assembled through scipy's COO conversion and sparse subtraction, and
 the exact start solved per destination on a rescaled system.
 """
@@ -67,7 +68,8 @@ def loopy_graph() -> RoadGraph:
 
 def tie_loop_graph() -> RoadGraph:
     """Zero-reward 2-cycle 0<->1 whose first slots tie with the exits to 2,
-    so the greedy walk from either cycle node circles forever."""
+    so a first-slot greedy walk from either cycle node circles forever; the
+    shortest-path tree's walk takes the exit."""
     nodes = [(0, 0.0, 0.0), (1, 1.0, 0.0), (2, 0.5, 1.0)]
     edges = [
         (0, 0, 1, [0.0]),
@@ -252,7 +254,7 @@ def rollout_dense(gv: GoalView, schedule: list, initial_mass: np.ndarray, *,
     lost, steps, truncated = 0.0, 0, False
     edge_mass = np.zeros(g.num_edges)
     for pol, length in schedule:
-        p_edge = np.where(g.edge_src == d, 0.0, pol.probs[g.edge_src, g.edge_slot])
+        p_edge = np.where(g.edge_src == d, 0.0, policy_probs(g, pol)[g.edge_src, g.edge_slot])
         step = np.zeros((g.num_nodes, g.num_nodes))
         for e in range(g.num_edges):
             step[g.edge_src[e], g.edge_dst[e]] += p_edge[e]
@@ -274,8 +276,9 @@ def rollout_dense(gv: GoalView, schedule: list, initial_mass: np.ndarray, *,
 
 
 def greedy_probs_dense(gv: GoalView, rew: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """A greedy policy's one-hot table from the padded slot tables: a 1 on
-    each live row's first argmax of r + v(s')."""
+    """A first-slot greedy policy's one-hot table from the padded slot
+    tables: a 1 on each live row's first argmax of r + v(s').  Where a row
+    ties, this is not the library's choice, which follows the tree."""
     g = gv.graph
     q = slot_rewards(gv, rew) + v[g.safe_targets]
     q[~goal_slots(gv)] = -np.inf
@@ -288,15 +291,28 @@ def greedy_probs_dense(gv: GoalView, rew: np.ndarray, v: np.ndarray) -> np.ndarr
     return probs
 
 
+def policy_probs(g: RoadGraph, pol) -> np.ndarray:
+    """A policy's probability table; a greedy policy, which holds none,
+    gives the one-hot table of its successor array."""
+    if pol.successors is None:
+        return pol.probs
+    edge = pol.successors.edge
+    probs = np.zeros((g.num_nodes, g.max_out_degree))
+    live = np.flatnonzero(edge >= 0)
+    probs[live, g.edge_slot[edge[live]]] = 1.0
+    return probs
+
+
 def greedy_path_argmax(g: RoadGraph, pol, origin: int):
     """``greedy_path`` as an argmax over the policy's row at every hop."""
+    probs = policy_probs(g, pol)
     node, nodes, edges = origin, [origin], []
     for _ in range(g.num_nodes + 1):
         if node == pol.destination:
             return Trajectory(nodes=tuple(nodes), edges=tuple(edges)) if edges else None
         if pol.dead[node]:
             return None
-        slot = int(np.argmax(pol.probs[node]))
+        slot = int(np.argmax(probs[node]))
         edges.append(int(g.slot_edge[node, slot]))
         node = int(g.slot_target[node, slot])
         nodes.append(node)
@@ -476,7 +492,7 @@ def birl_gradient(model: RewardModel, g: RoadGraph, traj: Trajectory,
     v_soft = logsumexp(q, axis=1)
     v_soft[gv.destination] = 0.0
     pol_soft = policy_from_q(gv, q, v_soft)
-    pol_greedy = greedy_policy(gv, r, v_best)
+    pol_greedy = greedy_policy(gv, r)
     demo_states = state_mass(g, traj.nodes)
     suffix_states = state_mass(g, traj.nodes[1:])
     roll_theta = rollout(gv, [(pol_soft, 1), (pol_greedy, None)], demo_states)
@@ -504,7 +520,7 @@ def mmp_gradient(model: RewardModel, g: RoadGraph, traj: Trajectory,
     origin = traj.nodes[0]
     if np.isneginf(v_aug[origin]):
         return _skipped("origin cannot reach destination")
-    best = greedy_path(g, greedy_policy(gv, r_aug, v_aug), origin)
+    best = greedy_path(g, greedy_policy(gv, r_aug), origin)
     if best is None:
         return _skipped("greedy walk failed to reach the destination")
     rho_tau = edge_mass_of(g, traj.edges)
@@ -536,7 +552,7 @@ def evaluate_per_demo(rew: np.ndarray, demos: list, g: RoadGraph, *,
         v = dijkstra_values(gv, rew)
         pred = None
         if not np.isneginf(v[traj.origin]):
-            pred = greedy_path(g, greedy_policy(gv, rew, v), traj.origin)
+            pred = greedy_path(g, greedy_policy(gv, rew), traj.origin)
         if pred is None:
             unreachable += 1
         else:
@@ -573,7 +589,7 @@ def sample_per_demo(model: RewardModel, g: RoadGraph, num_demos: int, *,
         gv = GoalView(g, dest)
         if temperature == 0.0:
             v = dijkstra_values(gv, r)
-            pol = greedy_policy(gv, r, v)
+            pol = greedy_policy(gv, r)
         else:
             v, _, conv = power_iteration_backward(gv, r, temperature=temperature,
                                                   init="exact")
@@ -597,6 +613,7 @@ def sample_walk_choice(g: RoadGraph, pol, origin: int, dest: int, rng):
     """A sampled walk drawing every hop with ``rng.choice`` from the policy's
     row, greedy (one-hot) or soft; None where it revisits a node or
     dead-ends."""
+    probs = policy_probs(g, pol)
     node = origin
     seen = {origin}
     nodes = [origin]
@@ -606,7 +623,7 @@ def sample_walk_choice(g: RoadGraph, pol, origin: int, dest: int, rng):
             return Trajectory(nodes=tuple(nodes), edges=tuple(edges))
         if pol.dead[node]:
             return None
-        row = pol.probs[node]
+        row = probs[node]
         total = row.sum()
         if total <= 0:
             return None

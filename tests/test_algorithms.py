@@ -22,7 +22,7 @@ from routeirl import (
 import oracles
 import routeirl
 import routeirl.algorithms
-from routeirl.planners import (Planner, Successors, dijkstra_values, greedy_path,
+from routeirl.planners import (Planner, RolloutResult, _default_iters, greedy_path,
                                greedy_policy, power_iteration_backward)
 from oracles import (birl_gradient, diamond_graph, fd_gradient, loopy_graph,
                      maxent_gradient, mmp_gradient, mp_soft_values,
@@ -175,25 +175,29 @@ def test_horizon_reductions():
     m = LinearReward(np.array([-1.0]))
     for demo in (TOP, BOT):
         _check_reductions(m, g, demo, (0.0, 0.4, 0.6, 1.0), tol_inf=1e-12)
-    # a tie-broken greedy loop: the margin method has no best path, and
-    # plain H=0 skips with the same reason instead of truncating
+    # every edge ties at reward 0, so a first-slot greedy walk would circle
+    # 0 <-> 1; the tree's walk is the demo's best path 0 -> 2, and the
+    # margin method and plain H=0 agree on a zero loss and gradient
     tg = tie_loop_graph()
     tm = LinearReward(np.array([-1.0]))
     demo = Trajectory.from_nodes(tg, [0, 2])
     ref = mmp_gradient(tm, tg, demo, IrlConfig(algorithm="mmp", margin=0.0))
-    assert ref.reason == "greedy walk failed to reach the destination"
+    assert not ref.skipped and (ref.loss, ref.rollout_steps) == (0.0, 1)
+    assert np.array_equal(ref.gradient, [0.0])
     _same_report(demo_gradient(tm, tg, demo,
                                IrlConfig(algorithm="mmp", margin=0.0)), ref, "loss")
-    _same_report(demo_gradient(tm, tg, demo,
-                               IrlConfig(algorithm="receding_horizon", horizon=0)),
-                 ref, "loss")
+    h0 = demo_gradient(tm, tg, demo, IrlConfig(algorithm="receding_horizon", horizon=0))
+    assert (h0.skipped, h0.nll, h0.loss, h0.rollout_steps, h0.truncated) == (
+        False, 0.0, None, ref.rollout_steps, ref.truncated)
+    assert np.array_equal(h0.gradient, ref.gradient)
 
 
 def test_horizon_reductions_cyclic():
     g = loopy_graph()
     m = LinearReward(np.array([-1.0]))
     # margins that would make a reward-gain loop are left out; margin 1 on
-    # the long demo zeroes the 1<->2 loop, which the greedy walk then circles
+    # the long demo zeroes the 1<->2 and 0->3->0 loops, and the tree's walk
+    # takes the best path past them
     for nodes, margins in (([0, 1, 2, 3, 4], (0.0, 0.3, 1.0)),
                            ([0, 1, 4], (0.0, 0.3)), ([2, 1, 4], (0.0, 0.3))):
         _check_reductions(m, g, Trajectory.from_nodes(g, nodes), margins,
@@ -201,8 +205,9 @@ def test_horizon_reductions_cyclic():
 
 
 def test_mmp_tie_loop_after_the_origin_is_not_truncated():
-    # margin 1 zeroes the 1<->2 loop, which the greedy walks from 1 and 2
-    # circle; only the origin's walk (0->3) enters the gradient
+    # margin 1 zeroes the 1<->2 loop, where first-slot ties would circle;
+    # the tree's walks from 1 and 2 reach the destination, and only the
+    # origin's walk (0->3) enters the gradient
     g = loopy_graph()
     m = LinearReward(np.array([-1.0]))
     demo = Trajectory.from_nodes(g, [0, 1, 2, 3])
@@ -211,6 +216,28 @@ def test_mmp_tie_loop_after_the_origin_is_not_truncated():
     assert (rep.skipped, rep.rollout_steps, rep.truncated) == (False, 1, False)
     assert np.array_equal(rep.gradient, [1.0]) and rep.loss == 2.0
     _same_report(rep, mmp_gradient(m, g, demo, cfg), "loss")
+    r_aug = edge_rewards(m, g) + np.where(np.isin(np.arange(g.num_edges), demo.edges), 0.0, 1.0)
+    pol = greedy_policy(GoalView(g, 3), r_aug)
+    assert [greedy_path(g, pol, u).nodes for u in (1, 2)] == [(1, 2, 3), (2, 3)]
+
+
+def test_mmp_finds_the_best_path_past_a_zero_reward_loop():
+    # margin 1 on the long demo makes the 0 -> 3 -> 0 loop reward 0, and row
+    # 3 ties its exit to 4 with the loop back to 0 (its first slot): a
+    # first-slot walk circles 0 <-> 3 and would skip the demo.  The tree's
+    # walk takes the best augmented path 0 -> 3 -> 4
+    g = loopy_graph()
+    m = LinearReward(np.array([-1.0]))
+    demo = Trajectory.from_nodes(g, [0, 1, 2, 3, 4])
+    cfg = IrlConfig(algorithm="mmp", margin=1.0)
+    rep = demo_gradient(m, g, demo, cfg)
+    ref = mmp_gradient(m, g, demo, cfg)
+    assert not rep.skipped
+    _same_report(rep, ref, "loss")
+    r = edge_rewards(m, g)
+    r_aug = r + np.where(np.isin(np.arange(g.num_edges), demo.edges), 0.0, 1.0)
+    assert rep.rollout_steps == 2  # 0 -> 3 -> 4
+    assert rep.loss == oracles.best_path_reward(g, r_aug, 0, 4) - oracles.walk_reward(r, demo.edges)
 
 
 def test_reductions_on_generated_graphs():
@@ -236,8 +263,9 @@ def test_reductions_on_generated_graphs():
 
 def test_closed_form_tails_keep_the_stepped_gradients(monkeypatch):
     # every estimator with its greedy tails in closed form against the same
-    # estimator stepping them: H=0, mmp and H=inf stay bitwise; 1 <= H < inf
-    # sums its tails in another order, within 1e-12 of the largest entry
+    # estimator whose rollouts with a greedy tail step on the dense oracle:
+    # H=0 and mmp (unit mass) stay bitwise, and H=inf has no greedy tail;
+    # 1 <= H < inf sums in another order, within 1e-12 of the largest entry
     m = LinearReward(np.array([-1.0, -0.8]))
     cfgs = [IrlConfig(horizon=h) for h in (0, 1, 2, 10, math.inf)]
     cfgs += [IrlConfig(algorithm="mmp", margin=margin) for margin in (0.0, 0.5)]
@@ -247,7 +275,16 @@ def test_closed_form_tails_keep_the_stepped_gradients(monkeypatch):
         for demo in sample_demonstrations(m, g, 3, rng_seed=seed):
             cases += [(g, demo, cfg) for cfg in cfgs]
     closed = [demo_gradient(m, g, demo, cfg) for g, demo, cfg in cases]
-    monkeypatch.setattr(Successors, "tail", lambda self, *args: None)
+    real = routeirl.algorithms.rollout
+
+    def stepped(gv, schedule, mass):
+        if schedule[-1][0].successors is None:
+            return real(gv, schedule, mass)
+        edge_mass, steps, truncated, lost, absorbed, _ = oracles.rollout_dense(
+            gv, schedule, mass, max_steps=_default_iters(gv.graph.num_nodes))
+        return RolloutResult(edge_mass, steps, truncated, lost, absorbed)
+
+    monkeypatch.setattr(routeirl.algorithms, "rollout", stepped)
     finite_h = 0
     for (g, demo, cfg), rep in zip(cases, closed):
         ref = demo_gradient(m, g, demo, cfg)
@@ -415,23 +452,23 @@ def test_sample_demonstrations_properties():
                               pairs=[(0, 24)])
     rew = edge_rewards(m, g)
     gv = GoalView(g, 24)
-    best = greedy_path(g, greedy_policy(gv, rew, dijkstra_values(gv, rew)), 0)
+    best = greedy_path(g, greedy_policy(gv, rew), 0)
     assert d[0] == best
 
 
 def test_greedy_sampling_draws_as_a_choice_per_hop(monkeypatch):
     # T=0 walks follow the successor array and draw one double per hop tried;
     # the reference draws every hop with rng.choice from the one-hot rows.
-    # One call's demos come after the draws of every walk rejected before
-    # them, revisits included, so equal demos pin the draw counts
-    revisits = 0
+    # Equal demos pin the draw counts.  Graphs of exact ties (w = 0) would
+    # loop under first-slot ties, but the tree's walk from every reaching
+    # origin reaches the destination, so no walk is rejected
+    rejected = 0
     real = oracles.sample_walk_choice
 
     def walk(g, pol, origin, dest, rng):
-        nonlocal revisits
+        nonlocal rejected
         out = real(g, pol, origin, dest, rng)
-        # a walk that is rejected without a dead end revisits a node
-        revisits += out is None and pol.successors.walk(origin, g.num_nodes) is None
+        rejected += out is None
         return out
 
     monkeypatch.setattr(oracles, "sample_walk_choice", walk)
@@ -444,7 +481,7 @@ def test_greedy_sampling_draws_as_a_choice_per_hop(monkeypatch):
             want = oracles.sample_per_demo(m, g, 8, rng_seed=i, temperature=0.0)
             assert sample_demonstrations(m, g, 8, rng_seed=i, temperature=0.0) == want
             sampled += len(want)
-    assert sampled == 8 * 3 * len(graphs) and revisits > 0
+    assert sampled == 8 * 3 * len(graphs) and rejected == 0
 
 
 def _hub_graph() -> routeirl.RoadGraph:

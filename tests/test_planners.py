@@ -207,7 +207,6 @@ def test_trajectory_policy_nll_is_stepwise_product():
     assert abs(nll_top - (z - (-1.0))) < 1e-12
     assert abs(nll_bot - (z - (-2.0))) < 1e-12
     # an off-policy edge from a dead state prices at infinity
-    pol = greedy_policy(gv, rew, dijkstra_values(gv, rew))
     assert trajectory_policy_nll(gv, rew, onehot_values(gv), bot) == np.inf
 
 
@@ -215,7 +214,7 @@ def test_greedy_path_follows_argmax():
     g = diamond_graph()
     rew = edge_rewards(LinearReward(np.array([-1.0])), g)
     gv = GoalView(g, 3)
-    pol = greedy_policy(gv, rew, dijkstra_values(gv, rew))
+    pol = greedy_policy(gv, rew)
     t = greedy_path(g, pol, 0)
     assert t is not None and t.nodes == (0, 1, 3)  # top route is cheaper
     assert greedy_path(g, pol, 3) is None  # origin == destination
@@ -225,7 +224,7 @@ def test_greedy_path_follows_argmax():
     g2 = build_graph(nodes, edges)
     rew2 = g2.features @ np.array([-1.0])
     gv2 = GoalView(g2, 2)
-    assert greedy_path(g2, greedy_policy(gv2, rew2, dijkstra_values(gv2, rew2)), 0) is None
+    assert greedy_path(g2, greedy_policy(gv2, rew2), 0) is None
 
 
 def test_rollout_conserves_mass():
@@ -322,11 +321,14 @@ def test_rollout_balances_mass_on_generated_graphs():
                 want[gv.destination] = 0.0
                 assert np.array_equal(v_next, want)
             soft = policy_from_values(gv, rew, v)
-            greedy = greedy_policy(gv, rew, dijkstra_values(gv, rew))
+            greedy = greedy_policy(gv, rew)
+            # a greedy policy only runs out a schedule; its one-hot table steps
+            onehot = greedy_probs_dense(gv, rew, dijkstra_values(gv, rew))
+            stepped = Policy(onehot, gv.destination, onehot.sum(axis=1) == 0)
             mass = rng.uniform(0.0, 1.0, g.num_nodes)
             for schedule, max_steps in (([(soft, None)], 1000), ([(greedy, None)], 1000),
-                                        ([(greedy, 2), (soft, 3), (greedy, None)], 1000),
-                                        ([(soft, 1), (greedy, 1), (soft, None)], 4)):
+                                        ([(stepped, 2), (soft, 3), (greedy, None)], 1000),
+                                        ([(soft, 1), (stepped, 1), (soft, None)], 4)):
                 res = rollout(gv, schedule, mass, max_steps=max_steps)
                 edge_mass, steps, truncated, lost, absorbed, residual = rollout_dense(
                     gv, schedule, mass, max_steps=max_steps)
@@ -343,21 +345,23 @@ def test_rollout_balances_mass_on_generated_graphs():
 
 def _tail_kind(succ, m, result):
     """Which way ``Successors.tail`` ran the tail of mass m."""
+    steps, truncated = result[0], result[5]
+    if truncated:
+        return "cut"
     if np.count_nonzero(m) == 1:
-        return "walk" if result is not None else "walk stepped"
-    if succ.tables is False:
-        return "loop stepped"
-    if result is None:
-        return "stepped"
+        return "walk"
+    if steps == 1:
+        return "one step"
     # the stepped tail stops before the deepest mass it holds is finished
     deepest = succ.tables[1][m > 0].max()
-    return "closed, mass left" if result[0] < deepest else "closed"
+    return "closed, mass left" if steps < deepest else "closed"
 
 
 def test_closed_form_tails_match_stepping_on_generated_graphs(monkeypatch):
     # greedy tails against the dense stepped oracle on graphs with parallel
-    # edges, self-loops and traps, on first-slot tie loops (flat values),
-    # with mass below tol far out, and cut at max_steps
+    # edges, self-loops and traps, on a graph of exact ties, with mass below
+    # tol far out, on the destination's tree neighbours only (one step), and
+    # cut at max_steps
     kinds = Counter()
     real = Successors.tail
 
@@ -381,34 +385,36 @@ def test_closed_form_tails_match_stepping_on_generated_graphs(monkeypatch):
             spread = rng.uniform(0.0, 1.0, g.num_nodes)
             faint = np.where(far, 1e-14, spread)  # stepping leaves the faint mass
             heads = [[]] if soft is None else [[], [(soft, 1)], [(soft, 3)]]
-            for values in (dijkstra_values(gv, rew), np.zeros(g.num_nodes)):
-                pol = greedy_policy(gv, rew, values)
-                for mass in (np.eye(g.num_nodes)[int(rng.integers(g.num_nodes))],
-                             spread, faint):
-                    for head in heads:
-                        for max_steps in (1000, 4):
-                            # a fresh successor graph per rollout, so every
-                            # rollout builds its own tables
-                            schedule = head + [(Policy(None, pol.destination, pol.dead,
-                                                       Successors(g, pol.destination,
-                                                                  pol.successors.edge)), None)]
-                            res = rollout(gv, schedule, mass, max_steps=max_steps)
-                            edge_mass, steps, truncated, lost, absorbed, _ = rollout_dense(
-                                gv, schedule, mass, max_steps=max_steps)
-                            assert (res.steps, res.truncated) == (steps, truncated)
-                            bound = 1e-12 * max(1.0, np.abs(edge_mass).max())
-                            assert np.abs(res.edge_mass - edge_mass).max() <= bound
-                            assert abs(res.lost_mass - lost) <= 1e-12 * max(1.0, lost)
-                            assert abs(res.absorbed_mass - absorbed) <= 1e-12 * max(1.0, absorbed)
-                            truncated_seen += truncated
+            pol = greedy_policy(gv, rew)
+            edge = pol.successors.edge
+            # one step finishes the mass on dead rows and on the destination's tree neighbours
+            near = np.where(pol.dead | (g.edge_dst[edge] == gv.destination), spread, 0.0)
+            near[gv.destination] = 0.0
+            for mass in (np.eye(g.num_nodes)[int(rng.integers(g.num_nodes))],
+                         spread, faint, near):
+                for head in heads:
+                    for max_steps in (1000, 4):
+                        # a fresh successor graph per rollout, so every
+                        # rollout builds its own tables
+                        schedule = head + [(Policy(None, pol.destination, pol.dead,
+                                                   Successors(g, pol.destination, edge)), None)]
+                        res = rollout(gv, schedule, mass, max_steps=max_steps)
+                        edge_mass, steps, truncated, lost, absorbed, _ = rollout_dense(
+                            gv, schedule, mass, max_steps=max_steps)
+                        assert (res.steps, res.truncated) == (steps, truncated)
+                        bound = 1e-12 * max(1.0, np.abs(edge_mass).max())
+                        assert np.abs(res.edge_mass - edge_mass).max() <= bound
+                        assert abs(res.lost_mass - lost) <= 1e-12 * max(1.0, lost)
+                        assert abs(res.absorbed_mass - absorbed) <= 1e-12 * max(1.0, absorbed)
+                        truncated_seen += truncated
     assert truncated_seen > 0
-    assert set(kinds) == {"walk", "walk stepped", "loop stepped", "stepped", "closed",
-                          "closed, mass left"}, kinds
+    assert set(kinds) == {"walk", "closed", "closed, mass left", "one step", "cut"}, kinds
 
 
 def test_unit_mass_tails_equal_stepping_bitwise():
     # one node's mass walks its path: every figure of the report is the
-    # stepped rollout's, bitwise, soft steps before the tail or not
+    # stepped rollout's on the policy's one-hot table, bitwise, soft steps
+    # before the tail or not, run out or cut at max_steps
     for seed in range(4):
         for g in (_with_trap(gen_random_graph(14 + seed, rng_seed=seed, extra_edges=12)),
                   _loopy_multigraph(seed), tie_loop_graph()):
@@ -416,24 +422,25 @@ def test_unit_mass_tails_equal_stepping_bitwise():
             dest = seed % g.num_nodes
             gv = GoalView(g, dest)
             soft = policy_from_values(gv, rew, dijkstra_values(gv, rew))
-            for values in (dijkstra_values(gv, rew), np.zeros(g.num_nodes)):
-                greedy = greedy_policy(gv, rew, values)
-                stepped = Policy(greedy.probs, greedy.destination, greedy.dead)
-                for origin in range(g.num_nodes):
-                    mass = np.zeros(g.num_nodes)
-                    mass[origin] = 0.7
-                    for head in ([], [(soft, 0)]):
-                        a = rollout(gv, head + [(greedy, None)], mass, max_steps=50)
-                        b = rollout(gv, head + [(stepped, None)], mass, max_steps=50)
+            greedy = greedy_policy(gv, rew)
+            stepped = Policy(oracles.policy_probs(g, greedy), dest, greedy.dead)
+            for origin in range(g.num_nodes):
+                mass = np.zeros(g.num_nodes)
+                mass[origin] = 0.7
+                for head in ([], [(soft, 0)]):
+                    for max_steps in (50, 2):
+                        a = rollout(gv, head + [(greedy, None)], mass, max_steps=max_steps)
+                        b = rollout(gv, head + [(stepped, None)], mass, max_steps=max_steps)
                         assert np.array_equal(a.edge_mass, b.edge_mass)
                         assert (a.steps, a.truncated, a.lost_mass, a.absorbed_mass) == (
                             b.steps, b.truncated, b.lost_mass, b.absorbed_mass)
 
 
 def test_greedy_path_walks_the_argmax():
-    # the successor array's one-hot table against the padded slot tables'
-    # argmax, and the successor walk against an argmax per row per hop, on
-    # traps, parallel edges, self-loops and flat-value tie loops
+    # the successor walk against an argmax per row per hop of the first-slot
+    # one-hot table, on traps, parallel edges, self-loops and a graph of
+    # exact ties: they agree wherever the argmax path meets no tied row, and
+    # the tree's walk is a best path where first-slot ties loop
     checked = loops = 0
     for seed in range(4):
         for g in (_with_trap(gen_random_graph(14 + seed, rng_seed=seed, extra_edges=12)),
@@ -441,15 +448,24 @@ def test_greedy_path_walks_the_argmax():
             rew = _rand_rewards(g, seed)
             for dest in range(g.num_nodes):
                 gv = GoalView(g, dest)
-                for values in (dijkstra_values(gv, rew), np.zeros(g.num_nodes)):
-                    pol = greedy_policy(gv, rew, values)
-                    assert np.array_equal(pol.probs, greedy_probs_dense(gv, rew, values))
-                    assert np.array_equal(pol.dead, pol.probs.sum(axis=1) == 0)
-                    for origin in range(g.num_nodes):
-                        want = greedy_path_argmax(g, pol, origin)
-                        assert greedy_path(g, pol, origin) == want
-                        checked += 1
-                        loops += want is None and not pol.dead[origin]
+                values = dijkstra_values(gv, rew)
+                pol = greedy_policy(gv, rew)
+                onehot = greedy_probs_dense(gv, rew, values)
+                stepped = Policy(onehot, dest, onehot.sum(axis=1) == 0)
+                assert np.array_equal(pol.dead, stepped.dead)
+                q = slot_rewards(gv, rew) + values[g.safe_targets]
+                tied = (q == q.max(axis=1, keepdims=True)).sum(axis=1) > 1
+                for origin in range(g.num_nodes):
+                    want = greedy_path_argmax(g, stepped, origin)
+                    got = greedy_path(g, pol, origin)
+                    assert (got is None) == (origin == dest or bool(pol.dead[origin]))
+                    if want is not None and not tied[list(want.nodes[:-1])].any():
+                        assert got == want
+                    if got is not None:
+                        assert walk_reward(rew, got.edges) == pytest.approx(values[origin],
+                                                                            abs=1e-12)
+                    checked += 1
+                    loops += want is None and not pol.dead[origin]
     assert checked > 1000 and loops > 0
     soft = policy_from_values(gv, rew, dijkstra_values(gv, rew))
     with pytest.raises(routeirl.ValidationError):
@@ -457,17 +473,40 @@ def test_greedy_path_walks_the_argmax():
 
 
 def test_closed_form_raises_when_mass_is_trapped():
-    # greedy tie-break walks 1 -> 2 -> 1 forever: the linear system is singular
+    # a first-slot tie-break on flat values walks 1 -> 2 -> 1 forever: the
+    # linear system of its one-hot table is singular
     nodes = [(0, 0.0, 0.0), (1, 1.0, 0.0), (2, 2.0, 0.0), (3, 3.0, 0.0)]
     edges = [(0, 1, 2, [0.1]), (1, 2, 1, [0.1]), (2, 1, 3, [9.0]), (3, 0, 1, [1.0])]
     g = build_graph(nodes, edges)
     rew = g.features @ np.array([-1.0])
     gv = GoalView(g, 3)
-    pol = greedy_policy(gv, rew, np.zeros(g.num_nodes))  # flat values: picks cheap loops
+    onehot = greedy_probs_dense(gv, rew, np.zeros(g.num_nodes))  # flat values: cheap loops
+    pol = Policy(onehot, 3, onehot.sum(axis=1) == 0)
     mass = np.zeros(4)
     mass[0] = 1.0
     with pytest.raises(InfeasibilityError):
         closed_form_forward(gv, pol, mass)
+
+
+def test_closed_form_forward_refuses_a_greedy_policy():
+    # a greedy policy holds no probability table: its closed form is its
+    # rollout tail
+    g = loopy_graph()
+    gv = GoalView(g, 4)
+    with pytest.raises(routeirl.ValidationError, match="probability table"):
+        closed_form_forward(gv, greedy_policy(gv, _rand_rewards(g, 1)), np.ones(g.num_nodes))
+
+
+def test_rollout_refuses_a_stepped_greedy_entry():
+    # a greedy policy runs out a schedule; it takes no step count
+    g = loopy_graph()
+    gv = GoalView(g, 4)
+    rew = _rand_rewards(g, 1)
+    soft = policy_from_values(gv, rew, dijkstra_values(gv, rew))
+    greedy = greedy_policy(gv, rew)
+    for schedule in ([(greedy, 2)], [(greedy, 0), (soft, None)], [(soft, 1), (greedy, 1)]):
+        with pytest.raises(routeirl.ValidationError, match="tail"):
+            rollout(gv, schedule, np.ones(g.num_nodes))
 
 
 def test_linear_space_twin_underflows_at_half_precision():
@@ -672,19 +711,19 @@ def test_one_reversed_graph_per_call_and_one_plan_per_destination(monkeypatch):
     dests = len({d for _, d in pairs})
     calls = Counter()
     greedy = []  # every greedy policy planned
-    for name in ("_reversed_graph", "greedy_policy", "power_iteration_backward",
+    for name in ("_reversed_graph", "_tree_policy", "power_iteration_backward",
                  "_jump_tables", "_draw_table"):
         def counting(*args, _real=getattr(routeirl.planners, name), _name=name, **kw):
             calls[_name] += 1
             out = _real(*args, **kw)
-            if _name == "greedy_policy":
+            if _name == "_tree_policy":
                 greedy.append(out)
             return out
         monkeypatch.setattr(routeirl.planners, name, counting)
     # greedy walks and T=0 samples build no jump tables, and only T > 0
     # walks build draw tables, one per destination
     evaluate(m, demos, g)
-    assert calls == {"_reversed_graph": 1, "greedy_policy": dests,
+    assert calls == {"_reversed_graph": 1, "_tree_policy": dests,
                      "power_iteration_backward": dests}
     calls.clear()
     sample_demonstrations(m, g, len(pairs), rng_seed=2, pairs=pairs)
@@ -692,23 +731,24 @@ def test_one_reversed_graph_per_call_and_one_plan_per_destination(monkeypatch):
                      "_draw_table": dests}
     calls.clear()
     sample_demonstrations(m, g, len(pairs), rng_seed=2, temperature=0.0, pairs=pairs)
-    assert calls == {"_reversed_graph": 1, "greedy_policy": dests}
+    assert calls == {"_reversed_graph": 1, "_tree_policy": dests}
     # a minibatch shares one planner, and its destinations' greedy tails
     # build their tables once; H=0 tails walk, and mmp plans each demo on
     # its own margins
     calls.clear()
     batch_gradient(m, g, demos, IrlConfig(horizon=0))
-    assert calls == {"_reversed_graph": 1, "greedy_policy": dests}
+    assert calls == {"_reversed_graph": 1, "_tree_policy": dests}
     # walks, T=0 samples and walked tails read only the successor array:
-    # no greedy policy so far has built its one-hot table
+    # no greedy policy holds a probability table
     assert len(greedy) == 3 * dests
-    assert not any("probs" in vars(pol) for pol in greedy)
+    assert all(pol.probs is None for pol in greedy)
     calls.clear()
     batch_gradient(m, g, demos, IrlConfig(horizon=3))
-    assert calls == {"_reversed_graph": 1, "greedy_policy": dests, "_jump_tables": dests}
+    assert calls == {"_reversed_graph": 1, "_tree_policy": dests, "_jump_tables": dests}
     calls.clear()
     batch_gradient(m, g, demos, IrlConfig(algorithm="mmp"))
-    assert calls == {"_reversed_graph": len(demos), "greedy_policy": len(demos)}
+    assert calls == {"_reversed_graph": len(demos), "_tree_policy": len(demos)}
+    assert all(pol.probs is None for pol in greedy)
 
 
 def test_shared_plans_equal_per_demo_replanning():
@@ -939,9 +979,9 @@ def test_identity_minus_slots_equals_scipy_assembly():
             gv = GoalView(g, dest)
             v, _, conv = power_iteration_backward(gv, rew, init="exact")
             assert conv
-            weights += [pol.probs[g.edge_src, g.edge_slot]
-                        for pol in (policy_from_values(gv, rew, v),
-                                    greedy_policy(gv, rew, dijkstra_values(gv, rew)))]
+            weights += [probs[g.edge_src, g.edge_slot]
+                        for probs in (policy_from_values(gv, rew, v).probs,
+                                      greedy_probs_dense(gv, rew, dijkstra_values(gv, rew)))]
         for w in weights:
             got = _identity_minus_slots(g, w)
             want = oracles.identity_minus_slots_coo(g, w)
@@ -968,7 +1008,7 @@ def test_non_finite_reward_tables_are_rejected():
         rew[6] = bad  # edge 1 -> 4, on the first demo
         calls = [lambda: routeirl.planners.Planner(g, rew),
                  lambda: slot_rewards(gv, rew),
-                 lambda: greedy_policy(gv, rew, np.zeros(g.num_nodes)),
+                 lambda: greedy_policy(gv, rew),
                  lambda: dijkstra_values(gv, rew),
                  lambda: power_iteration_backward(gv, rew, init="onehot"),
                  lambda: routeirl.cheap_bounds(gv, rew),
@@ -997,7 +1037,7 @@ def test_goal_view_is_a_graph_and_a_destination():
     rew = _rand_rewards(g, 1)
     v, _, _ = power_iteration_backward(gv, rew, init="exact")
     pol = policy_from_values(gv, rew, v)
-    greedy = greedy_policy(gv, rew, dijkstra_values(gv, rew))
+    greedy = greedy_policy(gv, rew)
     mass = np.ones(g.num_nodes)
     rollout(gv, [(pol, 2), (greedy, None)], mass)
     closed_form_forward(gv, pol, mass)
