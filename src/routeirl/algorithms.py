@@ -27,8 +27,9 @@ import numpy as np
 
 from .errors import InfeasibilityError, ValidationError
 from .graph import GoalView, RoadGraph, Trajectory
-from .planners import (Planner, Policy, policy_from_q, power_iteration_backward,
-                       rollout, slot_rewards, softmax_backup, trajectory_nll)
+from .planners import Planner, Policy, rollout, trajectory_nll
+# not called here: the benchmark's tracer rebinds this copy of the kernel too
+from .planners import softmax_backup  # noqa: F401
 from .rewards import RewardModel, backprop, edge_rewards
 
 _ALGS = ("receding_horizon", "maxent", "birl", "mmp")
@@ -98,13 +99,14 @@ def receding_horizon_gradient(model: RewardModel, g: RoadGraph,
                               margin: float | None = None,
                               plan: Planner | None = None) -> GradientReport:
     """RH(H) gradient; ``cfg.margin`` and ``cfg.algorithm`` are not read, and
-    ``cfg.init`` only at H=inf.
+    ``cfg.init``, ``cfg.tol`` and ``cfg.max_iters`` only at H=inf.
 
-    With ``margin`` (H=0 only) the planner sees rewards raised by ``margin``
-    on every edge but the connectors and the demo's own, and the report
+    The planner makes the plans; this rolls them out and backprops.  With
+    ``margin`` (H=0 only) the planner sees rewards raised by ``margin`` on
+    every edge but the connectors and the demo's own, and the report
     carries the margin loss r_aug.rho_best - r.rho_demo instead of an NLL.
-    Without one, ``plan`` (a Planner on the model's rewards) may be shared
-    by the demos of a batch.
+    Without one, ``plan`` (a Planner on the model's rewards at
+    ``cfg.temperature``) may be shared by the demos of a batch.
     """
     _check_demo(g, traj)
     horizon = cfg.horizon
@@ -119,34 +121,19 @@ def receding_horizon_gradient(model: RewardModel, g: RoadGraph,
     elif plan is None:
         plan = Planner(g, r, cfg.temperature)
     gv = GoalView(g, traj.destination)
-    v_best = plan.best_values(gv.destination)
     origin = traj.nodes[0]
-    if np.isneginf(v_best[origin]):
+    if np.isneginf(plan.best_values(gv.destination)[origin]):
         return _skipped("origin cannot reach destination")
     # H=inf plans with soft values all the way and has no greedy tail
     pol_greedy = None if math.isinf(horizon) else plan.greedy(gv.destination)
-    backward_iters = 0
-    pol_soft: Policy | None = None
-    v = v_best / cfg.temperature
-    v[gv.destination] = 0.0
-    if horizon != 0:  # only softmax backups read the reward table
-        rs = slot_rewards(gv, r)
-    if math.isinf(horizon):
-        v, backward_iters, conv = power_iteration_backward(
-            gv, r, temperature=cfg.temperature,
-            init=v if cfg.init == "dijkstra" else cfg.init,
-            tol=cfg.tol, max_iters=cfg.max_iters)
-        if not conv:
+    pol_soft, backward_iters = None, 0
+    if horizon != 0:
+        pol_soft, backward_iters = plan.soft(gv.destination, horizon, cfg.init,
+                                             cfg.tol, cfg.max_iters)
+        if pol_soft is None:
             rep = _skipped("backward pass did not converge")
             rep.backward_iters = backward_iters
             return rep
-        q, v_pol = softmax_backup(gv, rs, v, cfg.temperature)
-        pol_soft = policy_from_q(gv, q, v_pol)
-    elif horizon >= 1:
-        backward_iters = int(horizon)
-        for _ in range(backward_iters):
-            q, v = softmax_backup(gv, rs, v, cfg.temperature)
-        pol_soft = policy_from_q(gv, q, v)
     pol = pol_greedy if pol_soft is None else pol_soft
 
     rho_tau = edge_mass_of(g, traj.edges)
@@ -250,14 +237,14 @@ def sample_demonstrations(model: RewardModel, g: RoadGraph, num_demos: int, *,
         else:
             origin, dest = (int(x) for x in rng.choice(g.num_nodes, size=2, replace=False))
         if temperature == 0.0:
-            v, pol = plan.best_values(dest), plan.greedy(dest)
+            pol = plan.greedy(dest)
         else:
-            soft = plan.soft(dest)
-            if soft is None:
+            pol, _ = plan.soft(dest)
+            if pol is None:
                 raise InfeasibilityError(
                     f"softmax values for destination {dest} did not converge")
-            v, pol = soft
-        if np.isneginf(v[origin]):
+        # the soft values are -inf exactly where the max-reward values are
+        if np.isneginf(plan.best_values(dest)[origin]):
             if fixed_pairs:
                 raise ValidationError(f"pair ({origin}, {dest}) is disconnected")
             failures += 1

@@ -232,20 +232,12 @@ def cmd_scan_loss(args) -> int:
     return 0
 
 
-def _parse_horizons(text: str) -> list[float]:
-    out = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        out.append(math.inf if tok in ("inf", "Inf") else float(tok))
-    return out
-
-
 def cmd_sweep_horizon(args) -> int:
     g = load_graph(args.graph)
     demos = load_trajectories(args.demos, g)
     dim = g.features.shape[1]
     weights = _parse_weights(args.weights, dim)
-    horizons = _parse_horizons(args.horizons)
+    horizons = [float(tok) for tok in args.horizons.split(",")]  # float reads "inf"
     timing_demos = demos[:args.batch]
     model = LinearReward(weights)
     icfgs = [IrlConfig(algorithm="receding_horizon", horizon=h,

@@ -80,11 +80,11 @@ def evaluate(model_or_table, demos: list[Trajectory], g: RoadGraph, *,
             a, b = set(demo_edges), set(pred_edges)
             iou_sum += len(a & b) / len(a | b)
         if nll_ok:
-            soft = plan.soft(dest)
-            if soft is None:
+            pol, _ = plan.soft(dest)
+            if pol is None:
                 nll_ok = False
             else:
-                nll_sum += trajectory_nll(g, traj, soft[1])
+                nll_sum += trajectory_nll(g, traj, pol)
     n = len(demos)
     return Metrics(acc=acc_sum / n, iou=iou_sum / n,
                    nll=(nll_sum / n) if nll_ok else None,

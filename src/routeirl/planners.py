@@ -5,7 +5,8 @@ log-domain backups, deterministic max-reward values, stochastic policies, and
 forward mass propagation.  A destination's slot reward table
 (``slot_rewards``: -inf on invalid slots and on the destination's row) is
 its only mask; backups and policies apply no other, so the reward tables
-and values they take must hold no NaN or +inf (``_checked_rewards``).
+and values they take must hold no NaN or +inf (``_checked_rewards``, once
+per table, where it enters); ``Planner.soft`` makes every soft plan.
 Converged soft values start from the exact fixed point, Z = exp(v) = x / x_d
 with x = M^-1 e_d on one LU factor of the table's M = I - A, and the backups
 confirm it (``Planner.exact_start``: the max-reward values where M is
@@ -58,9 +59,13 @@ def _checked_rewards(g: RoadGraph, rew) -> np.ndarray:
 def slot_rewards(gv: GoalView, rew: np.ndarray) -> np.ndarray:
     """Per-slot reward table, -inf on invalid slots and the destination row:
     the destination's only mask (see the module docstring)."""
-    g = gv.graph
+    return _slot_table(gv, _checked_rewards(gv.graph, rew))
+
+
+def _slot_table(gv: GoalView, rew: np.ndarray) -> np.ndarray:
+    """``slot_rewards`` of a float64 table known to hold no NaN or +inf."""
     # invalid slots (SENTINEL, -1) read the appended -inf
-    out = np.concatenate((_checked_rewards(g, rew), [-np.inf]))[g.slot_edge]
+    out = np.concatenate((rew, [-np.inf]))[gv.graph.slot_edge]
     out[gv.destination] = -np.inf
     return out
 
@@ -331,31 +336,33 @@ def _identity_minus_slots(g: RoadGraph, weights: np.ndarray) -> sp.csc_matrix:
     return sp.csc_matrix((data[keep], rows[keep], indptr), shape=(g.num_nodes,) * 2)
 
 
-def power_iteration_backward(gv: GoalView, rew: np.ndarray, *,
+def power_iteration_backward(gv: GoalView, rew, *,
                              temperature: float = 1.0, init="onehot",
                              tol: float = 1e-9, max_iters: int | None = None,
                              trace: list | None = None
                              ) -> tuple[np.ndarray, int, bool]:
     """Iterate softmax backups to the soft-value fixed point.
 
-    init: 'onehot' (destination indicator), 'dijkstra' (max-reward values,
-    temperature-scaled), 'exact' (``Planner.exact_start``, Z = x / x_d on
-    the table's LU factor, else the Dijkstra start), or an explicit
+    rew is a reward table, or a ``Planner`` at this temperature (whose
+    table was checked when it was built).  init: 'onehot' (destination
+    indicator), 'dijkstra' (max-reward values, temperature-scaled), 'exact'
+    (``Planner.exact_start``, else the Dijkstra start), or an explicit
     starting vector.  The backups and the stopping test are the same for
     every start.  Returns (values, iterations, converged).
     """
     if temperature <= 0:
         raise ValidationError("temperature must be positive")
-    rs = slot_rewards(gv, rew)
+    plan = rew if isinstance(rew, Planner) else Planner(gv.graph, rew, temperature)
+    rs = _slot_table(gv, plan.rew)
     if isinstance(init, str):
         if init not in ("onehot", "dijkstra", "exact"):
             raise ValidationError(f"unknown init {init!r}")
         if init == "onehot":
             init = onehot_values(gv)
         elif init == "dijkstra":
-            init = dijkstra_values(gv, rew) / temperature
+            init = plan.best_values(gv.destination) / temperature
         else:
-            init = Planner(gv.graph, rew, temperature).exact_start(gv.destination)
+            init = plan.exact_start(gv.destination)
     v = np.asarray(init, dtype=np.float64).copy()
     v[gv.destination] = 0.0
     if max_iters is None:
@@ -408,7 +415,7 @@ def _tree_policy(gv: GoalView, rew: np.ndarray, v: np.ndarray,
     to tree[u], the lowest edge id among parallels."""
     g = gv.graph
     width = g.max_out_degree
-    q = slot_rewards(gv, rew + v[g.edge_dst])
+    q = _slot_table(gv, rew + v[g.edge_dst])
     # flat index of each row's first max slot
     best = np.arange(g.num_nodes) * width + np.argmax(q, axis=1)
     dead = tree < 0  # the destination row and the rows whose max is -inf
@@ -465,14 +472,15 @@ def _reversed_graph(g: RoadGraph, rew: np.ndarray) -> sp.csr_matrix:
 class Planner:
     """One reward table's planning state, shared by all its destinations.
 
-    Per table: the reversed graph, the shortest-path routine that runs on it
-    (negative-cost when any reward is positive), and the first soft plan's
-    LU factor of M = I - A (each start Z = x / x_d, see ``exact_start``).
-    Per destination, computed on first use and kept: max-reward values,
-    greedy policy (on the tree the same search returns, which is dropped
-    once the policy is built; its jump tables are built by the first tail
-    that needs them), and converged soft values and policy (None if the
-    backward pass diverges).  The arrays it returns must not be modified.
+    Per table: its one check, the reversed graph, the shortest-path routine
+    that runs on it (negative-cost when any reward is positive), and the
+    first exact start's LU factor of M = I - A (each start Z = x / x_d, see
+    ``exact_start``).  Per destination, computed on first use and kept:
+    max-reward values, greedy policy (on the tree the same search returns,
+    which is dropped once the policy is built; its jump tables are built by
+    the first tail that needs them), and each horizon's soft plan (``soft``,
+    kept too where it does not converge).  The arrays it returns must not
+    be modified.
     """
 
     def __init__(self, g: RoadGraph, rew: np.ndarray, temperature: float = 1.0):
@@ -481,9 +489,9 @@ class Planner:
         self.temperature = temperature
         self._reversed = _reversed_graph(g, self.rew)
         self._gain = bool(self.rew.size and np.max(self.rew) > 0)
-        self._memo: dict[tuple[str, int], object] = {}
+        self._memo: dict[tuple, object] = {}
 
-    def memo(self, kind: str, dest: int, make):
+    def memo(self, kind, dest: int, make):
         """``make()``, computed once per (kind, destination)."""
         if (kind, dest) not in self._memo:
             self._memo[kind, dest] = make()
@@ -513,16 +521,34 @@ class Planner:
             GoalView(self.graph, dest), self.rew, self.best_values(dest),
             self._memo.pop(("tree", dest))))
 
-    def soft(self, dest: int) -> tuple[np.ndarray, Policy] | None:
-        """Converged soft values and their policy.  The backward pass starts
-        at ``exact_start`` (Z = x / x_d, one solve on the table's factor;
-        the max-reward values where that fails), as ``init="exact"`` does."""
+    def soft(self, dest: int, horizon: float = math.inf, init: str = "exact",
+             tol: float = 1e-9, max_iters: int | None = None
+             ) -> tuple[Policy | None, int]:
+        """RH(H)'s soft policy toward dest, H >= 1, and its backup count:
+        H backups from v_best/T, or at H = inf ``power_iteration_backward``
+        from init to tol within max_iters (policy None where it does not
+        converge) and one backup more, all on one slot table; the policy is
+        the last backup's softmax.  Kept per destination and argument read."""
         def make():
-            gv = GoalView(self.graph, dest)
-            v, _, conv = power_iteration_backward(
-                gv, self.rew, temperature=self.temperature, init=self.exact_start(dest))
-            return (v, policy_from_values(gv, self.rew, v, self.temperature)) if conv else None
-        return self.memo("soft", dest, make)
+            gv, t = GoalView(self.graph, dest), self.temperature
+            if math.isinf(horizon):
+                v, iters, conv = power_iteration_backward(
+                    gv, self, temperature=t, init=init, tol=tol, max_iters=max_iters)
+                if not conv:
+                    return None, iters
+                backups = 1
+            else:
+                v = self.best_values(dest) / t
+                v[dest] = 0.0
+                iters = backups = int(horizon)
+            rs = _slot_table(gv, self.rew)
+            for _ in range(backups):
+                q, v = softmax_backup(gv, rs, v, t)
+            return policy_from_q(gv, q, v), iters
+        if not horizon >= 1:
+            raise ValidationError("a soft plan takes at least one backup")
+        kind = ("soft", init, tol, max_iters) if math.isinf(horizon) else ("soft", horizon)
+        return self.memo(kind, dest, make)
 
     @cached_property
     def _factor(self):

@@ -17,8 +17,8 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import ValidationError
 from .graph import GoalView, Trajectory, gen_two_state_loop, two_state_loop_rewards
-from .planners import (_checked_rewards, _logsumexp_rows, _value_diff,
-                       power_iteration_backward, slot_rewards, trajectory_policy_nll)
+from .planners import (Planner, _checked_rewards, _logsumexp_rows, _slot_table,
+                       _value_diff, power_iteration_backward, trajectory_nll)
 
 FEASIBLE = "Feasible"
 INFEASIBLE = "Infeasible"
@@ -48,7 +48,7 @@ def _b1_slots(gv: GoalView, rew: np.ndarray, temperature: float):
     g = gv.graph
     logw = _checked_rewards(g, rew) / temperature
     logw[g.edge_dst == gv.destination] = -np.inf
-    return slot_rewards(gv, logw), g.safe_targets
+    return _slot_table(gv, logw), g.safe_targets
 
 
 def cheap_bounds(gv: GoalView, rew: np.ndarray,
@@ -184,17 +184,11 @@ def loss_surface_scan(theta1_values, theta2_values, *, temperature: float = 1.0,
         for t2 in np.asarray(theta2_values, dtype=np.float64):
             rew = two_state_loop_rewards(g, float(t1), float(t2))
             rep = dominant_eigenvalue(gv, rew, temperature=temperature, band=band)
+            nll = math.inf
             if rep.classification == FEASIBLE:
-                v, _, conv = power_iteration_backward(
-                    gv, rew, temperature=temperature, init="dijkstra",
-                    tol=1e-11, max_iters=200_000)
-                if conv:
-                    nll = float(np.mean([
-                        trajectory_policy_nll(gv, rew, v, d, temperature)
-                        for d in demos]))
-                else:
-                    nll = math.inf
-            else:
-                nll = math.inf
+                pol, _ = Planner(g, rew, temperature).soft(
+                    gv.destination, init="dijkstra", tol=1e-11, max_iters=200_000)
+                if pol is not None:
+                    nll = float(np.mean([trajectory_nll(g, d, pol) for d in demos]))
             rows.append((float(t1), float(t2), rep.lambda_max, nll))
     return np.array(rows, dtype=np.float64)

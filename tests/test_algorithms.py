@@ -346,6 +346,76 @@ def test_only_file_loading_and_generators_build_graphs_from_records():
         "graph.gen_two_state_loop"}
 
 
+def test_the_planner_makes_every_plan_the_estimator_reads():
+    kernels = {"slot_rewards", "softmax_backup", "policy_from_q",
+               "power_iteration_backward"}
+    assert not [c for c in _library_callers(kernels) if c.startswith("algorithms.")]
+    assert {c.split(".")[0] for c in _library_callers({"softmax_backup"})} == {"planners"}
+
+
+def _counting(monkeypatch, name):
+    """Patch every routeirl module's copy of the planners function name with
+    a wrapper that counts its calls."""
+    calls = Counter()
+    real = getattr(routeirl.planners, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return real(*args, **kwargs)
+
+    for module in (routeirl.planners, routeirl.algorithms, routeirl.metrics):
+        if getattr(module, name, None) is real:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_a_reward_table_is_checked_once(monkeypatch):
+    calls = _counting(monkeypatch, "_checked_rewards")
+    g = gen_gridworld(5, 5)
+    m = LinearReward(np.array([-0.8, -0.8]))
+    demos = [Trajectory.from_nodes(g, [0, 1, 2, 7, 12]),
+             Trajectory.from_nodes(g, [6, 7, 12]),
+             Trajectory.from_nodes(g, [3, 8, 13, 12])]
+    cfgs = [IrlConfig(horizon=h) for h in (0, 1, 10, math.inf)]
+    for cfg in cfgs + [IrlConfig(algorithm="mmp")]:
+        for demo in demos:
+            calls.clear()
+            assert not demo_gradient(m, g, demo, cfg).skipped
+            assert calls["_checked_rewards"] == 1, cfg
+    for cfg in cfgs:
+        calls.clear()
+        batch_gradient(m, g, demos, cfg)
+        assert calls["_checked_rewards"] == 1, cfg
+    for nll in (True, False):
+        calls.clear()
+        routeirl.evaluate(m, demos, g, nll=nll)
+        assert calls["_checked_rewards"] == 1
+
+
+def test_a_batch_plans_each_destination_once(monkeypatch):
+    calls = _counting(monkeypatch, "softmax_backup")
+    g = gen_gridworld(5, 5)
+    m = LinearReward(np.array([-0.8, -0.8]))
+    to12 = [Trajectory.from_nodes(g, [0, 1, 2, 7, 12]),
+            Trajectory.from_nodes(g, [6, 7, 12]),
+            Trajectory.from_nodes(g, [3, 8, 13, 12])]
+    to20 = [Trajectory.from_nodes(g, [15, 20]), Trajectory.from_nodes(g, [10, 15, 20])]
+    batch = to12 + to20 + to12[:1]
+    cfg = IrlConfig(horizon=10)
+    _, reports = batch_gradient(m, g, batch, cfg)
+    assert calls["softmax_backup"] == 10 * 2
+    for demo, rep in zip(batch, reports):
+        assert rep.backward_iters == 10
+        solo = demo_gradient(m, g, demo, cfg)
+        assert np.array_equal(rep.gradient, solo.gradient) and rep.nll == solo.nll
+    # a pass that does not converge is kept with its count: every repeat of
+    # its destination reports the same skip without running it again
+    calls.clear()
+    _, reports = batch_gradient(m, g, batch, IrlConfig(horizon=math.inf, max_iters=3))
+    assert all(rep.skipped and rep.backward_iters == 3 for rep in reports)
+    assert calls["softmax_backup"] == 3 * 2
+
+
 def test_oracle_estimators_call_no_library_estimator(monkeypatch):
     estimators = ("receding_horizon_gradient", "demo_gradient", "batch_gradient")
     referenced = set(vars(oracles))
@@ -552,10 +622,9 @@ def test_soft_draws_take_choices_slot_on_cdf_boundaries():
         for temperature in (1.0, 0.7):
             plan = Planner(g, rew, temperature)
             for dest in range(g.num_nodes):
-                soft = plan.soft(dest)
-                if soft is None:
+                pol, _ = plan.soft(dest)
+                if pol is None:
                     continue
-                pol = soft[1]
                 for node in range(g.num_nodes):
                     row = pol.probs[node]
                     if pol.dead[node] or row.sum() <= 0:
