@@ -86,10 +86,6 @@ def edge_mass_of(g: RoadGraph, edges) -> np.ndarray:
                        minlength=g.num_edges).astype(np.float64)
 
 
-def _check_demo(g: RoadGraph, traj: Trajectory) -> None:
-    traj.validate(g)  # a Trajectory has at least one edge by construction
-
-
 # ---------------------------------------------------------------------------
 # the general receding-horizon estimator
 
@@ -108,7 +104,7 @@ def receding_horizon_gradient(model: RewardModel, g: RoadGraph,
     Without one, ``plan`` (a Planner on the model's rewards at
     ``cfg.temperature``) may be shared by the demos of a batch.
     """
-    _check_demo(g, traj)
+    traj.validate(g)
     horizon = cfg.horizon
     if margin is not None and horizon != 0:
         raise ValidationError("a margin applies at horizon 0 only")
@@ -217,8 +213,8 @@ def sample_demonstrations(model: RewardModel, g: RoadGraph, num_demos: int, *,
                           ) -> list[Trajectory]:
     """Draw loop-free demo paths from the converged stochastic policy
     (or the deterministic best path at temperature 0).  Deterministic under
-    the seed.  Walks that revisit a node or dead-end are rejected and
-    resampled.
+    the seed.  Stochastic walks that revisit a node or dead-end are
+    rejected and resampled.
     """
     rng = np.random.default_rng(rng_seed)
     plan = Planner(g, edge_rewards(model, g), temperature)
@@ -249,7 +245,14 @@ def sample_demonstrations(model: RewardModel, g: RoadGraph, num_demos: int, *,
                 raise ValidationError(f"pair ({origin}, {dest}) is disconnected")
             failures += 1
             continue
-        walk = _sample_walk(g, pol, origin, dest, rng)
+        if pol.successors is None:
+            walk = _sample_walk(g, pol, origin, dest, rng)
+        else:
+            # the forest path to dest, drawing the double per hop that
+            # rng.choice draws on the one-hot rows
+            edges, nodes = pol.successors.walk(origin)
+            rng.random(len(edges))
+            walk = Trajectory(nodes=tuple(nodes), edges=tuple(edges))
         if walk is None:
             failures += 1
             continue
@@ -259,21 +262,16 @@ def sample_demonstrations(model: RewardModel, g: RoadGraph, num_demos: int, *,
 
 def _sample_walk(g: RoadGraph, pol: Policy, origin: int, dest: int,
                  rng: np.random.Generator) -> Trajectory | None:
-    """One walk under pol, or None where it revisits a node or dead-ends.
+    """One walk under the soft policy pol, or None where it revisits a node
+    or dead-ends.
 
-    Every hop tried draws one double, as ``rng.choice`` from the policy's
-    row does, so the stream, and every later walk, is the one that choice
-    gives.  A greedy policy's walk follows its successor array (choice on a
-    one-hot row returns the row's slot).  A soft policy's walk takes the
-    slot choice returns for the double, read from the policy's ``draws``
-    table; a dead row, or one that sums to at most 0, rejects the walk
-    without a draw.
+    Every hop tried draws one double and takes the slot ``rng.choice`` from
+    the policy's row takes for it, read from the policy's ``draws`` table,
+    so the stream, and every later walk, is the one that choice gives.  A
+    dead row, or one that sums to at most 0, rejects the walk without a
+    draw.
     """
-    if pol.successors is not None:
-        successor, stop = pol.successors.edge, pol.dead
-    else:
-        successor = None
-        cdf, stop = pol.draws
+    cdf, stop = pol.draws
     node = origin
     seen = {origin}
     nodes = [origin]
@@ -283,11 +281,7 @@ def _sample_walk(g: RoadGraph, pol: Policy, origin: int, dest: int,
             return Trajectory(nodes=tuple(nodes), edges=tuple(edges))
         if stop[node]:
             return None
-        if successor is not None:
-            rng.random()
-            e = int(successor[node])
-        else:
-            e = int(g.slot_edge[node, cdf[node].searchsorted(rng.random(), side="right")])
+        e = int(g.slot_edge[node, cdf[node].searchsorted(rng.random(), side="right")])
         nxt = int(g.edge_dst[e])
         if nxt in seen:
             return None

@@ -5,11 +5,11 @@ vectors.  Adjacency is stored as a dense (S, V) slot table so planners can
 vectorize over all states at once; invalid slots hold a -1 sentinel and must
 never be dereferenced.
 
-Records are the input format: files and the generators pass (id, ...)
-tuples to build_graph, which checks and parses them.  Arrays are the internal
-format: the compression and sharding transforms build a graph's coordinate,
-endpoint, feature and connector arrays with numpy indexing and hand them to
-the same array constructor build_graph ends in.
+Records are the file format: load_graph parses a file into (id, ...)
+tuples and build_graph checks them.  Arrays are the internal format: the
+generators and the compression and sharding transforms build a graph's
+coordinate, endpoint, feature and connector arrays with numpy and hand them
+to the same array constructor build_graph ends in.
 """
 from __future__ import annotations
 
@@ -111,10 +111,12 @@ def build_graph(
     edge_records: Iterable[tuple],
     connector_edge_ids: Iterable[int] = (),
 ) -> RoadGraph:
-    """Assemble a RoadGraph from explicit records.
+    """Assemble a RoadGraph from records, as a graph file holds them.
 
-    node_records: (node_id, x, y) with ids exactly 0..S-1.
-    edge_records: (edge_id, src, dst, feature_seq) with ids exactly 0..E-1.
+    node_records: (node_id, x, y) with ids exactly 0..S-1, in any order.
+    edge_records: (edge_id, src, dst, feature_seq) with ids exactly 0..E-1,
+    in any order, every feature_seq of one length.  Without edges the
+    feature table is (0, 0).
     """
     nodes = sorted(node_records, key=lambda r: r[0])
     if not nodes:
@@ -511,48 +513,36 @@ def gen_gridworld(
     if feature_spec not in ("constant", "random"):
         raise ValidationError(f"unknown feature_spec {feature_spec!r}")
     rng = np.random.default_rng(rng_seed)
-
-    def nid(r: int, c: int) -> int:
-        return r * width + c
-
-    node_records = [(nid(r, c), float(c), float(r))
-                    for r in range(height) for c in range(width)]
-    blocks: list[tuple[int, int]] = []
-    for r in range(height):
-        for c in range(width):
-            if c + 1 < width:
-                blocks.append((nid(r, c), nid(r, c + 1)))
-            if r + 1 < height:
-                blocks.append((nid(r, c), nid(r + 1, c)))
-
-    edge_records: list[tuple] = []
-    next_node = width * height
-    next_edge = 0
     k = segments_per_block
-    for u, w in blocks:
-        for a, b in ((u, w), (w, u)):
-            if feature_spec == "constant":
-                f = np.ones(feature_dim)
-            else:
-                f = rng.uniform(0.5, 1.5, size=feature_dim)
-            if k == 1:
-                edge_records.append((next_edge, a, b, f))
-                next_edge += 1
-            else:
-                xa, ya = node_records[a][1], node_records[a][2]
-                xb, yb = node_records[b][1], node_records[b][2]
-                mids = []
-                for j in range(1, k):
-                    t = j / k
-                    node_records.append((next_node, xa + t * (xb - xa), ya + t * (yb - ya)))
-                    mids.append(next_node)
-                    next_node += 1
-                hops = [a] + mids + [b]
-                for p, q in zip(hops[:-1], hops[1:]):
-                    edge_records.append((next_edge, p, q, f / k))
-                    next_edge += 1
 
-    return build_graph(node_records, edge_records)
+    # intersection r * width + c sits at (c, r); blocks run in node order, a
+    # node's block east before its block south, each one way then back
+    node = np.arange(width * height)
+    row, col = np.divmod(node, width)
+    grid = np.column_stack([col, row]).astype(np.float64)
+    has_block = np.column_stack([col + 1 < width, row + 1 < height])
+    near = np.column_stack([node, node])[has_block]
+    far = np.column_stack([node + 1, node + width])[has_block]
+    a = np.column_stack([near, far]).ravel()    # directed block i runs a[i] -> b[i]
+    b = np.column_stack([far, near]).ravel()
+    if feature_spec == "constant":
+        block_features = np.ones((a.size, feature_dim))
+    else:
+        block_features = rng.uniform(0.5, 1.5, size=(a.size, feature_dim))
+
+    # directed block i passes through mid nodes S + i(k-1) .. S + i(k-1) + k-2,
+    # evenly spaced, and is segments ik .. ik + k-1
+    mids = np.arange(node.size, node.size + a.size * (k - 1)).reshape(a.size, k - 1)
+    t = np.arange(1, k) / k
+    mid_coords = grid[a][:, None] + t[:, None] * (grid[b] - grid[a])[:, None]
+    coords = np.concatenate([grid, mid_coords.reshape(-1, 2)])
+    hops = np.column_stack([a, mids, b])
+    src = hops[:, :-1].ravel()
+    dst = hops[:, 1:].ravel()
+    features = np.repeat(block_features / k, k, axis=0)
+    if src.size == 0:
+        features = np.zeros((0, 0))  # an edgeless graph's table, as its file reads back
+    return _from_arrays(coords, src, dst, features, np.zeros(src.size, dtype=bool))
 
 
 def gen_random_graph(
@@ -583,11 +573,11 @@ def gen_random_graph(
         if u != w:
             pairs.add((u, w))
     edge_list = sorted(pairs)
+    src = np.array([u for u, _ in edge_list], dtype=np.int64)
+    dst = np.array([w for _, w in edge_list], dtype=np.int64)
     coords = rng.uniform(0.0, 1.0, size=(num_nodes, 2))
-    node_records = [(s, coords[s, 0], coords[s, 1]) for s in range(num_nodes)]
-    edge_records = [(i, u, w, rng.uniform(0.5, 2.0, size=feature_dim))
-                    for i, (u, w) in enumerate(edge_list)]
-    return build_graph(node_records, edge_records)
+    features = rng.uniform(0.5, 2.0, size=(src.size, feature_dim))
+    return _from_arrays(coords, src, dst, features, np.zeros(src.size, dtype=bool))
 
 
 def gen_two_state_loop() -> RoadGraph:
@@ -599,17 +589,19 @@ def gen_two_state_loop() -> RoadGraph:
     of exp-rewards is rank one with spectral radius e^-theta1 + e^-theta2,
     which makes this the canonical feasibility test fixture.
     """
-    node_records = [(0, 0.0, 0.0), (1, 1.0, 0.0), (2, 0.5, 1.0)]
-    edge_records = [
-        (0, 0, 0, [1.0, 0.0, 0.0]),
-        (1, 0, 1, [1.0, 0.0, 0.0]),
-        (2, 1, 0, [0.0, 1.0, 0.0]),
-        (3, 1, 1, [0.0, 1.0, 0.0]),
-        (4, 0, 2, [0.0, 0.0, 1.0]),
-        (5, 1, 2, [0.0, 0.0, 1.0]),
-        (6, 2, 2, [0.0, 0.0, 0.0]),
-    ]
-    return build_graph(node_records, edge_records)
+    coords = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0]])
+    src = np.array([0, 0, 1, 1, 0, 1, 2], dtype=np.int64)
+    dst = np.array([0, 1, 0, 1, 2, 2, 2], dtype=np.int64)
+    features = np.array([
+        [1.0, 0.0, 0.0],
+        [1.0, 0.0, 0.0],
+        [0.0, 1.0, 0.0],
+        [0.0, 1.0, 0.0],
+        [0.0, 0.0, 1.0],
+        [0.0, 0.0, 1.0],
+        [0.0, 0.0, 0.0],
+    ])
+    return _from_arrays(coords, src, dst, features, np.zeros(7, dtype=bool))
 
 
 def two_state_loop_rewards(g: RoadGraph, theta1: float, theta2: float) -> np.ndarray:

@@ -673,8 +673,6 @@ def rollout(gv: GoalView, schedule: list[tuple[Policy, int | None]],
         edge_mass[tail_edges] += tail_mass
         absorbed += tail_absorbed
         lost += tail_lost
-    elif not truncated and m.sum() > tol and schedule and schedule[-1][1] is None:
-        truncated = True
     return RolloutResult(edge_mass=edge_mass, steps=steps, truncated=truncated,
                          lost_mass=lost, absorbed_mass=absorbed)
 

@@ -9,7 +9,8 @@ receding-horizon estimator that the library runs them as, and `evaluate` and
 drawn hop by hop with `rng.choice` from the policy's rows, greedy policies
 stepped on one-hot tables, the sparse
 I - C assembled through scipy's COO conversion and sparse subtraction, and
-the exact start solved per destination on a rescaled system.
+the exact start solved per destination on a rescaled system, and the graph
+generators writing one record per node and per edge for `build_graph`.
 """
 import warnings
 
@@ -20,8 +21,8 @@ from scipy.special import logsumexp
 
 from routeirl import (InfeasibilityError, Metrics, RoadGraph, GoalView,
                       ValidationError, build_graph)
-from routeirl.algorithms import (GradientReport, IrlConfig, _check_demo,
-                                 _skipped, edge_mass_of, state_mass)
+from routeirl.algorithms import (GradientReport, IrlConfig, _skipped,
+                                 edge_mass_of, state_mass)
 from routeirl.graph import Trajectory
 from routeirl.planners import (dijkstra_values, greedy_path, greedy_policy,
                                policy_from_q, policy_from_values,
@@ -86,6 +87,94 @@ def blocked_chain_graph() -> RoadGraph:
     nodes = [(0, 0.0, 0.0), (1, 1.0, 0.0), (2, 0.5, 1.0)]
     pairs = [(0, 1), (1, 0), (1, 2), (2, 0), (2, 1)]
     return build_graph(nodes, [(i, u, w, [1.0]) for i, (u, w) in enumerate(pairs)])
+
+
+def gen_gridworld_records(width: int, height: int, feature_spec: str = "constant",
+                          rng_seed: int = 0, feature_dim: int = 2,
+                          segments_per_block: int = 1) -> RoadGraph:
+    """``gen_gridworld`` built block by block from records."""
+    rng = np.random.default_rng(rng_seed)
+
+    def nid(r: int, c: int) -> int:
+        return r * width + c
+
+    node_records = [(nid(r, c), float(c), float(r))
+                    for r in range(height) for c in range(width)]
+    blocks: list[tuple[int, int]] = []
+    for r in range(height):
+        for c in range(width):
+            if c + 1 < width:
+                blocks.append((nid(r, c), nid(r, c + 1)))
+            if r + 1 < height:
+                blocks.append((nid(r, c), nid(r + 1, c)))
+
+    edge_records: list[tuple] = []
+    next_node = width * height
+    next_edge = 0
+    k = segments_per_block
+    for u, w in blocks:
+        for a, b in ((u, w), (w, u)):
+            if feature_spec == "constant":
+                f = np.ones(feature_dim)
+            else:
+                f = rng.uniform(0.5, 1.5, size=feature_dim)
+            if k == 1:
+                edge_records.append((next_edge, a, b, f))
+                next_edge += 1
+            else:
+                xa, ya = node_records[a][1], node_records[a][2]
+                xb, yb = node_records[b][1], node_records[b][2]
+                mids = []
+                for j in range(1, k):
+                    t = j / k
+                    node_records.append((next_node, xa + t * (xb - xa), ya + t * (yb - ya)))
+                    mids.append(next_node)
+                    next_node += 1
+                hops = [a] + mids + [b]
+                for p, q in zip(hops[:-1], hops[1:]):
+                    edge_records.append((next_edge, p, q, f / k))
+                    next_edge += 1
+    return build_graph(node_records, edge_records)
+
+
+def gen_random_graph_records(num_nodes: int, feature_dim: int = 2, rng_seed: int = 0,
+                             extra_edges: int | None = None) -> RoadGraph:
+    """``gen_random_graph`` built from records, one feature draw per edge."""
+    rng = np.random.default_rng(rng_seed)
+    if extra_edges is None:
+        extra_edges = num_nodes
+    order = rng.permutation(num_nodes)
+    pairs = set()
+    for i in range(num_nodes):
+        pairs.add((int(order[i]), int(order[(i + 1) % num_nodes])))
+    attempts = 0
+    while len(pairs) < num_nodes + extra_edges and attempts < 50 * (num_nodes + extra_edges):
+        u = int(rng.integers(num_nodes))
+        w = int(rng.integers(num_nodes))
+        attempts += 1
+        if u != w:
+            pairs.add((u, w))
+    edge_list = sorted(pairs)
+    coords = rng.uniform(0.0, 1.0, size=(num_nodes, 2))
+    node_records = [(s, coords[s, 0], coords[s, 1]) for s in range(num_nodes)]
+    edge_records = [(i, u, w, rng.uniform(0.5, 2.0, size=feature_dim))
+                    for i, (u, w) in enumerate(edge_list)]
+    return build_graph(node_records, edge_records)
+
+
+def gen_two_state_loop_records() -> RoadGraph:
+    """``gen_two_state_loop`` built from records."""
+    node_records = [(0, 0.0, 0.0), (1, 1.0, 0.0), (2, 0.5, 1.0)]
+    edge_records = [
+        (0, 0, 0, [1.0, 0.0, 0.0]),
+        (1, 0, 1, [1.0, 0.0, 0.0]),
+        (2, 1, 0, [0.0, 1.0, 0.0]),
+        (3, 1, 1, [0.0, 1.0, 0.0]),
+        (4, 0, 2, [0.0, 0.0, 1.0]),
+        (5, 1, 2, [0.0, 0.0, 1.0]),
+        (6, 2, 2, [0.0, 0.0, 0.0]),
+    ]
+    return build_graph(node_records, edge_records)
 
 
 def slot_layout(num_nodes: int, edge_src, edge_dst) -> tuple[np.ndarray, np.ndarray, int]:
@@ -451,7 +540,7 @@ def scipy_dominant_eigenvalue(gv: GoalView, rew: np.ndarray, shift: float, *,
 def maxent_gradient(model: RewardModel, g: RoadGraph, traj: Trajectory,
                     cfg: IrlConfig) -> GradientReport:
     """Fully converged softmax values (the H -> inf limit)."""
-    _check_demo(g, traj)
+    traj.validate(g)
     gv = GoalView(g, traj.nodes[-1])
     r = edge_rewards(model, g)
     v, iters, conv = power_iteration_backward(
@@ -476,7 +565,7 @@ def maxent_gradient(model: RewardModel, g: RoadGraph, traj: Trajectory,
 def birl_gradient(model: RewardModel, g: RoadGraph, traj: Trajectory,
                   cfg: IrlConfig) -> GradientReport:
     """One softmax step over max-reward values (H = 1)."""
-    _check_demo(g, traj)
+    traj.validate(g)
     gv = GoalView(g, traj.nodes[-1])
     r = edge_rewards(model, g)
     v_best = dijkstra_values(gv, r)
@@ -509,7 +598,7 @@ def birl_gradient(model: RewardModel, g: RoadGraph, traj: Trajectory,
 def mmp_gradient(model: RewardModel, g: RoadGraph, traj: Trajectory,
                  cfg: IrlConfig) -> GradientReport:
     """Margin-augmented best-path matching (H = 0, no temperature)."""
-    _check_demo(g, traj)
+    traj.validate(g)
     gv = GoalView(g, traj.nodes[-1])
     r = edge_rewards(model, g)
     margins = np.full(g.num_edges, cfg.margin)

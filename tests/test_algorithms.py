@@ -338,12 +338,10 @@ def test_one_function_runs_the_shortest_path_routines():
         "planners._shortest_paths"}
 
 
-def test_only_file_loading_and_generators_build_graphs_from_records():
-    # the compression and sharding transforms build arrays and skip the
-    # record parser
-    assert set(_library_callers({"build_graph"})) == {
-        "io.load_graph", "graph.gen_gridworld", "graph.gen_random_graph",
-        "graph.gen_two_state_loop"}
+def test_only_file_loading_builds_graphs_from_records():
+    # the generators and the compression and sharding transforms build
+    # arrays and skip the record parser
+    assert set(_library_callers({"build_graph"})) == {"io.load_graph"}
 
 
 def test_the_planner_makes_every_plan_the_estimator_reads():

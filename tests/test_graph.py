@@ -1,3 +1,6 @@
+from dataclasses import fields
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -20,7 +23,9 @@ from routeirl import (
     split_high_degree,
     two_state_loop_rewards,
 )
-from oracles import blocked_chain_graph, enumerate_simple_paths, slot_layout, walk_reward
+from oracles import (blocked_chain_graph, enumerate_simple_paths, gen_gridworld_records,
+                     gen_random_graph_records, gen_two_state_loop_records, slot_layout,
+                     walk_reward)
 
 
 def test_build_graph_slot_layout():
@@ -42,6 +47,32 @@ def test_build_graph_slot_layout():
     for e in range(g.num_edges):
         s = int(g.edge_src[e])
         assert g.slot_edge[s, g.edge_slot[e]] == e
+
+
+def assert_same_graph(g: RoadGraph, ref: RoadGraph) -> None:
+    """Every field equal: the counts, and each array's dtype, shape and bytes."""
+    for f in fields(RoadGraph):
+        a, b = getattr(g, f.name), getattr(ref, f.name)
+        if isinstance(b, np.ndarray):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), f.name
+            assert a.tobytes() == b.tobytes(), f.name
+        else:
+            assert a == b, f.name
+
+
+def test_generators_equal_their_record_built_references():
+    for width, height, spec, k, d, seed in product(range(1, 7), range(1, 7),
+                                                   ("constant", "random"), range(1, 5),
+                                                   range(4), (0, 5)):
+        kw = dict(feature_spec=spec, rng_seed=seed, feature_dim=d, segments_per_block=k)
+        assert_same_graph(gen_gridworld(width, height, **kw),
+                          gen_gridworld_records(width, height, **kw))
+    assert gen_gridworld(1, 1).features.shape == (0, 0)
+    for n in range(2, 61):
+        for extra in (None, 0, 3, 4 * n):
+            kw = dict(feature_dim=n % 4, rng_seed=n, extra_edges=extra)
+            assert_same_graph(gen_random_graph(n, **kw), gen_random_graph_records(n, **kw))
+    assert_same_graph(gen_two_state_loop(), gen_two_state_loop_records())
 
 
 def test_slot_layout_matches_per_node_lists():

@@ -13,6 +13,7 @@ from routeirl import (
     compress_trajectory,
     gen_gridworld,
     gen_random_graph,
+    gen_two_state_loop,
     load_graph,
     load_merge_map,
     load_trajectories,
@@ -23,9 +24,12 @@ from routeirl import (
 
 
 def test_graph_round_trip_bitwise(tmp_path):
-    for seed in range(4):
-        g = gen_random_graph(14, rng_seed=seed)
-        p = tmp_path / f"g{seed}.txt"
+    graphs = [gen_random_graph(14, rng_seed=seed) for seed in range(4)]
+    graphs += [gen_gridworld(1, 1), gen_gridworld(3, 2, "random", rng_seed=4),
+               gen_gridworld(2, 3, segments_per_block=3, feature_dim=1),
+               gen_random_graph(9, feature_dim=0, rng_seed=5), gen_two_state_loop()]
+    for i, g in enumerate(graphs):
+        p = tmp_path / f"g{i}.txt"
         save_graph(g, p)
         h = load_graph(p)
         assert h.num_nodes == g.num_nodes and h.num_edges == g.num_edges
