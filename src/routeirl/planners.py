@@ -1,12 +1,14 @@
 """Planning primitives on goal-conditioned graphs.
 
 Everything here works on the padded (num_nodes, max_out_degree) slot layout:
-log-domain backups, deterministic max-reward values, stochastic policies, and
-forward mass propagation.  A destination's slot reward table
-(``slot_rewards``: -inf on invalid slots and on the destination's row) is
-its only mask; backups and policies apply no other, so the reward tables
-and values they take must hold no NaN or +inf (``_checked_rewards``, once
-per table, where it enters); ``Planner.soft`` makes every soft plan.
+deterministic max-reward values, stochastic policies and forward mass
+propagation.  ``Planner.soft`` makes every soft plan, on scaled backups in
+the linear domain; the log-domain ones (``softmax_backup``,
+``power_iteration_backward``) stay public as the reference.  A destination's
+slot reward table (``slot_rewards``: -inf on invalid slots and on the
+destination's row) is its only mask; backups and policies apply no other,
+so the reward tables and values they take must hold no NaN or +inf
+(``_checked_rewards``, once per table, where it enters).
 Converged soft values start from the exact fixed point, Z = exp(v) = x / x_d
 with x = M^-1 e_d on one LU factor of the table's M = I - A, and the backups
 confirm it (``Planner.exact_start``: the max-reward values where M is
@@ -298,12 +300,6 @@ def softmax_backup(gv: GoalView, rew_slots: np.ndarray, v_prev: np.ndarray,
     return q, v
 
 
-def onehot_values(gv: GoalView) -> np.ndarray:
-    v = np.full(gv.graph.num_nodes, -np.inf)
-    v[gv.destination] = 0.0
-    return v
-
-
 def _value_diff(a: np.ndarray, b: np.ndarray) -> float:
     """Max |a - b|, reading -inf against -inf as 0, -inf against a finite
     value as inf, and any NaN input as inf (never converged)."""
@@ -343,22 +339,21 @@ def power_iteration_backward(gv: GoalView, rew, *,
                              ) -> tuple[np.ndarray, int, bool]:
     """Iterate softmax backups to the soft-value fixed point.
 
-    rew is a reward table, or a ``Planner`` at this temperature (whose
-    table was checked when it was built).  init: 'onehot' (destination
-    indicator), 'dijkstra' (max-reward values, temperature-scaled), 'exact'
-    (``Planner.exact_start``, else the Dijkstra start), or an explicit
-    starting vector.  The backups and the stopping test are the same for
-    every start.  Returns (values, iterations, converged).
+    init: 'onehot' (destination indicator), 'dijkstra' (max-reward values,
+    temperature-scaled), 'exact' (``Planner.exact_start``, else the
+    Dijkstra start), or an explicit starting vector.  The backups and the
+    stopping test are the same for every start.  Returns (values,
+    iterations, converged).
     """
     if temperature <= 0:
         raise ValidationError("temperature must be positive")
-    plan = rew if isinstance(rew, Planner) else Planner(gv.graph, rew, temperature)
+    plan = Planner(gv.graph, rew, temperature)
     rs = _slot_table(gv, plan.rew)
     if isinstance(init, str):
         if init not in ("onehot", "dijkstra", "exact"):
             raise ValidationError(f"unknown init {init!r}")
         if init == "onehot":
-            init = onehot_values(gv)
+            init = np.full(gv.graph.num_nodes, -np.inf)  # 0 at the destination, below
         elif init == "dijkstra":
             init = plan.best_values(gv.destination) / temperature
         else:
@@ -379,24 +374,18 @@ def power_iteration_backward(gv: GoalView, rew, *,
     return v, max_iters, False
 
 
-def policy_from_q(gv: GoalView, q: np.ndarray, v: np.ndarray) -> Policy:
-    """The softmax policy exp(Q - v) of a backup's (Q, v), v holding no NaN
-    or +inf.  Q's -inf entries (invalid slots, the destination row) give
-    probability 0 with no mask; a dead row (v = -inf, every Q -inf) gives
-    NaN, which is zeroed."""
-    with np.errstate(invalid="ignore"):  # dead rows: -inf minus -inf
-        probs = np.exp(q - v[:, None])
-    probs[np.isnan(probs)] = 0.0
-    dead = np.isneginf(v)
-    dead[gv.destination] = True
-    return Policy(probs=probs, destination=gv.destination, dead=dead)
-
-
 def policy_from_values(gv: GoalView, rew: np.ndarray, v: np.ndarray,
                        temperature: float = 1.0) -> Policy:
-    rs = slot_rewards(gv, rew)
-    q, v_new = softmax_backup(gv, rs, v, temperature)
-    return policy_from_q(gv, q, v_new)
+    """The softmax policy exp(Q - v_new) of one log-domain backup from v:
+    Q's -inf entries (invalid slots, the destination row) give probability
+    0 with no mask, and a dead row's NaN (v_new and every Q -inf) is zeroed."""
+    q, v_new = softmax_backup(gv, slot_rewards(gv, rew), v, temperature)
+    with np.errstate(invalid="ignore"):  # dead rows: -inf minus -inf
+        probs = np.exp(q - v_new[:, None])
+    probs[np.isnan(probs)] = 0.0
+    dead = np.isneginf(v_new)
+    dead[gv.destination] = True
+    return Policy(probs=probs, destination=gv.destination, dead=dead)
 
 
 def greedy_policy(gv: GoalView, rew: np.ndarray) -> Policy:
@@ -479,8 +468,8 @@ class Planner:
     max-reward values, greedy policy (on the tree the same search returns,
     which is dropped once the policy is built; its jump tables are built by
     the first tail that needs them), and each horizon's soft plan (``soft``,
-    kept too where it does not converge).  The arrays it returns must not
-    be modified.
+    kept too where it does not converge; its scaled table is dropped once
+    the policy is built).  The arrays it returns must not be modified.
     """
 
     def __init__(self, g: RoadGraph, rew: np.ndarray, temperature: float = 1.0):
@@ -524,31 +513,21 @@ class Planner:
     def soft(self, dest: int, horizon: float = math.inf, init: str = "exact",
              tol: float = 1e-9, max_iters: int | None = None
              ) -> tuple[Policy | None, int]:
-        """RH(H)'s soft policy toward dest, H >= 1, and its backup count:
-        H backups from v_best/T, or at H = inf ``power_iteration_backward``
-        from init to tol within max_iters (policy None where it does not
-        converge) and one backup more, all on one slot table; the policy is
-        the last backup's softmax.  Kept per destination and argument read."""
-        def make():
-            gv, t = GoalView(self.graph, dest), self.temperature
-            if math.isinf(horizon):
-                v, iters, conv = power_iteration_backward(
-                    gv, self, temperature=t, init=init, tol=tol, max_iters=max_iters)
-                if not conv:
-                    return None, iters
-                backups = 1
-            else:
-                v = self.best_values(dest) / t
-                v[dest] = 0.0
-                iters = backups = int(horizon)
-            rs = _slot_table(gv, self.rew)
-            for _ in range(backups):
-                q, v = softmax_backup(gv, rs, v, t)
-            return policy_from_q(gv, q, v), iters
-        if not horizon >= 1:
-            raise ValidationError("a soft plan takes at least one backup")
+        """RH(H)'s soft policy toward dest, H >= 1, and its backup count,
+        kept per destination and argument read.  The backups run on
+        y = exp(v - a), a an anchor: y <- sum_k C y(s'), y(dest) = 1, on
+        C = exp(r/T + a(s') - a(s)), 0 off the slots and on the rows of dest
+        and of the nodes that cannot reach it; the policy is C y(s') / y_new.
+        RH(H): H backups from y = 1 on a = v_best/T, where C <= 1.  H = inf:
+        from y = 1 on v_best/T ('dijkstra') or ``exact_start`` ('exact'), or
+        y = e_dest ('onehot'), until every y_new / y is within tol / (1 +
+        tol) of 1 (|dv| <= tol) in max_iters, else policy None, and one
+        backup more for the policy.  Where y_new overflows, a takes log y
+        and the backup is redone (InfeasibilityError if that overflows)."""
+        if not (horizon >= 1 and init in ("onehot", "dijkstra", "exact") and self.temperature > 0):
+            raise ValidationError(f"no soft plan: H={horizon}, init={init!r}, T={self.temperature}")
         kind = ("soft", init, tol, max_iters) if math.isinf(horizon) else ("soft", horizon)
-        return self.memo(kind, dest, make)
+        return self.memo(kind, dest, lambda: _soft_plan(self, dest, horizon, init, tol, max_iters))
 
     @cached_property
     def _factor(self):
@@ -586,6 +565,66 @@ class Planner:
         v = np.full(self.graph.num_nodes, -np.inf)
         v[reach] = np.log(z)
         return v
+
+
+def _scaled_backup(c: np.ndarray, y: np.ndarray, targets: np.ndarray, dest: int) -> tuple:
+    """One backup on a scaled (V, S) slot table c: c * y(s') and y_new, its column sums."""
+    p = c * y[targets]
+    y_new = np.add.reduce(p, axis=0)
+    y_new[dest] = 1.0
+    return p, y_new
+
+
+def _soft_plan(plan: Planner, dest: int, horizon: float, init: str, tol: float, max_iters):
+    """``Planner.soft``'s plan, made on its first call."""
+    g, t = plan.graph, plan.temperature
+    anchor = plan.best_values(dest) / t
+    live = np.isfinite(anchor)
+    y = live.astype(np.float64)  # 1 on the nodes that reach dest
+    live[dest] = False  # dest's row, as the rows that cannot reach it, is 0
+    if not math.isinf(horizon):
+        backups, tol = int(horizon), None
+    else:
+        backups = _default_iters(g.num_nodes) if max_iters is None else max_iters
+        if init == "onehot":
+            y = np.eye(1, g.num_nodes, dest)[0]
+        elif init == "exact":
+            anchor = plan.exact_start(dest)  # finite exactly where v_best is
+    # from y = 1, y <= V**H: below about 700 / log V backups none overflows
+    check = tol is not None or backups * math.log(max(g.max_out_degree, 1)) > 700
+    targets = np.ascontiguousarray(g.safe_targets.T)  # (V, S): backups sum down columns
+    terms = np.concatenate((plan.rew, [-np.inf]))[np.ascontiguousarray(g.slot_edge.T)] / t
+    c, it, fresh = None, 0, False
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while it < backups:
+            if c is None:
+                c = np.exp(terms + anchor[targets] - np.where(live, anchor, np.inf))
+            p, y_new = _scaled_backup(c, y, targets, dest)
+            if check:
+                # 0 / 0 (no mass before or after) is NaN, which fmax skips
+                top = np.fmax.reduce(np.abs(y_new / y - 1.0))
+                if top == np.inf and not np.isfinite(y_new).all():
+                    if fresh:
+                        raise InfeasibilityError("soft values overflow a re-anchored table")
+                    # re-anchor on log y floored 600 below its top: a node with no
+                    # mass yet gives no coefficient past e**600, nor grows one into it
+                    shift = np.maximum(np.log(y), np.log(y.max()) - 600.0)
+                    shift[dest] = 0.0
+                    anchor += shift
+                    c, y, fresh = None, y * np.exp(-shift), True
+                    continue
+            it += 1
+            y, fresh = y_new, False
+            if tol is not None and top <= tol / (1.0 + tol):
+                p, y_new = _scaled_backup(c, y, targets, dest)  # the policy's backup
+                break
+        else:
+            if tol is not None:
+                return None, backups
+        dead = y_new == 0.0
+        dead[dest] = True
+        probs = np.ascontiguousarray((p / np.where(dead, 1.0, y_new)).T)
+    return Policy(probs=probs, destination=dest, dead=dead), it
 
 
 @dataclass
@@ -654,7 +693,8 @@ def rollout(gv: GoalView, schedule: list[tuple[Policy, int | None]],
                     slot_mass = np.zeros(rows.size)
                 pv = pol.probs[g.slot_valid]
                 dead = np.flatnonzero(pol.dead)
-            lost += float(m[dead].sum())
+            if dead.size > 1:  # the destination, the one dead row always, holds no mass
+                lost += float(m[dead].sum())
             sm = m[rows] * pv
             slot_mass += sm
             m = np.bincount(tidx, sm, minlength=g.num_nodes)  # adds in slot order

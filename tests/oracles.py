@@ -11,6 +11,10 @@ stepped on one-hot tables, the sparse
 I - C assembled through scipy's COO conversion and sparse subtraction, and
 the exact start solved per destination on a rescaled system, and the graph
 generators writing one record per node and per edge for `build_graph`.
+The estimators and the per-demo replanning take their soft policies from a
+fresh ``Planner.soft``, so they check what is built on a plan bitwise; the
+plan's own numerics are checked against the log-domain backward pass in
+``test_planners``.
 """
 import warnings
 
@@ -24,10 +28,8 @@ from routeirl import (InfeasibilityError, Metrics, RoadGraph, GoalView,
 from routeirl.algorithms import (GradientReport, IrlConfig, _skipped,
                                  edge_mass_of, state_mass)
 from routeirl.graph import Trajectory
-from routeirl.planners import (dijkstra_values, greedy_path, greedy_policy,
-                               policy_from_q, policy_from_values,
-                               power_iteration_backward, rollout, slot_rewards,
-                               trajectory_nll, trajectory_policy_nll)
+from routeirl.planners import (Planner, dijkstra_values, greedy_path, greedy_policy,
+                               rollout, slot_rewards, trajectory_nll)
 from routeirl.rewards import RewardModel, backprop, edge_rewards
 
 
@@ -424,6 +426,13 @@ def fd_gradient(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
 # planners the library does not need
 
 
+def onehot_values(gv: GoalView) -> np.ndarray:
+    """Log-domain destination indicator: 0 at the destination, -inf elsewhere."""
+    v = np.full(gv.graph.num_nodes, -np.inf)
+    v[gv.destination] = 0.0
+    return v
+
+
 def max_backup(gv: GoalView, rew_slots: np.ndarray, v_prev: np.ndarray) -> np.ndarray:
     valid = goal_slots(gv)
     q = rew_slots + v_prev[np.where(valid, gv.graph.slot_target, 0)]
@@ -543,17 +552,15 @@ def maxent_gradient(model: RewardModel, g: RoadGraph, traj: Trajectory,
     traj.validate(g)
     gv = GoalView(g, traj.nodes[-1])
     r = edge_rewards(model, g)
-    v, iters, conv = power_iteration_backward(
-        gv, r, temperature=cfg.temperature, init=cfg.init,
-        tol=cfg.tol, max_iters=cfg.max_iters)
-    if not conv:
+    pol, iters = Planner(g, r, cfg.temperature).soft(
+        gv.destination, init=cfg.init, tol=cfg.tol, max_iters=cfg.max_iters)
+    if pol is None:
         rep = _skipped("backward pass did not converge")
         rep.backward_iters = iters
         return rep
     origin = traj.nodes[0]
-    if np.isneginf(v[origin]):
+    if np.isneginf(dijkstra_values(gv, r)[origin]):
         return _skipped("origin cannot reach destination")
-    pol = policy_from_values(gv, r, v, cfg.temperature)
     roll = rollout(gv, [(pol, None)], state_mass(g, [origin]))
     residual = (edge_mass_of(g, traj.edges) - roll.edge_mass) / cfg.temperature
     grad = backprop(model, g, residual)
@@ -572,15 +579,8 @@ def birl_gradient(model: RewardModel, g: RoadGraph, traj: Trajectory,
     origin = traj.nodes[0]
     if np.isneginf(v_best[origin]):
         return _skipped("origin cannot reach destination")
-    # softmax over optimal action values: Q = (r + v_best(s')) / T
-    rs = slot_rewards(gv, r)
-    valid = goal_slots(gv)
-    tgt = np.where(valid, g.slot_target, 0)
-    q = (rs + v_best[tgt]) / cfg.temperature
-    q[~valid] = -np.inf
-    v_soft = logsumexp(q, axis=1)
-    v_soft[gv.destination] = 0.0
-    pol_soft = policy_from_q(gv, q, v_soft)
+    # softmax over optimal action values: one backup from v_best / T
+    pol_soft, _ = Planner(g, r, cfg.temperature).soft(gv.destination, 1)
     pol_greedy = greedy_policy(gv, r)
     demo_states = state_mass(g, traj.nodes)
     suffix_states = state_mass(g, traj.nodes[1:])
@@ -622,7 +622,7 @@ def mmp_gradient(model: RewardModel, g: RoadGraph, traj: Trajectory,
 
 # ---------------------------------------------------------------------------
 # evaluate and sample_demonstrations with every destination replanned per
-# demo from the public primitives, sharing nothing between demos
+# demo on a fresh planner, sharing nothing between demos
 
 
 def evaluate_per_demo(rew: np.ndarray, demos: list, g: RoadGraph, *,
@@ -650,10 +650,9 @@ def evaluate_per_demo(rew: np.ndarray, demos: list, g: RoadGraph, *,
             a, b = set(demo_edges), set(pred_edges)
             iou_sum += len(a & b) / len(a | b)
         if nll_ok:
-            sv, _, conv = power_iteration_backward(gv, rew, temperature=temperature,
-                                                   init="exact")
-            if conv:
-                nll_sum += trajectory_policy_nll(gv, rew, sv, traj, temperature)
+            pol, _ = Planner(g, rew, temperature).soft(traj.destination)
+            if pol is not None:
+                nll_sum += trajectory_nll(g, traj, pol)
             else:
                 nll_ok = False
     n = len(demos)
@@ -680,11 +679,10 @@ def sample_per_demo(model: RewardModel, g: RoadGraph, num_demos: int, *,
             v = dijkstra_values(gv, r)
             pol = greedy_policy(gv, r)
         else:
-            v, _, conv = power_iteration_backward(gv, r, temperature=temperature,
-                                                  init="exact")
-            if not conv:
+            v = dijkstra_values(gv, r)
+            pol, _ = Planner(g, r, temperature).soft(dest)
+            if pol is None:
                 raise InfeasibilityError("softmax values did not converge")
-            pol = policy_from_values(gv, r, v, temperature)
         if np.isneginf(v[origin]):
             if pairs is not None:
                 raise ValidationError(f"pair ({origin}, {dest}) is disconnected")

@@ -242,8 +242,6 @@ def test_mmp_finds_the_best_path_past_a_zero_reward_loop():
 
 def test_reductions_on_generated_graphs():
     """Each algorithm name against its oracle on seeded random graphs."""
-    # the BIRL oracle divides r + v_best by T, the library r and v_best
-    # apiece: bitwise equal where T is a power of two
     cfgs = [IrlConfig(algorithm="mmp", margin=margin) for margin in (0.0, 0.3)]
     cfgs += [IrlConfig(algorithm="birl")]
     cfgs += [IrlConfig(algorithm="maxent", temperature=temperature, init=init)
@@ -345,10 +343,11 @@ def test_only_file_loading_builds_graphs_from_records():
 
 
 def test_the_planner_makes_every_plan_the_estimator_reads():
-    kernels = {"slot_rewards", "softmax_backup", "policy_from_q",
-               "power_iteration_backward"}
+    kernels = {"slot_rewards", "softmax_backup", "policy_from_values",
+               "power_iteration_backward", "_soft_plan", "_scaled_backup"}
     assert not [c for c in _library_callers(kernels) if c.startswith("algorithms.")]
     assert {c.split(".")[0] for c in _library_callers({"softmax_backup"})} == {"planners"}
+    assert _library_callers({"_soft_plan"}) == ["planners.soft"]
 
 
 def _counting(monkeypatch, name):
@@ -391,7 +390,7 @@ def test_a_reward_table_is_checked_once(monkeypatch):
 
 
 def test_a_batch_plans_each_destination_once(monkeypatch):
-    calls = _counting(monkeypatch, "softmax_backup")
+    calls = _counting(monkeypatch, "_scaled_backup")
     g = gen_gridworld(5, 5)
     m = LinearReward(np.array([-0.8, -0.8]))
     to12 = [Trajectory.from_nodes(g, [0, 1, 2, 7, 12]),
@@ -401,7 +400,7 @@ def test_a_batch_plans_each_destination_once(monkeypatch):
     batch = to12 + to20 + to12[:1]
     cfg = IrlConfig(horizon=10)
     _, reports = batch_gradient(m, g, batch, cfg)
-    assert calls["softmax_backup"] == 10 * 2
+    assert calls["_scaled_backup"] == 10 * 2
     for demo, rep in zip(batch, reports):
         assert rep.backward_iters == 10
         solo = demo_gradient(m, g, demo, cfg)
@@ -411,7 +410,7 @@ def test_a_batch_plans_each_destination_once(monkeypatch):
     calls.clear()
     _, reports = batch_gradient(m, g, batch, IrlConfig(horizon=math.inf, max_iters=3))
     assert all(rep.skipped and rep.backward_iters == 3 for rep in reports)
-    assert calls["softmax_backup"] == 3 * 2
+    assert calls["_scaled_backup"] == 3 * 2
 
 
 def test_oracle_estimators_call_no_library_estimator(monkeypatch):

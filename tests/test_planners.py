@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import itertools
 import math
 import warnings
 from collections import Counter
@@ -45,7 +46,6 @@ from routeirl.planners import (
     dijkstra_values,
     greedy_path,
     greedy_policy,
-    onehot_values,
     policy_from_values,
     power_iteration_backward,
     rollout,
@@ -63,6 +63,7 @@ from oracles import (
     loopy_graph,
     max_backup,
     mp_soft_values,
+    onehot_values,
     power_iteration_backward_linear,
     rollout_dense,
     scipy_backward,
@@ -711,7 +712,7 @@ def test_one_reversed_graph_per_call_and_one_plan_per_destination(monkeypatch):
     dests = len({d for _, d in pairs})
     calls = Counter()
     greedy = []  # every greedy policy planned
-    for name in ("_reversed_graph", "_tree_policy", "power_iteration_backward",
+    for name in ("_reversed_graph", "_tree_policy", "_soft_plan",
                  "_jump_tables", "_draw_table"):
         def counting(*args, _real=getattr(routeirl.planners, name), _name=name, **kw):
             calls[_name] += 1
@@ -723,12 +724,10 @@ def test_one_reversed_graph_per_call_and_one_plan_per_destination(monkeypatch):
     # greedy walks and T=0 samples build no jump tables, and only T > 0
     # walks build draw tables, one per destination
     evaluate(m, demos, g)
-    assert calls == {"_reversed_graph": 1, "_tree_policy": dests,
-                     "power_iteration_backward": dests}
+    assert calls == {"_reversed_graph": 1, "_tree_policy": dests, "_soft_plan": dests}
     calls.clear()
     sample_demonstrations(m, g, len(pairs), rng_seed=2, pairs=pairs)
-    assert calls == {"_reversed_graph": 1, "power_iteration_backward": dests,
-                     "_draw_table": dests}
+    assert calls == {"_reversed_graph": 1, "_soft_plan": dests, "_draw_table": dests}
     calls.clear()
     sample_demonstrations(m, g, len(pairs), rng_seed=2, temperature=0.0, pairs=pairs)
     assert calls == {"_reversed_graph": 1, "_tree_policy": dests}
@@ -744,7 +743,8 @@ def test_one_reversed_graph_per_call_and_one_plan_per_destination(monkeypatch):
     assert all(pol.probs is None for pol in greedy)
     calls.clear()
     batch_gradient(m, g, demos, IrlConfig(horizon=3))
-    assert calls == {"_reversed_graph": 1, "_tree_policy": dests, "_jump_tables": dests}
+    assert calls == {"_reversed_graph": 1, "_tree_policy": dests, "_soft_plan": dests,
+                     "_jump_tables": dests}
     calls.clear()
     batch_gradient(m, g, demos, IrlConfig(algorithm="mmp"))
     assert calls == {"_reversed_graph": len(demos), "_tree_policy": len(demos)}
@@ -776,6 +776,86 @@ def test_shared_plans_equal_per_demo_replanning():
                        {"temperature": 0.7, "pairs": pairs}, {"temperature": 0.0, "pairs": pairs}):
                 assert (sample_demonstrations(model, g, 10, rng_seed=seed + 5, **kw)
                         == sample_per_demo(model, g, 10, rng_seed=seed + 5, **kw))
+
+
+def _log_soft_plan(gv, rew, temperature, horizon, init="exact"):
+    """The log-domain reference of ``Planner.soft``: H softmax backups from
+    v_best/T, or ``power_iteration_backward`` and one backup more; (policy
+    or None, backups, values)."""
+    if math.isinf(horizon):
+        v, iters, conv = power_iteration_backward(gv, rew, temperature=temperature, init=init)
+        return (policy_from_values(gv, rew, v, temperature) if conv else None), iters, v
+    v = dijkstra_values(gv, rew) / temperature
+    v[gv.destination] = 0.0
+    for _ in range(horizon - 1):
+        _, v = softmax_backup(gv, slot_rewards(gv, rew), v, temperature)
+    return policy_from_values(gv, rew, v, temperature), horizon, v
+
+
+def test_linear_soft_plans_match_the_log_domain_pass():
+    # the scaled linear-domain backups against the log-domain ones at every
+    # horizon and start, on grids, random graphs, multigraphs with parallel
+    # edges and self-loops, and trap nodes, for linear and shaped mixed-sign
+    # rewards (the negative-cost search) at two temperatures: the same
+    # convergence, iteration counts equal, probabilities within 1e-12, and
+    # infeasible destinations (None, max_iters) as the log pass reports them
+    cases = Counter()
+    for seed in range(3):
+        graphs = (gen_gridworld(5, 4, feature_spec="random", rng_seed=seed),
+                  gen_random_graph(14 + seed, rng_seed=seed, extra_edges=12),
+                  _loopy_multigraph(seed),
+                  _with_trap(gen_random_graph(14 + seed, rng_seed=seed + 5, extra_edges=12)))
+        for g in graphs:
+            tables = (_rand_rewards(g, seed, lo=0.8, hi=1.6), _shaped_rewards(g, seed),
+                      _rand_rewards(g, seed, lo=0.05, hi=0.1))  # the last diverges
+            for rew, temperature in itertools.product(tables, (1.0, 0.7)):
+                plan = routeirl.planners.Planner(g, rew, temperature)
+                for dest in range(1, g.num_nodes, 4):
+                    gv = GoalView(g, dest)
+                    runs = [(h, "exact") for h in (1, 2, 10, 100)]
+                    runs += [(math.inf, init) for init in ("dijkstra", "onehot", "exact")]
+                    for horizon, init in runs:
+                        pol, iters = plan.soft(dest, horizon, init)
+                        ref, ref_iters, v = _log_soft_plan(gv, rew, temperature, horizon, init)
+                        assert iters == ref_iters
+                        assert (pol is None) == (ref is None)
+                        if ref is None:
+                            assert iters == _default_iters(g.num_nodes)
+                            cases["infeasible"] += 1
+                            continue
+                        assert np.array_equal(pol.dead, ref.dead)
+                        assert np.max(np.abs(pol.probs - ref.probs)) <= 1e-12
+                        cases["finite" if np.isfinite(horizon) else "converged"] += 1
+    assert min(cases.values()) >= 50, cases
+
+
+def test_linear_soft_plans_reanchor_where_y_overflows():
+    # a 700-node chain, three parallel reward-0 edges a hop: v(0) = 699 log 3
+    # ~ 767.9, past exp's range, so y = exp(v - v_best) overflows on the way
+    # at H = inf from every start and at H = 800; the pass re-anchors on y
+    # and keeps the log pass's counts and policy, with no NaN
+    n = 700
+    g = build_graph([(s, float(s), 0.0) for s in range(n)],
+                    [(3 * s + k, s, s + 1, [1.0]) for s in range(n - 1) for k in range(3)])
+    rew = np.zeros(g.num_edges)
+    gv = GoalView(g, n - 1)
+    plan = routeirl.planners.Planner(g, rew)
+    for horizon, init in [(800, "exact")] + [(math.inf, i) for i in ("dijkstra", "onehot", "exact")]:
+        pol, iters = plan.soft(n - 1, horizon, init)
+        ref, ref_iters, v = _log_soft_plan(gv, rew, 1.0, horizon, init)
+        assert abs(v[0] - (n - 1) * math.log(3.0)) <= 1e-9
+        assert iters == ref_iters == (800 if horizon == 800 else n)
+        assert not np.isnan(pol.probs).any()
+        assert np.array_equal(pol.dead, ref.dead)
+        assert np.max(np.abs(pol.probs - ref.probs)) <= 1e-9
+    # a diverging pass (lambda = 2 e^-0.1) re-anchors too, and fails as the
+    # log pass does
+    g = gen_two_state_loop()
+    rew = two_state_loop_rewards(g, 0.1, 0.1)
+    for init in ("dijkstra", "onehot", "exact"):
+        assert routeirl.planners.Planner(g, rew).soft(2, init=init, max_iters=2000) == (None, 2000)
+        assert power_iteration_backward(GoalView(g, 2), rew, init=init, max_iters=2000)[1:] == (
+            2000, False)
 
 
 def test_exact_start_agrees_with_power_iteration_and_falls_back():
