@@ -244,14 +244,15 @@ def cmd_sweep_horizon(args) -> int:
                        temperature=args.temperature) for h in horizons]
     for icfg in icfgs * 2:  # warm the caches before timing
         batch_gradient(model, g, timing_demos, icfg)
-    # best of the rounds; a round alternates the horizons batch by batch, so
-    # a burst of host load slows every horizon's time alike
+    # best of the rounds.  A round alternates the horizons batch by batch, so a
+    # burst of host load slows every horizon alike, in an order reversed every
+    # pass: the slow batch run just after the longest horizon's is no one H's
     spent = np.zeros((args.timing_rounds, len(icfgs)))
     for rnd in range(args.timing_rounds):
-        for _ in range(args.reps):
-            for i, icfg in enumerate(icfgs):
+        for rep in range(args.reps):
+            for i in range(len(icfgs))[::(-1) ** rep]:
                 t0 = time.perf_counter()
-                batch_gradient(model, g, timing_demos, icfg)
+                batch_gradient(model, g, timing_demos, icfgs[i])
                 spent[rnd, i] += time.perf_counter() - t0
     rows = []
     shard = partition_geographic(g, demos, 1, eval_fraction=0.25,

@@ -513,17 +513,16 @@ class Planner:
     def soft(self, dest: int, horizon: float = math.inf, init: str = "exact",
              tol: float = 1e-9, max_iters: int | None = None
              ) -> tuple[Policy | None, int]:
-        """RH(H)'s soft policy toward dest, H >= 1, and its backup count,
-        kept per destination and argument read.  The backups run on
-        y = exp(v - a), a an anchor: y <- sum_k C y(s'), y(dest) = 1, on
-        C = exp(r/T + a(s') - a(s)), 0 off the slots and on the rows of dest
-        and of the nodes that cannot reach it; the policy is C y(s') / y_new.
-        RH(H): H backups from y = 1 on a = v_best/T, where C <= 1.  H = inf:
-        from y = 1 on v_best/T ('dijkstra') or ``exact_start`` ('exact'), or
-        y = e_dest ('onehot'), until every y_new / y is within tol / (1 +
-        tol) of 1 (|dv| <= tol) in max_iters, else policy None, and one
-        backup more for the policy.  Where y_new overflows, a takes log y
-        and the backup is redone (InfeasibilityError if that overflows)."""
+        """RH(H)'s soft policy toward dest, H >= 1, and its backup count, kept
+        per destination and argument read.  Backups run on y = exp(v - a), a
+        an anchor: y <- sum_k C y(s'), y(dest) = 1, C = exp(r/T + a(s') - a(s))
+        (0 off the slots, on dest's row and on rows that cannot reach it); the
+        policy is C y(s') / y_new.  RH(H): H backups from y = 1 on a = v_best/T
+        (C <= 1).  H = inf: from y = 1 on v_best/T ('dijkstra') or on
+        ``exact_start`` ('exact'), or y = e_dest ('onehot'), until every y_new
+        / y is within tol / (1 + tol) of 1 (|dv| <= tol), else policy None after
+        max_iters, then one backup for the policy.  Where y_new overflows, a
+        takes log y and the backup is redone (InfeasibilityError if again)."""
         if not (horizon >= 1 and init in ("onehot", "dijkstra", "exact") and self.temperature > 0):
             raise ValidationError(f"no soft plan: H={horizon}, init={init!r}, T={self.temperature}")
         kind = ("soft", init, tol, max_iters) if math.isinf(horizon) else ("soft", horizon)
@@ -590,7 +589,7 @@ def _soft_plan(plan: Planner, dest: int, horizon: float, init: str, tol: float, 
             y = np.eye(1, g.num_nodes, dest)[0]
         elif init == "exact":
             anchor = plan.exact_start(dest)  # finite exactly where v_best is
-    # from y = 1, y <= V**H: below about 700 / log V backups none overflows
+    # y <= max_out_degree**H from y = 1 on C <= 1; checks cost H=100 about a third
     check = tol is not None or backups * math.log(max(g.max_out_degree, 1)) > 700
     targets = np.ascontiguousarray(g.safe_targets.T)  # (V, S): backups sum down columns
     terms = np.concatenate((plan.rew, [-np.inf]))[np.ascontiguousarray(g.slot_edge.T)] / t
@@ -606,8 +605,7 @@ def _soft_plan(plan: Planner, dest: int, horizon: float, init: str, tol: float, 
                 if top == np.inf and not np.isfinite(y_new).all():
                     if fresh:
                         raise InfeasibilityError("soft values overflow a re-anchored table")
-                    # re-anchor on log y floored 600 below its top: a node with no
-                    # mass yet gives no coefficient past e**600, nor grows one into it
+                    # re-anchor on log y, floored 600 below its top so no coefficient passes e**600
                     shift = np.maximum(np.log(y), np.log(y.max()) - 600.0)
                     shift[dest] = 0.0
                     anchor += shift
@@ -693,7 +691,8 @@ def rollout(gv: GoalView, schedule: list[tuple[Policy, int | None]],
                     slot_mass = np.zeros(rows.size)
                 pv = pol.probs[g.slot_valid]
                 dead = np.flatnonzero(pol.dead)
-            if dead.size > 1:  # the destination, the one dead row always, holds no mass
+                dead = dead[dead != gv.destination]  # the destination holds no mass
+            if dead.size:
                 lost += float(m[dead].sum())
             sm = m[rows] * pv
             slot_mass += sm

@@ -11,10 +11,11 @@ stepped on one-hot tables, the sparse
 I - C assembled through scipy's COO conversion and sparse subtraction, and
 the exact start solved per destination on a rescaled system, and the graph
 generators writing one record per node and per edge for `build_graph`.
-The estimators and the per-demo replanning take their soft policies from a
-fresh ``Planner.soft``, so they check what is built on a plan bitwise; the
-plan's own numerics are checked against the log-domain backward pass in
-``test_planners``.
+The classical estimators take their soft policies from the log-domain
+backward pass, apart from the library's linear-domain planner.  The per-demo
+replanning takes them from a fresh ``Planner.soft``, so it checks what is
+shared between demos bitwise; the plan's own numerics are checked against
+the log-domain pass in ``test_planners``.
 """
 import warnings
 
@@ -28,8 +29,10 @@ from routeirl import (InfeasibilityError, Metrics, RoadGraph, GoalView,
 from routeirl.algorithms import (GradientReport, IrlConfig, _skipped,
                                  edge_mass_of, state_mass)
 from routeirl.graph import Trajectory
-from routeirl.planners import (Planner, dijkstra_values, greedy_path, greedy_policy,
-                               rollout, slot_rewards, trajectory_nll)
+from routeirl.planners import (Planner, Policy, dijkstra_values, greedy_path,
+                               greedy_policy, policy_from_values,
+                               power_iteration_backward, rollout, slot_rewards,
+                               trajectory_nll)
 from routeirl.rewards import RewardModel, backprop, edge_rewards
 
 
@@ -552,15 +555,17 @@ def maxent_gradient(model: RewardModel, g: RoadGraph, traj: Trajectory,
     traj.validate(g)
     gv = GoalView(g, traj.nodes[-1])
     r = edge_rewards(model, g)
-    pol, iters = Planner(g, r, cfg.temperature).soft(
-        gv.destination, init=cfg.init, tol=cfg.tol, max_iters=cfg.max_iters)
-    if pol is None:
+    v, iters, conv = power_iteration_backward(
+        gv, r, temperature=cfg.temperature, init=cfg.init,
+        tol=cfg.tol, max_iters=cfg.max_iters)
+    if not conv:
         rep = _skipped("backward pass did not converge")
         rep.backward_iters = iters
         return rep
     origin = traj.nodes[0]
-    if np.isneginf(dijkstra_values(gv, r)[origin]):
+    if np.isneginf(v[origin]):
         return _skipped("origin cannot reach destination")
+    pol = policy_from_values(gv, r, v, cfg.temperature)
     roll = rollout(gv, [(pol, None)], state_mass(g, [origin]))
     residual = (edge_mass_of(g, traj.edges) - roll.edge_mass) / cfg.temperature
     grad = backprop(model, g, residual)
@@ -579,8 +584,20 @@ def birl_gradient(model: RewardModel, g: RoadGraph, traj: Trajectory,
     origin = traj.nodes[0]
     if np.isneginf(v_best[origin]):
         return _skipped("origin cannot reach destination")
-    # softmax over optimal action values: one backup from v_best / T
-    pol_soft, _ = Planner(g, r, cfg.temperature).soft(gv.destination, 1)
+    # softmax over optimal action values: Q = (r + v_best(s')) / T
+    rs = slot_rewards(gv, r)
+    valid = goal_slots(gv)
+    tgt = np.where(valid, g.slot_target, 0)
+    q = (rs + v_best[tgt]) / cfg.temperature
+    q[~valid] = -np.inf
+    v_soft = logsumexp(q, axis=1)
+    v_soft[gv.destination] = 0.0
+    with np.errstate(invalid="ignore"):  # dead rows: -inf minus -inf
+        probs = np.exp(q - v_soft[:, None])
+    probs[np.isnan(probs)] = 0.0
+    dead = np.isneginf(v_soft)
+    dead[gv.destination] = True
+    pol_soft = Policy(probs=probs, destination=gv.destination, dead=dead)
     pol_greedy = greedy_policy(gv, r)
     demo_states = state_mass(g, traj.nodes)
     suffix_states = state_mass(g, traj.nodes[1:])
