@@ -27,7 +27,7 @@ from .io import (export_reward_table, load_checkpoint, load_graph,
                  save_graph, save_merge_map, save_trajectories, write_csv,
                  write_json)
 from .metrics import evaluate
-from .planners import power_iteration_backward
+from .planners import Planner
 from .rewards import (DenseNetReward, LinearReward, SparsePerEdgeReward,
                       edge_rewards)
 from .spectral import (FEASIBLE, convergence_rate_probe, dominant_eigenvalue,
@@ -212,10 +212,12 @@ def cmd_diagnose(args) -> int:
         doc["rate"] = convergence_rate_probe(gv, rew,
                                              temperature=args.temperature)
     if args.dump_values:
-        v, _, converged = power_iteration_backward(
-            gv, rew, temperature=args.temperature, init="exact")
-        export_reward_table(v, args.dump_values)
-        doc["values_converged"] = converged
+        plan = Planner(g, rew, args.temperature)
+        pol, _ = plan.soft(args.destination)
+        # where the pass does not converge, the start it ran from
+        export_reward_table(plan.exact_start(args.destination) if pol is None else pol.values,
+                            args.dump_values)
+        doc["values_converged"] = pol is not None
     if args.out:
         write_json(doc, args.out)
         _manifest(args, args.out)

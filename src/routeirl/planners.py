@@ -3,8 +3,9 @@
 Everything here works on the padded (num_nodes, max_out_degree) slot layout:
 deterministic max-reward values, stochastic policies and forward mass
 propagation.  ``Planner.soft`` makes every soft plan, on scaled backups in
-the linear domain; the log-domain ones (``softmax_backup``,
-``power_iteration_backward``) stay public as the reference.  A destination's
+the linear domain, and a plan reads out its soft values on request
+(``Policy.values``); the log-domain backward pass is a test oracle, and no
+library path runs ``softmax_backup`` (see its docstring).  A destination's
 slot reward table (``slot_rewards``: -inf on invalid slots and on the
 destination's row) is its only mask; backups and policies apply no other,
 so the reward tables and values they take must hold no NaN or +inf
@@ -206,16 +207,27 @@ class Policy:
     Rows with no usable action (including the destination row, which is
     absorbing) are marked dead.  A soft policy holds its (num_nodes,
     max_out_degree) ``probs``, zero on dead rows, and its walks draw on its
-    ``draws`` table, built by the first walk and kept.  A greedy policy is
-    its ``successors`` and has no probs (None).
+    ``draws`` table, built by the first walk and kept; a planned one keeps
+    its scaled values (``values``).  A greedy policy is its ``successors``
+    and has no probs (None).
     """
 
     def __init__(self, probs: np.ndarray | None, destination: int,
-                 dead: np.ndarray, successors: Successors | None = None):
+                 dead: np.ndarray, successors: Successors | None = None,
+                 scaled: tuple[np.ndarray, np.ndarray] | None = None):
         self.probs = probs
         self.destination = destination
         self.dead = dead            # (num_nodes,) bool
         self.successors = successors
+        self.scaled = scaled
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """The soft values a + log y its backup starts from, converged at
+        H = inf (-inf where y is 0), computed on first read."""
+        anchor, y = self.scaled
+        with np.errstate(divide="ignore"):
+            return anchor + np.log(y)
 
     @cached_property
     def draws(self) -> tuple[np.ndarray, np.ndarray]:
@@ -292,25 +304,14 @@ def softmax_backup(gv: GoalView, rew_slots: np.ndarray, v_prev: np.ndarray,
     rew_slots is ``slot_rewards(gv, rew)``, whose -inf entries (invalid
     slots, the destination row) stay -inf in Q as v_prev holds no NaN or
     +inf; a row with no finite Q (a dead end) gets v = -inf.  The
-    log-sum-exp is ``_logsumexp_rows``, bitwise equal to scipy's.
+    log-sum-exp is ``_logsumexp_rows``, bitwise equal to scipy's.  No
+    library path calls it: the test oracles' log-domain pass runs on it, and
+    it stays exported for the benchmark tracer's rebinding test.
     """
     q = rew_slots / temperature + v_prev[gv.graph.safe_targets]
     v = _logsumexp_rows(q)
     v[gv.destination] = 0.0
     return q, v
-
-
-def _value_diff(a: np.ndarray, b: np.ndarray) -> float:
-    """Max |a - b|, reading -inf against -inf as 0, -inf against a finite
-    value as inf, and any NaN input as inf (never converged)."""
-    with np.errstate(invalid="ignore"):
-        d = np.abs(a - b)
-    top = float(d.max(initial=0.0))
-    if math.isnan(top):
-        d[np.isnan(d) & np.isneginf(a) & np.isneginf(b)] = 0.0
-        d[np.isnan(d)] = np.inf
-        top = float(d.max(initial=0.0))
-    return top
 
 
 def _identity_minus_slots(g: RoadGraph, weights: np.ndarray) -> sp.csc_matrix:
@@ -330,62 +331,6 @@ def _identity_minus_slots(g: RoadGraph, weights: np.ndarray) -> sp.csc_matrix:
     keep = data != 0.0
     indptr = np.append(0, np.cumsum(keep))[indptr].astype(indptr.dtype)
     return sp.csc_matrix((data[keep], rows[keep], indptr), shape=(g.num_nodes,) * 2)
-
-
-def power_iteration_backward(gv: GoalView, rew, *,
-                             temperature: float = 1.0, init="onehot",
-                             tol: float = 1e-9, max_iters: int | None = None,
-                             trace: list | None = None
-                             ) -> tuple[np.ndarray, int, bool]:
-    """Iterate softmax backups to the soft-value fixed point.
-
-    init: 'onehot' (destination indicator), 'dijkstra' (max-reward values,
-    temperature-scaled), 'exact' (``Planner.exact_start``, else the
-    Dijkstra start), or an explicit starting vector.  The backups and the
-    stopping test are the same for every start.  Returns (values,
-    iterations, converged).
-    """
-    if temperature <= 0:
-        raise ValidationError("temperature must be positive")
-    plan = Planner(gv.graph, rew, temperature)
-    rs = _slot_table(gv, plan.rew)
-    if isinstance(init, str):
-        if init not in ("onehot", "dijkstra", "exact"):
-            raise ValidationError(f"unknown init {init!r}")
-        if init == "onehot":
-            init = np.full(gv.graph.num_nodes, -np.inf)  # 0 at the destination, below
-        elif init == "dijkstra":
-            init = plan.best_values(gv.destination) / temperature
-        else:
-            init = plan.exact_start(gv.destination)
-    v = np.asarray(init, dtype=np.float64).copy()
-    v[gv.destination] = 0.0
-    if max_iters is None:
-        max_iters = _default_iters(gv.graph.num_nodes)
-    if trace is not None:
-        trace.append(v.copy())
-    for it in range(1, max_iters + 1):
-        _, v_new = softmax_backup(gv, rs, v, temperature)
-        if trace is not None:
-            trace.append(v_new.copy())
-        if _value_diff(v_new, v) <= tol:
-            return v_new, it, True
-        v = v_new
-    return v, max_iters, False
-
-
-def policy_from_values(gv: GoalView, rew: np.ndarray, v: np.ndarray,
-                       temperature: float = 1.0) -> Policy:
-    """The softmax policy exp(Q - v_new) of one log-domain backup from v:
-    Q's -inf entries (invalid slots, the destination row) give probability
-    0 with no mask, and a dead row's NaN (v_new and every Q -inf) is zeroed."""
-    q, v_new = softmax_backup(gv, slot_rewards(gv, rew), v, temperature)
-    with np.errstate(invalid="ignore"):  # dead rows: -inf minus -inf
-        probs = np.exp(q - v_new[:, None])
-    probs[np.isnan(probs)] = 0.0
-    dead = np.isneginf(v_new)
-    dead[gv.destination] = True
-    return Policy(probs=probs, destination=gv.destination, dead=dead)
 
 
 def greedy_policy(gv: GoalView, rew: np.ndarray) -> Policy:
@@ -431,12 +376,6 @@ def trajectory_nll(g: RoadGraph, traj: Trajectory, pol: Policy) -> float:
             return math.inf
         nll -= math.log(p)
     return nll
-
-
-def trajectory_policy_nll(gv: GoalView, rew: np.ndarray, v: np.ndarray,
-                          traj: Trajectory, temperature: float = 1.0) -> float:
-    """-log likelihood of a trajectory under the softmax policy implied by v."""
-    return trajectory_nll(gv.graph, traj, policy_from_values(gv, rew, v, temperature))
 
 
 def greedy_path(g: RoadGraph, pol: Policy, origin: int) -> Trajectory | None:
@@ -511,8 +450,8 @@ class Planner:
             self._memo.pop(("tree", dest))))
 
     def soft(self, dest: int, horizon: float = math.inf, init: str = "exact",
-             tol: float = 1e-9, max_iters: int | None = None
-             ) -> tuple[Policy | None, int]:
+             tol: float = 1e-9, max_iters: int | None = None,
+             trace: list | None = None) -> tuple[Policy | None, int]:
         """RH(H)'s soft policy toward dest, H >= 1, and its backup count, kept
         per destination and argument read.  Backups run on y = exp(v - a), a
         an anchor: y <- sum_k C y(s'), y(dest) = 1, C = exp(r/T + a(s') - a(s))
@@ -522,11 +461,15 @@ class Planner:
         ``exact_start`` ('exact'), or y = e_dest ('onehot'), until every y_new
         / y is within tol / (1 + tol) of 1 (|dv| <= tol), else policy None after
         max_iters, then one backup for the policy.  Where y_new overflows, a
-        takes log y and the backup is redone (InfeasibilityError if again)."""
-        if not (horizon >= 1 and init in ("onehot", "dijkstra", "exact") and self.temperature > 0):
+        takes log y and the backup is redone (InfeasibilityError if again).
+        An H = inf pass given a trace list appends a + log y to it before
+        its first backup and after each, and is run again, not kept."""
+        if not (horizon >= 1 and init in ("onehot", "dijkstra", "exact") and self.temperature > 0
+                and (trace is None or math.isinf(horizon))):
             raise ValidationError(f"no soft plan: H={horizon}, init={init!r}, T={self.temperature}")
         kind = ("soft", init, tol, max_iters) if math.isinf(horizon) else ("soft", horizon)
-        return self.memo(kind, dest, lambda: _soft_plan(self, dest, horizon, init, tol, max_iters))
+        make = lambda: _soft_plan(self, dest, horizon, init, tol, max_iters, trace)  # noqa: E731
+        return make() if trace is not None else self.memo(kind, dest, make)
 
     @cached_property
     def _factor(self):
@@ -574,7 +517,8 @@ def _scaled_backup(c: np.ndarray, y: np.ndarray, targets: np.ndarray, dest: int)
     return p, y_new
 
 
-def _soft_plan(plan: Planner, dest: int, horizon: float, init: str, tol: float, max_iters):
+def _soft_plan(plan: Planner, dest: int, horizon: float, init: str, tol: float, max_iters,
+               trace: list | None):
     """``Planner.soft``'s plan, made on its first call."""
     g, t = plan.graph, plan.temperature
     anchor = plan.best_values(dest) / t
@@ -595,6 +539,8 @@ def _soft_plan(plan: Planner, dest: int, horizon: float, init: str, tol: float, 
     terms = np.concatenate((plan.rew, [-np.inf]))[np.ascontiguousarray(g.slot_edge.T)] / t
     c, it, fresh = None, 0, False
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if trace is not None:
+            trace.append(anchor + np.log(y))
         while it < backups:
             if c is None:
                 c = np.exp(terms + anchor[targets] - np.where(live, anchor, np.inf))
@@ -613,16 +559,19 @@ def _soft_plan(plan: Planner, dest: int, horizon: float, init: str, tol: float, 
                     continue
             it += 1
             y, fresh = y_new, False
-            if tol is not None and top <= tol / (1.0 + tol):
-                p, y_new = _scaled_backup(c, y, targets, dest)  # the policy's backup
-                break
+            if tol is not None:
+                if trace is not None:
+                    trace.append(anchor + np.log(y))
+                if top <= tol / (1.0 + tol):
+                    p, y_new = _scaled_backup(c, y, targets, dest)  # the policy's backup
+                    break
         else:
             if tol is not None:
                 return None, backups
         dead = y_new == 0.0
         dead[dest] = True
         probs = np.ascontiguousarray((p / np.where(dead, 1.0, y_new)).T)
-    return Policy(probs=probs, destination=dest, dead=dead), it
+    return Policy(probs=probs, destination=dest, dead=dead, scaled=(anchor, y)), it
 
 
 @dataclass

@@ -4,7 +4,9 @@ The backward pass is power iteration on A = exp(rewards/T).  Restricting A to
 non-destination rows and columns gives the block B1 whose spectral radius
 decides everything: the soft values (and the demo likelihood) are finite iff
 lambda_max(B1) < 1, and the backward pass converges geometrically at that
-rate.  Everything here runs in log space on the padded slot layout.
+rate.  The bounds and the eigenvalue iteration run in log space on the padded
+slot layout; the rate probe reads the planner's own soft pass.  A
+temperature at or below 0 raises ValidationError.
 """
 from __future__ import annotations
 
@@ -17,14 +19,14 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import ValidationError
 from .graph import GoalView, Trajectory, gen_two_state_loop, two_state_loop_rewards
-from .planners import (Planner, _checked_rewards, _logsumexp_rows, _slot_table,
-                       _value_diff, power_iteration_backward, trajectory_nll)
+from .planners import Planner, _checked_rewards, _logsumexp_rows, _slot_table, trajectory_nll
 
 FEASIBLE = "Feasible"
 INFEASIBLE = "Infeasible"
 BOUNDARY = "Boundary"
 
 DEFAULT_BAND = 1e-6
+PROBE_ITERS = 80  # backups the rate probe fits its decay over
 
 
 @dataclass
@@ -45,6 +47,8 @@ def classify(lam: float, band: float = DEFAULT_BAND) -> str:
 def _b1_slots(gv: GoalView, rew: np.ndarray, temperature: float):
     """Log-weights of the non-destination block in slot layout (-inf off the
     block), and slot targets that are safe to index with."""
+    if not temperature > 0:
+        raise ValidationError(f"temperature must be positive, not {temperature}")
     g = gv.graph
     logw = _checked_rewards(g, rew) / temperature
     logw[g.edge_dst == gv.destination] = -np.inf
@@ -139,22 +143,22 @@ def dominant_eigenvalue(gv: GoalView, rew: np.ndarray, *,
 
 
 def convergence_rate_probe(gv: GoalView, rew: np.ndarray, *,
-                           temperature: float = 1.0, iters: int = 80,
-                           init: str = "onehot") -> float:
+                           temperature: float = 1.0) -> float:
     """Fitted geometric decay ratio of the backward-pass error, an estimate
-    of |lambda2/lambda1| of the full exp-reward matrix.  Reports 0.0 when the
-    error hits exactly zero (nilpotent block); raises when too few usable
-    iterations remain to fit.
+    of |lambda2/lambda1| of the full exp-reward matrix.  The error is the gap
+    between the values a + log y of the planner's one-hot pass over its first
+    PROBE_ITERS backups and its converged values at tol 1e-13.  Reports 0.0
+    when the error hits exactly zero (nilpotent block); raises when too few
+    usable iterations remain to fit.
     """
-    v_ref, _, conv = power_iteration_backward(
-        gv, rew, temperature=temperature, init=init, tol=1e-13,
-        max_iters=max(10 * iters, 1000))
-    if not conv:
+    plan = Planner(gv.graph, rew, temperature)
+    ref, _ = plan.soft(gv.destination, init="onehot", tol=1e-13, max_iters=1000)
+    if ref is None:
         raise ValidationError("backward pass does not converge; no rate to fit")
     trace: list[np.ndarray] = []
-    power_iteration_backward(gv, rew, temperature=temperature, init=init,
-                             tol=0.0, max_iters=iters, trace=trace)
-    errs = np.array([_value_diff(v, v_ref) for v in trace])
+    plan.soft(gv.destination, init="onehot", tol=0.0, max_iters=PROBE_ITERS, trace=trace)
+    reach = np.isfinite(ref.values)  # -inf in every iterate elsewhere
+    errs = np.array([np.abs(v[reach] - ref.values[reach]).max(initial=0.0) for v in trace])
     # fit only the clean geometric window: nonzero, finite, and above the
     # float noise floor (exact zeros past it mean the iterate landed on the
     # fixed point bitwise)

@@ -11,12 +11,15 @@ stepped on one-hot tables, the sparse
 I - C assembled through scipy's COO conversion and sparse subtraction, and
 the exact start solved per destination on a rescaled system, and the graph
 generators writing one record per node and per edge for `build_graph`.
-The classical estimators take their soft policies from the log-domain
-backward pass, apart from the library's linear-domain planner.  The per-demo
+The log-domain backward pass (``power_iteration_backward`` on the library's
+``softmax_backup``, with ``policy_from_values``) lives here, apart from the
+library's linear-domain planner, and the classical estimators take their
+soft policies from it.  The per-demo
 replanning takes them from a fresh ``Planner.soft``, so it checks what is
 shared between demos bitwise; the plan's own numerics are checked against
 the log-domain pass in ``test_planners``.
 """
+import math
 import warnings
 
 import mpmath as mp
@@ -29,9 +32,9 @@ from routeirl import (InfeasibilityError, Metrics, RoadGraph, GoalView,
 from routeirl.algorithms import (GradientReport, IrlConfig, _skipped,
                                  edge_mass_of, state_mass)
 from routeirl.graph import Trajectory
-from routeirl.planners import (Planner, Policy, dijkstra_values, greedy_path,
-                               greedy_policy, policy_from_values,
-                               power_iteration_backward, rollout, slot_rewards,
+from routeirl.planners import (Planner, Policy, _default_iters, _slot_table,
+                               dijkstra_values, greedy_path, greedy_policy,
+                               rollout, slot_rewards, softmax_backup,
                                trajectory_nll)
 from routeirl.rewards import RewardModel, backprop, edge_rewards
 
@@ -445,6 +448,86 @@ def max_backup(gv: GoalView, rew_slots: np.ndarray, v_prev: np.ndarray) -> np.nd
     return v
 
 
+# ---------------------------------------------------------------------------
+# the log-domain backward pass on the library's softmax_backup: the
+# reference the linear-domain planner is checked against
+
+
+def _value_diff(a: np.ndarray, b: np.ndarray) -> float:
+    """Max |a - b|, reading -inf against -inf as 0, -inf against a finite
+    value as inf, and any NaN input as inf (never converged)."""
+    with np.errstate(invalid="ignore"):
+        d = np.abs(a - b)
+    top = float(d.max(initial=0.0))
+    if math.isnan(top):
+        d[np.isnan(d) & np.isneginf(a) & np.isneginf(b)] = 0.0
+        d[np.isnan(d)] = np.inf
+        top = float(d.max(initial=0.0))
+    return top
+
+
+def power_iteration_backward(gv: GoalView, rew, *,
+                             temperature: float = 1.0, init="onehot",
+                             tol: float = 1e-9, max_iters: int | None = None,
+                             trace: list | None = None
+                             ) -> tuple[np.ndarray, int, bool]:
+    """Iterate softmax backups to the soft-value fixed point.
+
+    init: 'onehot' (destination indicator), 'dijkstra' (max-reward values,
+    temperature-scaled), 'exact' (``Planner.exact_start``, else the
+    Dijkstra start), or an explicit starting vector.  The backups and the
+    stopping test are the same for every start.  Returns (values,
+    iterations, converged).
+    """
+    if temperature <= 0:
+        raise ValidationError("temperature must be positive")
+    plan = Planner(gv.graph, rew, temperature)
+    rs = _slot_table(gv, plan.rew)
+    if isinstance(init, str):
+        if init not in ("onehot", "dijkstra", "exact"):
+            raise ValidationError(f"unknown init {init!r}")
+        if init == "onehot":
+            init = np.full(gv.graph.num_nodes, -np.inf)  # 0 at the destination, below
+        elif init == "dijkstra":
+            init = plan.best_values(gv.destination) / temperature
+        else:
+            init = plan.exact_start(gv.destination)
+    v = np.asarray(init, dtype=np.float64).copy()
+    v[gv.destination] = 0.0
+    if max_iters is None:
+        max_iters = _default_iters(gv.graph.num_nodes)
+    if trace is not None:
+        trace.append(v.copy())
+    for it in range(1, max_iters + 1):
+        _, v_new = softmax_backup(gv, rs, v, temperature)
+        if trace is not None:
+            trace.append(v_new.copy())
+        if _value_diff(v_new, v) <= tol:
+            return v_new, it, True
+        v = v_new
+    return v, max_iters, False
+
+
+def policy_from_values(gv: GoalView, rew: np.ndarray, v: np.ndarray,
+                       temperature: float = 1.0) -> Policy:
+    """The softmax policy exp(Q - v_new) of one log-domain backup from v:
+    Q's -inf entries (invalid slots, the destination row) give probability
+    0 with no mask, and a dead row's NaN (v_new and every Q -inf) is zeroed."""
+    q, v_new = softmax_backup(gv, slot_rewards(gv, rew), v, temperature)
+    with np.errstate(invalid="ignore"):  # dead rows: -inf minus -inf
+        probs = np.exp(q - v_new[:, None])
+    probs[np.isnan(probs)] = 0.0
+    dead = np.isneginf(v_new)
+    dead[gv.destination] = True
+    return Policy(probs=probs, destination=gv.destination, dead=dead)
+
+
+def trajectory_policy_nll(gv: GoalView, rew: np.ndarray, v: np.ndarray,
+                          traj: Trajectory, temperature: float = 1.0) -> float:
+    """-log likelihood of a trajectory under the softmax policy implied by v."""
+    return trajectory_nll(gv.graph, traj, policy_from_values(gv, rew, v, temperature))
+
+
 def power_iteration_backward_linear(gv: GoalView, rew: np.ndarray, *,
                                     temperature: float = 1.0,
                                     dtype=np.float32, tol: float = 1e-6,
@@ -482,8 +565,8 @@ def scipy_backward(gv: GoalView, rew: np.ndarray, *, temperature: float = 1.0,
                    init: str = "onehot", tol: float = 1e-9,
                    max_iters: int | None = None) -> tuple[np.ndarray, int, bool]:
     """The softmax backward pass on scipy.special.logsumexp, with the value
-    difference written out; (values, iterations, converged) as the library's
-    power_iteration_backward returns them."""
+    difference written out; (values, iterations, converged) as
+    ``power_iteration_backward`` above returns them."""
     g = gv.graph
     rs = slot_rewards(gv, rew)
     valid = goal_slots(gv)

@@ -18,9 +18,7 @@ from routeirl import (CompositeReward, DenseNetReward, GoalView, LinearReward,
 from routeirl.algorithms import IrlConfig, demo_gradient, sample_demonstrations
 from routeirl.cli import main as cli_main
 from routeirl.metrics import diff_of_proportions, evaluate
-from routeirl.planners import (closed_form_forward, dijkstra_values,
-                               policy_from_values, power_iteration_backward,
-                               rollout)
+from routeirl.planners import Planner, closed_form_forward, dijkstra_values, rollout
 from routeirl.rewards import edge_rewards
 from routeirl.spectral import (classify, convergence_rate_probe,
                                dominant_eigenvalue, loss_surface_scan)
@@ -137,13 +135,11 @@ def test_criterion_02_ordering_and_init_dominance():
         gv = GoalView(g, dest)
         vd = dijkstra_values(gv, rew) / temp
         vd[dest] = 0.0
-        v_cold, it_cold, c1 = power_iteration_backward(
-            gv, rew, temperature=temp, init="onehot", tol=1e-9,
-            max_iters=100_000)
-        v_warm, it_warm, c2 = power_iteration_backward(
-            gv, rew, temperature=temp, init="dijkstra", tol=1e-9,
-            max_iters=100_000)
-        assert c1 and c2
+        plan = Planner(g, rew, temp)
+        cold, it_cold = plan.soft(dest, init="onehot", tol=1e-9, max_iters=100_000)
+        warm, it_warm = plan.soft(dest, init="dijkstra", tol=1e-9, max_iters=100_000)
+        assert cold is not None and warm is not None
+        v_cold, v_warm = cold.values, warm.values
         ind = np.zeros(g.num_nodes)
         ind[dest] = 1.0
         assert np.all(ind <= np.exp(vd) + 1e-15)
@@ -195,8 +191,9 @@ def test_criterion_03_boundary_classification():
         rep = dominant_eigenvalue(gv, rew)
         if abs(rep.lambda_max - 1.0) < 0.02:
             continue   # undecidable within this iteration budget
-        _, _, conv = power_iteration_backward(gv, rew, tol=1e-9,
-                                              max_iters=2000)
+        pol, _ = Planner(g, rew).soft(dest, init="onehot", tol=1e-9,
+                                      max_iters=2000)
+        conv = pol is not None
         assert conv == (rep.classification == "Feasible"), \
             f"disagreement at lambda={rep.lambda_max}"
         n_feasible += rep.classification == "Feasible"
@@ -415,10 +412,9 @@ def test_criterion_08_closed_form_equivalence():
                                     lam_cap=0.9)
         rew = edge_rewards(model, g)
         gv = GoalView(g, 0)
-        v, _, conv = power_iteration_backward(gv, rew, init="dijkstra",
-                                              tol=1e-12, max_iters=100_000)
-        assert conv
-        pol = policy_from_values(gv, rew, v)
+        pol, _ = Planner(g, rew).soft(0, init="dijkstra", tol=1e-12,
+                                      max_iters=100_000)
+        assert pol is not None
         mass = np.zeros(g.num_nodes)
         mass[[1, n // 2, n - 1]] = 1.0
         cf = closed_form_forward(gv, pol, mass)

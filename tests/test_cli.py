@@ -5,7 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from routeirl import (build_graph, export_reward_table, load_graph,
+from routeirl import (GoalView, ValidationError, build_graph, cheap_bounds,
+                      dominant_eigenvalue, export_reward_table, load_graph,
                       load_merge_map, load_reward_table, load_trajectories,
                       save_graph)
 from routeirl.cli import main
@@ -194,6 +195,25 @@ def test_dump_values_reports_nonconvergence(tmp_path, capsys):
     assert doc["classification"] == "Infeasible"
     assert doc["values_converged"] is False
     assert len(load_reward_table(vals)) == 9
+
+
+def test_diagnose_rejects_a_temperature_at_or_below_zero(tmp_path, capsys):
+    # T = 0 divided by zero and reported lambda = 0, and T = -1 reported an
+    # infeasible lambda: both are invalid, in the library and on the CLI
+    gpath, rpath = str(tmp_path / "g.txt"), str(tmp_path / "r.txt")
+    assert main(["gen-grid", "--width", "3", "--height", "3", "--out-graph", gpath]) == 0
+    g = load_graph(gpath)
+    rew = np.full(g.num_edges, -1.0)
+    export_reward_table(rew, rpath)
+    capsys.readouterr()
+    for temperature in (0.0, -1.0):
+        for call in (cheap_bounds, dominant_eigenvalue):
+            with pytest.raises(ValidationError, match="temperature must be positive"):
+                call(GoalView(g, 4), rew, temperature=temperature)
+        code = main(["diagnose", "--graph", gpath, "--rewards", rpath, "--destination", "4",
+                     f"--temperature={temperature}"])
+        assert code == 2
+        assert "temperature must be positive" in capsys.readouterr().err
 
 
 def test_missing_file_exits_two(tmp_path, capsys):

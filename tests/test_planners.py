@@ -36,24 +36,23 @@ from routeirl import (
     two_state_loop_rewards,
 )
 from routeirl.planners import (
+    Planner,
     Policy,
     Successors,
     _default_iters,
     _identity_minus_slots,
     _logsumexp_rows,
-    _value_diff,
     closed_form_forward,
     dijkstra_values,
     greedy_path,
     greedy_policy,
-    policy_from_values,
-    power_iteration_backward,
     rollout,
     slot_rewards,
     softmax_backup,
-    trajectory_policy_nll,
+    trajectory_nll,
 )
 from oracles import (
+    _value_diff,
     best_path_reward,
     diamond_graph,
     enumerate_walks,
@@ -64,6 +63,8 @@ from oracles import (
     max_backup,
     mp_soft_values,
     onehot_values,
+    policy_from_values,
+    power_iteration_backward,
     power_iteration_backward_linear,
     rollout_dense,
     scipy_backward,
@@ -71,6 +72,7 @@ from oracles import (
     sample_per_demo,
     soft_value_walks,
     tie_loop_graph,
+    trajectory_policy_nll,
     walk_reward,
 )
 
@@ -115,8 +117,9 @@ def test_dijkstra_raises_on_reward_gain_cycle():
 def test_backward_matches_walk_enumeration_on_dag():
     g = diamond_graph()
     rew = edge_rewards(LinearReward(np.array([-1.0])), g)
-    v, iters, conv = power_iteration_backward(GoalView(g, 3), rew)
-    assert conv
+    pol, iters = Planner(g, rew).soft(3, init="onehot")
+    assert pol is not None
+    v = pol.values
     for s in (0, 1, 2):
         want = soft_value_walks(g, rew, s, 3, 10)
         assert abs(v[s] - want) < 1e-14
@@ -127,8 +130,9 @@ def test_backward_matches_high_precision_fixed_point():
     for seed in range(4):
         rew = _rand_rewards(g, seed, lo=0.8, hi=1.6)
         gv = GoalView(g, 4)
-        v, _, conv = power_iteration_backward(gv, rew, tol=1e-13, max_iters=2000)
-        assert conv
+        pol, _ = Planner(g, rew).soft(4, init="onehot", tol=1e-13, max_iters=2000)
+        assert pol is not None
+        v = pol.values
         ref = mp_soft_values(gv, rew, iters=4000)
         assert np.max(np.abs(v - ref)) < 1e-11
 
@@ -145,8 +149,8 @@ def test_backward_temperature_is_reward_rescaling():
 def test_backward_flags_nonconvergence():
     g = loopy_graph()
     rew = np.zeros(g.num_edges)  # exp-rewards all 1: wildly infeasible
-    v, iters, conv = power_iteration_backward(GoalView(g, 4), rew, max_iters=50)
-    assert not conv
+    pol, iters = Planner(g, rew).soft(4, init="onehot", max_iters=50)
+    assert pol is None
     assert iters == 50
 
 
@@ -157,12 +161,15 @@ def test_dijkstra_init_dominates_pointwise_and_in_iterations():
         g = gen_gridworld(5, 5, feature_spec="random", rng_seed=seed)
         rew = _rand_rewards(g, seed, lo=0.9, hi=1.8)
         gv = GoalView(g, int(np.random.default_rng(seed + 99).integers(25)))
-        v_star, it_cold, conv = power_iteration_backward(gv, rew, init="onehot")
-        assert conv
+        plan = Planner(g, rew)
+        cold, it_cold = plan.soft(gv.destination, init="onehot")
+        assert cold is not None
+        v_star = cold.values
         v_dij = dijkstra_values(gv, rew)
         assert np.all(v_dij <= v_star + 1e-12)
-        v_warm, it_warm, conv_w = power_iteration_backward(gv, rew, init="dijkstra")
-        assert conv_w
+        warm, it_warm = plan.soft(gv.destination, init="dijkstra")
+        assert warm is not None
+        v_warm = warm.values
         assert it_warm <= it_cold
         assert np.max(np.abs(v_warm - v_star)) < 1e-8
 
@@ -172,9 +179,11 @@ def test_backward_monotone_from_below():
     g = gen_gridworld(4, 4)
     rew = _rand_rewards(g, 2, lo=1.0, hi=1.5)
     gv = GoalView(g, 0)
-    v_star, _, _ = power_iteration_backward(gv, rew, tol=1e-13)
+    plan = Planner(g, rew)
+    v_star = plan.soft(0, init="onehot", tol=1e-13)[0].values
     trace = []
-    power_iteration_backward(gv, rew, init="dijkstra", trace=trace)
+    plan.soft(0, init="dijkstra", trace=trace)
+    assert len(trace) > 2
     for v in trace:
         assert np.all(v <= v_star + 1e-9)
 
@@ -183,8 +192,7 @@ def test_policy_rows_are_distributions():
     g = loopy_graph()
     rew = _rand_rewards(g, 1)
     gv = GoalView(g, 4)
-    v, _, _ = power_iteration_backward(gv, rew)
-    pol = policy_from_values(gv, rew, v)
+    pol, _ = Planner(g, rew).soft(4, init="onehot")
     sums = pol.probs.sum(axis=1)
     live = ~pol.dead
     assert np.allclose(sums[live], 1.0)
@@ -198,11 +206,11 @@ def test_trajectory_policy_nll_is_stepwise_product():
     g = diamond_graph()
     rew = edge_rewards(LinearReward(np.array([-1.0])), g)
     gv = GoalView(g, 3)
-    v, _, _ = power_iteration_backward(gv, rew)
+    pol, _ = Planner(g, rew).soft(3, init="onehot")
     top = Trajectory(nodes=(0, 1, 3), edges=(0, 2))
     bot = Trajectory(nodes=(0, 2, 3), edges=(1, 3))
-    nll_top = trajectory_policy_nll(gv, rew, v, top)
-    nll_bot = trajectory_policy_nll(gv, rew, v, bot)
+    nll_top = trajectory_nll(g, top, pol)
+    nll_bot = trajectory_nll(g, bot, pol)
     # exactly two walks: path probabilities come from the walk partition
     z = np.logaddexp(-1.0, -2.0)
     assert abs(nll_top - (z - (-1.0))) < 1e-12
@@ -232,8 +240,7 @@ def test_rollout_conserves_mass():
     g = loopy_graph()
     rew = _rand_rewards(g, 3, lo=0.9, hi=1.8)
     gv = GoalView(g, 4)
-    v, _, _ = power_iteration_backward(gv, rew)
-    pol = policy_from_values(gv, rew, v)
+    pol, _ = Planner(g, rew).soft(4, init="onehot")
     mass = np.zeros(g.num_nodes)
     mass[0] = 1.0
     res = rollout(gv, [(pol, None)], mass)
@@ -252,8 +259,7 @@ def test_rollout_tracks_dead_end_loss():
     g = build_graph(nodes, edges)  # node 2 is a trap with no exit
     rew = g.features @ np.array([-1.0])
     gv = GoalView(g, 3)
-    v, _, _ = power_iteration_backward(gv, rew)
-    pol = policy_from_values(gv, rew, v)
+    pol, _ = Planner(g, rew).soft(3, init="onehot")
     # force half the mass into the trap by starting it there
     mass = np.zeros(4)
     mass[0] = 0.5
@@ -267,7 +273,7 @@ def test_rollout_truncation_flag():
     g = loopy_graph()
     rew = np.zeros(g.num_edges)
     gv = GoalView(g, 4)
-    pol = policy_from_values(gv, rew, np.zeros(g.num_nodes))
+    pol, _ = Planner(g, rew).soft(4, 1)  # one backup from v_best = 0: uniform rows
     mass = np.zeros(g.num_nodes)
     mass[0] = 1.0
     res = rollout(gv, [(pol, None)], mass, max_steps=3)
@@ -280,9 +286,8 @@ def test_rollout_matches_closed_form():
         g = gen_random_graph(15, rng_seed=seed)
         rew = _rand_rewards(g, seed, lo=0.8, hi=2.0)
         gv = GoalView(g, int(np.random.default_rng(seed).integers(15)))
-        v, _, conv = power_iteration_backward(gv, rew, tol=1e-12)
-        assert conv
-        pol = policy_from_values(gv, rew, v)
+        pol, _ = Planner(g, rew).soft(gv.destination, init="onehot", tol=1e-12)
+        assert pol is not None
         mass = np.zeros(g.num_nodes)
         mass[(gv.destination + 1) % g.num_nodes] = 1.0
         res = rollout(gv, [(pol, None)], mass, tol=1e-15)
@@ -313,15 +318,14 @@ def test_rollout_balances_mass_on_generated_graphs():
                        0.8), (_loopy_multigraph(seed), 0.8), (dense, 2.5)):
             rew = _rand_rewards(g, seed, lo=lo, hi=lo + 0.8)
             gv = GoalView(g, int(rng.integers(2, 14)))  # never the trap
-            v, _, conv = power_iteration_backward(gv, rew, init="exact")
-            assert conv
+            soft, _ = Planner(g, rew).soft(gv.destination)
+            assert soft is not None
             if g is dense:  # one backup over rows of 8+ slots, against scipy
                 v_prev = rng.normal(size=g.num_nodes)
                 q, v_next = softmax_backup(gv, slot_rewards(gv, rew), v_prev)
                 want = logsumexp(q, axis=1)
                 want[gv.destination] = 0.0
                 assert np.array_equal(v_next, want)
-            soft = policy_from_values(gv, rew, v)
             greedy = greedy_policy(gv, rew)
             # a greedy policy only runs out a schedule; its one-hot table steps
             onehot = greedy_probs_dense(gv, rew, dijkstra_values(gv, rew))
@@ -380,8 +384,7 @@ def test_closed_form_tails_match_stepping_on_generated_graphs(monkeypatch):
                                                          rng_seed=seed), tie_loop_graph()):
             rew = _rand_rewards(g, seed, lo=0.8, hi=1.6)
             gv = GoalView(g, int(rng.integers(2, g.num_nodes)))  # never the trap
-            v, _, conv = power_iteration_backward(gv, rew, init="exact")
-            soft = policy_from_values(gv, rew, v) if conv else None
+            soft, _ = Planner(g, rew).soft(gv.destination)
             far = dijkstra_values(gv, rew) < -4.0
             spread = rng.uniform(0.0, 1.0, g.num_nodes)
             faint = np.where(far, 1e-14, spread)  # stepping leaves the faint mass
@@ -422,7 +425,7 @@ def test_unit_mass_tails_equal_stepping_bitwise():
             rew = _rand_rewards(g, seed, lo=0.8, hi=1.6)
             dest = seed % g.num_nodes
             gv = GoalView(g, dest)
-            soft = policy_from_values(gv, rew, dijkstra_values(gv, rew))
+            soft, _ = Planner(g, rew).soft(dest, 1)
             greedy = greedy_policy(gv, rew)
             stepped = Policy(oracles.policy_probs(g, greedy), dest, greedy.dead)
             for origin in range(g.num_nodes):
@@ -468,7 +471,7 @@ def test_greedy_path_walks_the_argmax():
                     checked += 1
                     loops += want is None and not pol.dead[origin]
     assert checked > 1000 and loops > 0
-    soft = policy_from_values(gv, rew, dijkstra_values(gv, rew))
+    soft, _ = Planner(g, rew).soft(gv.destination, 1)
     with pytest.raises(routeirl.ValidationError):
         greedy_path(g, soft, 0)
 
@@ -503,7 +506,7 @@ def test_rollout_refuses_a_stepped_greedy_entry():
     g = loopy_graph()
     gv = GoalView(g, 4)
     rew = _rand_rewards(g, 1)
-    soft = policy_from_values(gv, rew, dijkstra_values(gv, rew))
+    soft, _ = Planner(g, rew).soft(4, 1)
     greedy = greedy_policy(gv, rew)
     for schedule in ([(greedy, 2)], [(greedy, 0), (soft, None)], [(soft, 1), (greedy, 1)]):
         with pytest.raises(routeirl.ValidationError, match="tail"):
@@ -514,8 +517,9 @@ def test_linear_space_twin_underflows_at_half_precision():
     g = gen_gridworld(10, 10)
     rew = edge_rewards(LinearReward(np.array([-2.5, -2.5])), g)
     gv = GoalView(g, 0)
-    v_log, _, conv = power_iteration_backward(gv, rew)
-    assert conv
+    pol, _ = Planner(g, rew).soft(0, init="onehot")
+    assert pol is not None
+    v_log = pol.values
     z64, _, c64 = power_iteration_backward_linear(gv, rew, dtype=np.float64)
     assert c64
     with np.errstate(divide="ignore"):
@@ -523,8 +527,8 @@ def test_linear_space_twin_underflows_at_half_precision():
     finite = np.isfinite(v_log)
     assert np.max(np.abs(v64[finite] - v_log[finite])) < 1e-8
     # float16 smallest positive is ~6e-8, but remote states need exp(-79):
-    # the whole far field flushes to zero and the log-domain pass is the only
-    # faithful one
+    # the whole far field flushes to zero, while the log-domain values and
+    # the planner's scaled ones stay faithful
     z16, _, _ = power_iteration_backward_linear(gv, rew, dtype=np.float16)
     flushed = (np.asarray(z16, dtype=np.float64) == 0.0) & finite
     assert flushed.sum() >= 80
@@ -625,7 +629,7 @@ def test_library_does_not_import_scipy_special(monkeypatch):
     g = gen_gridworld(4, 4)
     rew = _rand_rewards(g, 1)
     gv = GoalView(g, 5)
-    assert power_iteration_backward(gv, rew)[2]
+    assert Planner(g, rew).soft(5, init="onehot")[0] is not None
     assert routeirl.dominant_eigenvalue(gv, rew).converged
 
 
@@ -870,13 +874,13 @@ def test_exact_start_agrees_with_power_iteration_and_falls_back():
             for rew in (_rand_rewards(g, seed, lo=0.8, hi=1.6), shaped):
                 for dest in (0, g.num_nodes // 2, g.num_nodes - 1):
                     gv = GoalView(g, dest)
-                    ref, it_ref, conv = power_iteration_backward(
-                        gv, rew, temperature=0.7, init="dijkstra", tol=1e-12)
-                    v, iters, conv_x = power_iteration_backward(
-                        gv, rew, temperature=0.7, init="exact")
-                    if not conv:
+                    plan = Planner(g, rew, 0.7)
+                    tight, it_ref = plan.soft(dest, init="dijkstra", tol=1e-12)
+                    pol, iters = plan.soft(dest, init="exact")
+                    if tight is None:
                         continue
-                    assert conv_x and iters <= 2 < it_ref
+                    ref, v = tight.values, pol.values
+                    assert iters <= 2 < it_ref
                     assert np.array_equal(np.isneginf(v), np.isneginf(ref))
                     fin = np.isfinite(ref)
                     assert np.max(np.abs(v[fin] - ref[fin])) <= 1e-9
@@ -908,19 +912,18 @@ def test_shared_factor_start_matches_the_rescaled_solve():
                     plan = routeirl.planners.Planner(g, rew, temperature)
                     for dest in range(2, g.num_nodes, 3):  # never the trap
                         gv = GoalView(g, dest)
-                        ref, it_ref, conv = power_iteration_backward(
-                            gv, rew, temperature=temperature, init="dijkstra", tol=1e-12)
-                        if not conv:
+                        tight, it_ref = plan.soft(dest, init="dijkstra", tol=1e-12)
+                        if tight is None:
                             continue
+                        ref = tight.values
                         start = plan.exact_start(dest)
                         want = oracles.solved_start(gv, rew, temperature)
                         fin = np.isfinite(ref)
                         for other in (ref, want):
                             assert np.array_equal(np.isneginf(start), np.isneginf(other))
                             assert np.max(np.abs(start[fin] - other[fin])) <= 1e-10
-                        v, iters, conv_x = power_iteration_backward(
-                            gv, rew, temperature=temperature, init=start)
-                        assert conv_x and iters <= 2 < it_ref
+                        pol, iters = plan.soft(dest, init="exact")  # from start
+                        assert pol is not None and iters <= 2 < it_ref
                         cases += 1
     assert cases >= 150
 
@@ -935,8 +938,8 @@ def test_exact_start_falls_back_where_the_factor_fails():
     assert plan._factor is None
     gv = GoalView(g, 1)
     assert np.array_equal(plan.exact_start(1), dijkstra_values(gv, np.zeros(2)))
-    v, iters, conv = power_iteration_backward(gv, np.zeros(2), init="exact")
-    assert conv and iters == 1 and np.array_equal(v, [0.0, 0.0])
+    pol, iters = plan.soft(1)
+    assert pol is not None and iters == 1 and np.array_equal(pol.values, [0.0, 0.0])
     assert evaluate(np.zeros(2), [Trajectory.from_nodes(g, [0, 1])], g).nll == 0.0
     # exp(r/T) overflows on an edge into the destination: no factor, and no
     # RuntimeWarning (an error under the test settings); the destination is
@@ -952,10 +955,9 @@ def test_exact_start_falls_back_where_the_factor_fails():
             assert plan._factor is None
             start = plan.exact_start(4)
         assert np.array_equal(start, plan.best_values(4) / temperature)
-        runs = [power_iteration_backward(gv, rew, temperature=temperature, init=init)
-                for init in ("dijkstra", "exact")]
-        assert runs[0][1:] == runs[1][1:] and runs[1][2]
-        assert np.array_equal(runs[0][0], runs[1][0])
+        runs = [plan.soft(4, init=init) for init in ("dijkstra", "exact")]
+        assert runs[0][1] == runs[1][1] and runs[1][0] is not None
+        assert np.array_equal(runs[0][0].values, runs[1][0].values)
 
 
 def test_exact_start_on_a_nonsingular_factor_of_an_indefinite_table():
@@ -985,8 +987,8 @@ def test_exact_start_on_a_nonsingular_factor_of_an_indefinite_table():
     plan = routeirl.planners.Planner(g, rew)
     assert plan._factor.solve(np.eye(3)[2]).max() < 0.0
     assert np.max(np.abs(plan.exact_start(2) - [math.log(2.0), 0.0, 0.0])) <= 1e-15
-    v, iters, conv = power_iteration_backward(GoalView(g, 2), rew, init="exact")
-    assert conv and iters == 1
+    pol, iters = plan.soft(2)
+    assert pol is not None and iters == 1
 
 
 def test_one_factor_per_table(monkeypatch):
@@ -1057,10 +1059,10 @@ def test_identity_minus_slots_equals_scipy_assembly():
                    np.exp(rew)]
         for dest in (2, g.num_nodes // 2, g.num_nodes - 2):
             gv = GoalView(g, dest)
-            v, _, conv = power_iteration_backward(gv, rew, init="exact")
-            assert conv
+            soft, _ = Planner(g, rew).soft(dest)
+            assert soft is not None
             weights += [probs[g.edge_src, g.edge_slot]
-                        for probs in (policy_from_values(gv, rew, v).probs,
+                        for probs in (soft.probs,
                                       greedy_probs_dense(gv, rew, dijkstra_values(gv, rew)))]
         for w in weights:
             got = _identity_minus_slots(g, w)
@@ -1090,7 +1092,7 @@ def test_non_finite_reward_tables_are_rejected():
                  lambda: slot_rewards(gv, rew),
                  lambda: greedy_policy(gv, rew),
                  lambda: dijkstra_values(gv, rew),
-                 lambda: power_iteration_backward(gv, rew, init="onehot"),
+                 lambda: routeirl.convergence_rate_probe(gv, rew),
                  lambda: routeirl.cheap_bounds(gv, rew),
                  lambda: routeirl.dominant_eigenvalue(gv, rew),
                  lambda: evaluate(rew, demos, g)]
@@ -1100,8 +1102,8 @@ def test_non_finite_reward_tables_are_rejected():
     rew = _rand_rewards(g, 1)
     rew[6] = -np.inf
     assert slot_rewards(gv, rew)[1, g.edge_slot[6]] == -np.inf
-    v, _, conv = power_iteration_backward(gv, rew, init="exact")
-    assert conv and np.all(np.isfinite(v))
+    pol, _ = Planner(g, rew).soft(4)
+    assert pol is not None and np.all(np.isfinite(pol.values))
     assert evaluate(rew, demos, g).nll > 0.0
     assert routeirl.dominant_eigenvalue(gv, rew).classification == "Feasible"
 
@@ -1115,8 +1117,7 @@ def test_goal_view_is_a_graph_and_a_destination():
     g = loopy_graph()
     gv = GoalView(g, 4)
     rew = _rand_rewards(g, 1)
-    v, _, _ = power_iteration_backward(gv, rew, init="exact")
-    pol = policy_from_values(gv, rew, v)
+    pol, _ = Planner(g, rew).soft(4)
     greedy = greedy_policy(gv, rew)
     mass = np.ones(g.num_nodes)
     rollout(gv, [(pol, 2), (greedy, None)], mass)
