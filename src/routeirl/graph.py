@@ -57,6 +57,17 @@ class RoadGraph:
         return np.where(self.slot_valid, self.slot_target, 0)
 
     @cached_property
+    def targets_by_slot(self) -> np.ndarray:
+        """safe_targets as a contiguous (V, S) table: soft backups sum down
+        its columns."""
+        return np.ascontiguousarray(self.safe_targets.T)
+
+    @cached_property
+    def edges_by_slot(self) -> np.ndarray:
+        """slot_edge as a contiguous (V, S) table, the layout of targets_by_slot."""
+        return np.ascontiguousarray(self.slot_edge.T)
+
+    @cached_property
     def reversed_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """CSR layout of the reversed graph, one entry per (dst, src) pair:
         (edges grouped by pair, group starts, src per group, row pointer)."""

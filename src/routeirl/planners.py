@@ -17,13 +17,15 @@ singular, or x / x_d is not finite and positive on a reaching node, as a
 value below about -745 underflows); stationary edge mass solves I - P.
 The log-sum-exp and the rollout step make no reduction per short row yet add
 in the row-wise order, so they are bitwise equal to it (see their comments).
-A greedy policy is the successor array of the shortest-path forest that
-the max-reward search returns, so exact ties follow the tree and no walk
-loops; walks, T=0 samples, greedy NLLs and closed-form rollout tails read
-it (see ``Planner.greedy`` and ``rollout``).  A soft policy's T>0 samples
-draw on a table of its rows' normalised cumulative sums, built by its
-first walk, and take the slot ``Generator.choice`` would take for the
-same draw.  The sparse I - A and I - P are summed into a sparsity
+A greedy policy is the shortest-path tree that the max-reward search
+returns, so exact ties follow the tree and no walk loops.  A walk (T=0
+samples, ``greedy_path``, greedy NLLs and one-node rollout tails) follows
+the tree and picks each visited node's edge onto it; only a tail of
+spread mass builds every node's edge, the successor forest (see
+``Planner.greedy``, ``Successors`` and ``rollout``).  A soft policy's T>0
+samples draw on a table of its rows' normalised cumulative sums, built
+by its first walk, and take the slot ``Generator.choice`` would take for
+the same draw.  The sparse I - A and I - P are summed into a sparsity
 pattern the graph builds once, bitwise scipy's own assembly of them (see
 ``_identity_minus_slots``).
 """
@@ -84,36 +86,60 @@ def dijkstra_values(gv: GoalView, rew: np.ndarray) -> np.ndarray:
 
 
 class Successors:
-    """A greedy policy's successor forest: the edge each node takes, -1 on
-    dead rows (the destination and the nodes that cannot reach it).
+    """A greedy policy toward one destination: the shortest-path tree of
+    the max-reward values (tree[u] the node after u, negative on dead rows:
+    the destination and the nodes that cannot reach it), and the edge each
+    live node takes onto it, its first slot to tree[u] that attains the row
+    max of r + v(s') (``_tree_edges``).
 
-    Walks follow it one hop at a time (``greedy_path``, T=0 sampling, and a
-    rollout tail that starts on one node).  A tail that starts on many
-    nodes sums the flow through every node at once on the pointer-doubling
-    tables of ``_jump_tables``, built by the first such tail and kept.
+    A walk follows the tree and picks the edges of the nodes it visits
+    only; it is kept until the next walk from another origin, so a
+    gradient's tail and NLL walk once.  ``edge``, every node's edge (the
+    successor forest), and the pointer-doubling tables built on it for
+    tails that start on many nodes (``tables``) are built on first use
+    and kept.  rewards is the planner's padded reward table (``Planner.padded``).
     """
 
-    def __init__(self, g: RoadGraph, destination: int, edge: np.ndarray):
+    def __init__(self, g: RoadGraph, destination: int, rewards: np.ndarray,
+                 values: np.ndarray, tree: np.ndarray):
         self.graph = g
         self.destination = destination
-        self.edge = edge
+        self.rewards = rewards
+        self.values = values
+        self.tree = tree
+        self.dead = tree < 0
+        self._walked = None  # (origin, edges, nodes) of the last walk
+
+    @cached_property
+    def edge(self) -> np.ndarray:
+        """Every node's edge, -1 on dead rows (``_forest``)."""
+        return _forest(self.graph, self.rewards, self.values, self.tree, self.dead)
 
     @cached_property
     def tables(self):
-        """``_jump_tables`` of the successor array, built by the first tail
-        that holds mass on more than one node."""
-        return _jump_tables(self.graph, self.destination, self.edge)
+        """``_jump_tables`` of the forest, built by the first tail that
+        holds mass on more than one node."""
+        return _jump_tables(self.destination, self.tree, self.dead, self.edge)
 
     def walk(self, origin: int) -> tuple[list[int], list[int]]:
         """(edges, nodes) of the walk from origin to the first dead row (the
-        destination or a node that cannot reach it)."""
-        edge, dst = self.edge, self.graph.edge_dst
-        edges, nodes = [], [origin]
-        e = int(edge[origin])
-        while e >= 0:
-            edges.append(e)
-            nodes.append(int(dst[e]))
-            e = int(edge[nodes[-1]])
+        destination or a node that cannot reach it); the lists are kept and
+        must not be modified."""
+        if self._walked is not None and self._walked[0] == origin:
+            return self._walked[1:]
+        g, tree = self.graph, self.tree
+        nodes = [origin]
+        u = int(tree[origin])
+        while u >= 0:
+            nodes.append(u)
+            u = int(tree[u])
+        edges = []
+        if len(nodes) > 1:
+            path = np.array(nodes)
+            rows = path[:-1]
+            q = self.rewards[g.slot_edge[rows]] + self.values[g.safe_targets[rows]]
+            edges = _tree_edges(g, q, rows, path[1:]).tolist()
+        self._walked = origin, edges, nodes
         return edges, nodes
 
     def tail(self, m: np.ndarray, tol: float, budget: int):
@@ -171,9 +197,42 @@ def _visits(tables: list[np.ndarray], v: np.ndarray, hops: int) -> np.ndarray:
     return total
 
 
-def _jump_tables(g: RoadGraph, destination: int, edge: np.ndarray):
-    """Pointer-doubling tables of a successor forest: (tables, depth, live
-    rows, their edges, ends).
+def _tree_edges(g: RoadGraph, q: np.ndarray, rows: np.ndarray, to: np.ndarray,
+                dead: np.ndarray | None = None) -> np.ndarray:
+    """The edge each of rows takes onto its tree successor to, q being the
+    rows' r + v(s') slot table; the rows marked in dead, if given, are
+    skipped and their entries are to be ignored.  The tree edge attains the
+    row max exactly, r + v(to) being -(dist(to) + w) in floats, so a row
+    keeps its first max slot unless a tie takes it off the tree; then it
+    takes its first max slot to to, the lowest edge id among parallels."""
+    width = g.max_out_degree
+    # flat index of each row's first max slot
+    best = rows * width + np.argmax(q, axis=1)
+    off = g.slot_target.ravel()[best] != to
+    if dead is not None:
+        off &= ~dead  # a dead row has no tree successor to move to
+    off = np.flatnonzero(off)
+    if off.size:
+        to_tree = np.where(g.slot_target[rows[off]] == to[off, None], q[off], -np.inf)
+        best[off] = rows[off] * width + np.argmax(to_tree, axis=1)
+    return g.slot_edge.ravel()[best]
+
+
+def _forest(g: RoadGraph, rewards: np.ndarray, values: np.ndarray, tree: np.ndarray,
+            dead: np.ndarray) -> np.ndarray:
+    """``_tree_edges`` of every node in one pass over all slots, -1 on dead
+    rows: the successor forest that a tail of spread mass runs on."""
+    # unlike _slot_table, q keeps the destination's row: a dead row's entry is ignored
+    q = np.concatenate((rewards[:-1] + values[g.edge_dst], [-np.inf]))[g.slot_edge]
+    edge = _tree_edges(g, q, np.arange(g.num_nodes), tree, dead)
+    edge[dead] = -1
+    return edge
+
+
+def _jump_tables(destination: int, tree: np.ndarray, dead: np.ndarray, edge: np.ndarray):
+    """Pointer-doubling tables of a successor forest (its tree, dead rows
+    and each live node's edge onto the tree): (tables, depth, live rows,
+    their edges, ends).
 
     Node num_nodes is a sink that the destination and the dead rows lead
     to and that leads to itself.  tables[k] maps every node 2**k hops on.
@@ -185,10 +244,10 @@ def _jump_tables(g: RoadGraph, destination: int, edge: np.ndarray):
     the sink, it is exact, by 2**k >= num_nodes in a forest.  ends marks
     the rows whose flow is absorbed (1) or lost (2).
     """
-    n = g.num_nodes
-    live = np.flatnonzero(edge >= 0)
+    n = tree.size
+    live = np.flatnonzero(~dead)
     jump = np.full(n + 1, n)
-    jump[live] = g.edge_dst[edge[live]]
+    jump[live] = tree[live]
     ends = (jump == destination) + 2 * (jump == n)  # 1: into the destination, 2: dead
     ends[destination] = ends[n] = 0
     depth = np.ones(n + 1, dtype=np.int64)
@@ -334,41 +393,20 @@ def _identity_minus_slots(g: RoadGraph, weights: np.ndarray) -> sp.csc_matrix:
 
 
 def greedy_policy(gv: GoalView, rew: np.ndarray) -> Policy:
-    """The planner's greedy policy of the max-reward values: an argmax of
-    r + v(s') per live row, on the shortest-path tree (``_tree_policy``)."""
+    """The planner's greedy policy of the max-reward values: their
+    shortest-path tree, each live node taking the first slot onto it that
+    attains its row max of r + v(s') (see ``Successors``)."""
     return Planner(gv.graph, rew).greedy(gv.destination)
-
-
-def _tree_policy(gv: GoalView, rew: np.ndarray, v: np.ndarray,
-                 tree: np.ndarray) -> Policy:
-    """The successor forest of max-reward values v and their shortest-path
-    tree (tree[u]: the node after u, negative on dead rows).  The tree edge
-    attains the row max of r + v(s') exactly, r + v(tree[u]) being
-    -(dist(tree[u]) + w) in floats, so a row keeps its first max slot
-    unless a tie takes it off the tree; then it takes its first max slot
-    to tree[u], the lowest edge id among parallels."""
-    g = gv.graph
-    width = g.max_out_degree
-    q = _slot_table(gv, rew + v[g.edge_dst])
-    # flat index of each row's first max slot
-    best = np.arange(g.num_nodes) * width + np.argmax(q, axis=1)
-    dead = tree < 0  # the destination row and the rows whose max is -inf
-    off = np.flatnonzero((g.slot_target.ravel()[best] != tree) & ~dead)
-    if off.size:
-        to_tree = np.where(g.slot_target[off] == tree[off, None], q[off], -np.inf)
-        best[off] = off * width + np.argmax(to_tree, axis=1)
-    edge = g.slot_edge.ravel()[best]
-    edge[dead] = -1
-    return Policy(None, gv.destination, dead, Successors(g, gv.destination, edge))
 
 
 def trajectory_nll(g: RoadGraph, traj: Trajectory, pol: Policy) -> float:
     """-sum_t log pi(a_t | s_t) over the trajectory's edges.  Under a greedy
-    policy that is 0.0 if every edge is its node's successor edge, else inf."""
+    policy that is 0.0 if every edge is its node's successor edge, else inf:
+    the edges of a trajectory that chains (``Trajectory.validate``) are then
+    a prefix of the walk from its origin."""
     if pol.successors is not None:
-        edges = np.asarray(traj.edges)
-        on_path = np.array_equal(pol.successors.edge[g.edge_src[edges]], edges)
-        return 0.0 if on_path else math.inf
+        walked, _ = pol.successors.walk(traj.origin)
+        return 0.0 if tuple(walked[:len(traj.edges)]) == traj.edges else math.inf
     nll = 0.0
     for e in traj.edges:
         p = pol.probs[g.edge_src[e], g.edge_slot[e]]
@@ -403,17 +441,19 @@ class Planner:
     Per table: its one check, the reversed graph, the shortest-path routine
     that runs on it (negative-cost when any reward is positive), and the
     first exact start's LU factor of M = I - A (each start Z = x / x_d, see
-    ``exact_start``).  Per destination, computed on first use and kept:
-    max-reward values, greedy policy (on the tree the same search returns,
-    which is dropped once the policy is built; its jump tables are built by
-    the first tail that needs them), and each horizon's soft plan (``soft``,
-    kept too where it does not converge; its scaled table is dropped once
-    the policy is built).  The arrays it returns must not be modified.
+    ``exact_start``), and the reward table padded with -inf for invalid
+    slots (``padded``).  Per destination, computed on first use and kept:
+    max-reward values and their shortest-path tree (one search), greedy
+    policy (that tree; its forest and jump tables are built by the first
+    tail that needs them), and each horizon's soft plan (``soft``, kept too
+    where it does not converge; its scaled table is dropped once the policy
+    is built).  The arrays it returns must not be modified.
     """
 
     def __init__(self, g: RoadGraph, rew: np.ndarray, temperature: float = 1.0):
         self.graph = g
         self.rew = _checked_rewards(g, rew)
+        self.padded = np.concatenate((self.rew, [-np.inf]))  # slot_edge's SENTINEL reads -inf
         self.temperature = temperature
         self._reversed = _reversed_graph(g, self.rew)
         self._gain = bool(self.rew.size and np.max(self.rew) > 0)
@@ -427,7 +467,6 @@ class Planner:
 
     def best_values(self, dest: int) -> np.ndarray:
         if ("best", dest) not in self._memo:
-            # the tree waits for the greedy policy (see ``greedy``)
             self._memo["best", dest], self._memo["tree", dest] = self._shortest_paths(dest)
         return self._memo["best", dest]
 
@@ -444,10 +483,14 @@ class Planner:
         return -dist, tree
 
     def greedy(self, dest: int) -> Policy:
-        """The greedy policy of the max-reward values, on their tree."""
-        return self.memo("greedy", dest, lambda: _tree_policy(
-            GoalView(self.graph, dest), self.rew, self.best_values(dest),
-            self._memo.pop(("tree", dest))))
+        """The greedy policy of the max-reward values: their tree, walked
+        node by node (see ``Successors``)."""
+        if ("greedy", dest) not in self._memo:
+            v = self.best_values(dest)
+            tree = self._memo["tree", dest]
+            succ = Successors(self.graph, dest, self.padded, v, tree)
+            self._memo["greedy", dest] = Policy(None, dest, succ.dead, succ)
+        return self._memo["greedy", dest]
 
     def soft(self, dest: int, horizon: float = math.inf, init: str = "exact",
              tol: float = 1e-9, max_iters: int | None = None,
@@ -535,8 +578,8 @@ def _soft_plan(plan: Planner, dest: int, horizon: float, init: str, tol: float, 
             anchor = plan.exact_start(dest)  # finite exactly where v_best is
     # y <= max_out_degree**H from y = 1 on C <= 1; checks cost H=100 about a third
     check = tol is not None or backups * math.log(max(g.max_out_degree, 1)) > 700
-    targets = np.ascontiguousarray(g.safe_targets.T)  # (V, S): backups sum down columns
-    terms = np.concatenate((plan.rew, [-np.inf]))[np.ascontiguousarray(g.slot_edge.T)] / t
+    targets = g.targets_by_slot  # (V, S): backups sum down columns
+    terms = plan.padded[g.edges_by_slot] / t
     c, it, fresh = None, 0, False
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if trace is not None:

@@ -147,25 +147,28 @@ def convergence_rate_probe(gv: GoalView, rew: np.ndarray, *,
     """Fitted geometric decay ratio of the backward-pass error, an estimate
     of |lambda2/lambda1| of the full exp-reward matrix.  The error is the gap
     between the values a + log y of the planner's one-hot pass over its first
-    PROBE_ITERS backups and its converged values at tol 1e-13.  Reports 0.0
-    when the error hits exactly zero (nilpotent block); raises when too few
-    usable iterations remain to fit.
+    PROBE_ITERS backups and its converged values at tol 1e-13, from a pass
+    that starts at the exact fixed point (from one-hot, a slow feasible
+    block can need more than its 1,000 backups).  Reports 0.0 when the
+    one-hot pass lands on its fixed point bitwise (a nilpotent block);
+    raises when too few usable iterations remain to fit.
     """
     plan = Planner(gv.graph, rew, temperature)
-    ref, _ = plan.soft(gv.destination, init="onehot", tol=1e-13, max_iters=1000)
+    ref, _ = plan.soft(gv.destination, init="exact", tol=1e-13, max_iters=1000)
     if ref is None:
         raise ValidationError("backward pass does not converge; no rate to fit")
     trace: list[np.ndarray] = []
-    plan.soft(gv.destination, init="onehot", tol=0.0, max_iters=PROBE_ITERS, trace=trace)
+    # at tol 0 the pass stops only where a backup leaves every value unchanged
+    landed, _ = plan.soft(gv.destination, init="onehot", tol=0.0, max_iters=PROBE_ITERS,
+                          trace=trace)
     reach = np.isfinite(ref.values)  # -inf in every iterate elsewhere
     errs = np.array([np.abs(v[reach] - ref.values[reach]).max(initial=0.0) for v in trace])
     # fit only the clean geometric window: nonzero, finite, and above the
-    # float noise floor (exact zeros past it mean the iterate landed on the
-    # fixed point bitwise)
+    # float noise floor
     usable = np.nonzero((errs > 1e-12) & np.isfinite(errs))[0]
     usable = usable[2:] if usable.shape[0] > 4 else usable
     if usable.shape[0] < 3:
-        if np.any(errs == 0.0):
+        if landed is not None:
             return 0.0  # hit the fixed point exactly in finitely many steps
         raise ValidationError("not enough usable iterations to fit a decay rate")
     slope = np.polyfit(usable.astype(np.float64), np.log(errs[usable]), 1)[0]

@@ -197,6 +197,24 @@ def test_dump_values_reports_nonconvergence(tmp_path, capsys):
     assert len(load_reward_table(vals)) == 9
 
 
+def test_probe_rate_on_a_slow_feasible_corner(tmp_path, capsys):
+    # a corner of the 3x3 grid at rewards -1 is feasible with lambda about
+    # 0.985: a one-hot pass needs 1,701 backups to tol 1e-13, past the
+    # reference pass's cap, so the reference starts at the exact fixed point
+    gpath, rpath = str(tmp_path / "g.txt"), str(tmp_path / "r.txt")
+    assert main(["gen-grid", "--width", "3", "--height", "3", "--seed", "0",
+                 "--out-graph", gpath]) == 0
+    export_reward_table(np.full(24, -1.0), rpath)
+    capsys.readouterr()
+    for dest in ("0", "2", "6", "8"):
+        code, doc = run(capsys, "diagnose", "--graph", gpath, "--rewards", rpath,
+                        "--destination", dest, "--probe-rate")
+        assert code == 0
+        assert doc["classification"] == "Feasible"
+        assert 0.98 < doc["lambda_max"] < 0.99
+        assert 0.9 < doc["rate"] < 1.0
+
+
 def test_diagnose_rejects_a_temperature_at_or_below_zero(tmp_path, capsys):
     # T = 0 divided by zero and reported lambda = 0, and T = -1 reported an
     # infeasible lambda: both are invalid, in the library and on the CLI

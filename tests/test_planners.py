@@ -390,7 +390,8 @@ def test_closed_form_tails_match_stepping_on_generated_graphs(monkeypatch):
             faint = np.where(far, 1e-14, spread)  # stepping leaves the faint mass
             heads = [[]] if soft is None else [[], [(soft, 1)], [(soft, 3)]]
             pol = greedy_policy(gv, rew)
-            edge = pol.successors.edge
+            succ = pol.successors
+            edge = succ.edge
             # one step finishes the mass on dead rows and on the destination's tree neighbours
             near = np.where(pol.dead | (g.edge_dst[edge] == gv.destination), spread, 0.0)
             near[gv.destination] = 0.0
@@ -400,8 +401,9 @@ def test_closed_form_tails_match_stepping_on_generated_graphs(monkeypatch):
                     for max_steps in (1000, 4):
                         # a fresh successor graph per rollout, so every
                         # rollout builds its own tables
-                        schedule = head + [(Policy(None, pol.destination, pol.dead,
-                                                   Successors(g, pol.destination, edge)), None)]
+                        fresh = Successors(g, pol.destination, succ.rewards, succ.values,
+                                           succ.tree)
+                        schedule = head + [(Policy(None, pol.destination, pol.dead, fresh), None)]
                         res = rollout(gv, schedule, mass, max_steps=max_steps)
                         edge_mass, steps, truncated, lost, absorbed, _ = rollout_dense(
                             gv, schedule, mass, max_steps=max_steps)
@@ -413,6 +415,42 @@ def test_closed_form_tails_match_stepping_on_generated_graphs(monkeypatch):
                         truncated_seen += truncated
     assert truncated_seen > 0
     assert set(kinds) == {"walk", "closed", "closed, mass left", "one step", "cut"}, kinds
+
+
+def test_walked_edges_equal_the_forest_on_generated_graphs():
+    # a walk picks the edges of the nodes it visits only; every walked edge
+    # is the one the all-slot forest gives that node, bitwise, on graphs
+    # with parallel edges and self-loops, with traps, on the tie loop, and
+    # on the constant-feature 10x10 grid, whose rows tie all over
+    cases = []
+    for seed in range(4):
+        for g in (_with_trap(gen_random_graph(14 + seed, rng_seed=seed, extra_edges=12)),
+                  _loopy_multigraph(seed), tie_loop_graph()):
+            cases.append((g, _rand_rewards(g, seed, lo=0.8, hi=1.6), range(g.num_nodes)))
+    grid = gen_gridworld(10, 10)
+    cases.append((grid, edge_rewards(LinearReward(-np.ones(grid.feature_dim)), grid),
+                  range(grid.num_nodes)))
+    tied = dead_walks = 0
+    for g, rew, dests in cases:
+        plan = Planner(g, rew)
+        for dest in dests:
+            succ = plan.greedy(dest).successors
+            # a fresh tree per destination, so every walk runs before any forest
+            walker = Successors(g, dest, succ.rewards, succ.values, succ.tree)
+            walks = [walker.walk(origin) for origin in range(g.num_nodes)]
+            assert "edge" not in vars(walker)
+            edge = succ.edge
+            for origin, (edges, nodes) in enumerate(walks):
+                assert nodes[0] == origin and succ.dead[nodes[-1]]
+                assert not succ.dead[nodes[:-1]].any()
+                assert edges == [int(edge[u]) for u in nodes[:-1]]
+                assert all(isinstance(e, int) for e in edges)
+                dead_walks += nodes[-1] != dest
+            q = slot_rewards(GoalView(g, dest), rew) + succ.values[g.safe_targets]
+            top = q.max(axis=1, keepdims=True)
+            tied += int(((q == top).sum(axis=1) > 1)[~succ.dead].sum())
+    assert dead_walks > 0  # walks into the traps end on a dead row off the destination
+    assert tied >= 8_100
 
 
 def test_unit_mass_tails_equal_stepping_bitwise():
@@ -716,43 +754,43 @@ def test_one_reversed_graph_per_call_and_one_plan_per_destination(monkeypatch):
     dests = len({d for _, d in pairs})
     calls = Counter()
     greedy = []  # every greedy policy planned
-    for name in ("_reversed_graph", "_tree_policy", "_soft_plan",
-                 "_jump_tables", "_draw_table"):
+    for name in ("_reversed_graph", "_forest", "_soft_plan", "_jump_tables", "_draw_table"):
         def counting(*args, _real=getattr(routeirl.planners, name), _name=name, **kw):
             calls[_name] += 1
-            out = _real(*args, **kw)
-            if _name == "_tree_policy":
-                greedy.append(out)
-            return out
+            return _real(*args, **kw)
         monkeypatch.setattr(routeirl.planners, name, counting)
-    # greedy walks and T=0 samples build no jump tables, and only T > 0
-    # walks build draw tables, one per destination
+
+    def planned(self, dest, _real=routeirl.planners.Planner.greedy):
+        pol = _real(self, dest)
+        greedy.append(pol)
+        return pol
+    monkeypatch.setattr(routeirl.planners.Planner, "greedy", planned)
+    # greedy walks, T=0 samples and one-node tails build no forest and no
+    # jump tables, and only T > 0 walks build draw tables, one per destination
     evaluate(m, demos, g)
-    assert calls == {"_reversed_graph": 1, "_tree_policy": dests, "_soft_plan": dests}
+    assert calls == {"_reversed_graph": 1, "_soft_plan": dests}
     calls.clear()
     sample_demonstrations(m, g, len(pairs), rng_seed=2, pairs=pairs)
     assert calls == {"_reversed_graph": 1, "_soft_plan": dests, "_draw_table": dests}
     calls.clear()
     sample_demonstrations(m, g, len(pairs), rng_seed=2, temperature=0.0, pairs=pairs)
-    assert calls == {"_reversed_graph": 1, "_tree_policy": dests}
-    # a minibatch shares one planner, and its destinations' greedy tails
-    # build their tables once; H=0 tails walk, and mmp plans each demo on
-    # its own margins
+    assert calls == {"_reversed_graph": 1}
+    # a minibatch shares one planner; H=0 tails walk, and mmp plans each
+    # demo on its own margins
     calls.clear()
     batch_gradient(m, g, demos, IrlConfig(horizon=0))
-    assert calls == {"_reversed_graph": 1, "_tree_policy": dests}
-    # walks, T=0 samples and walked tails read only the successor array:
-    # no greedy policy holds a probability table
-    assert len(greedy) == 3 * dests
-    assert all(pol.probs is None for pol in greedy)
-    calls.clear()
-    batch_gradient(m, g, demos, IrlConfig(horizon=3))
-    assert calls == {"_reversed_graph": 1, "_tree_policy": dests, "_soft_plan": dests,
-                     "_jump_tables": dests}
+    assert calls == {"_reversed_graph": 1}
     calls.clear()
     batch_gradient(m, g, demos, IrlConfig(algorithm="mmp"))
-    assert calls == {"_reversed_graph": len(demos), "_tree_policy": len(demos)}
-    assert all(pol.probs is None for pol in greedy)
+    assert calls == {"_reversed_graph": len(demos)}
+    # walks read only the tree: no greedy policy holds a probability table
+    # or has built its forest
+    assert all(pol.probs is None and "edge" not in vars(pol.successors) for pol in greedy)
+    # tails of spread mass build each destination's forest and tables once
+    calls.clear()
+    batch_gradient(m, g, demos, IrlConfig(horizon=3))
+    assert calls == {"_reversed_graph": 1, "_forest": dests, "_soft_plan": dests,
+                     "_jump_tables": dests}
 
 
 def test_shared_plans_equal_per_demo_replanning():
