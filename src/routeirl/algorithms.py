@@ -55,6 +55,10 @@ class IrlConfig:
             raise ValidationError("margin must be nonnegative")
         if self.init not in _INITS:
             raise ValidationError(f"unknown init {self.init!r}")
+        if not self.tol >= 0:
+            raise ValidationError(f"tol must be nonnegative, not {self.tol}")
+        if self.max_iters is not None and not self.max_iters >= 1:
+            raise ValidationError(f"max_iters must be None or at least 1, not {self.max_iters}")
         h = self.horizon
         if not (math.isinf(h) or (h >= 0 and float(h).is_integer())):
             raise ValidationError("horizon must be a nonnegative integer or inf")

@@ -53,8 +53,15 @@ def _manifest(args: argparse.Namespace, out: str | Path) -> None:
     write_json(doc, path, indent=2)
 
 
+def _parse_floats(text: str, option: str) -> list[float]:
+    try:
+        return [float(tok) for tok in text.split(",")]  # float reads "inf"
+    except ValueError:
+        raise ValidationError(f"{option} takes comma-separated numbers, not {text!r}") from None
+
+
 def _parse_weights(text: str, dim: int) -> np.ndarray:
-    w = np.array([float(x) for x in text.split(",")], dtype=np.float64)
+    w = np.array(_parse_floats(text, "--weights"), dtype=np.float64)
     if w.shape[0] == 1:
         w = np.repeat(w, dim)
     if w.shape[0] != dim:
@@ -235,11 +242,13 @@ def cmd_scan_loss(args) -> int:
 
 
 def cmd_sweep_horizon(args) -> int:
+    if args.reps < 1 or args.timing_rounds < 1:
+        raise ValidationError("--reps and --timing-rounds must be at least 1")
+    horizons = _parse_floats(args.horizons, "--horizons")
     g = load_graph(args.graph)
     demos = load_trajectories(args.demos, g)
     dim = g.features.shape[1]
     weights = _parse_weights(args.weights, dim)
-    horizons = [float(tok) for tok in args.horizons.split(",")]  # float reads "inf"
     timing_demos = demos[:args.batch]
     model = LinearReward(weights)
     icfgs = [IrlConfig(algorithm="receding_horizon", horizon=h,

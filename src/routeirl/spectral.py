@@ -4,9 +4,9 @@ The backward pass is power iteration on A = exp(rewards/T).  Restricting A to
 non-destination rows and columns gives the block B1 whose spectral radius
 decides everything: the soft values (and the demo likelihood) are finite iff
 lambda_max(B1) < 1, and the backward pass converges geometrically at that
-rate.  The bounds and the eigenvalue iteration run in log space on the padded
-slot layout; the rate probe reads the planner's own soft pass.  A
-temperature at or below 0 raises ValidationError.
+rate.  The bounds read the padded slot layout, the eigenvalue iteration runs
+in the linear domain on a sparse B1, and the rate probe reads the planner's
+own soft pass.  A temperature at or below 0 raises ValidationError.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import ValidationError
 from .graph import GoalView, Trajectory, gen_two_state_loop, two_state_loop_rewards
-from .planners import Planner, _checked_rewards, _logsumexp_rows, _slot_table, trajectory_nll
+from .planners import Planner, _checked_rewards, _slot_table, trajectory_nll
 
 FEASIBLE = "Feasible"
 INFEASIBLE = "Infeasible"
@@ -72,74 +72,64 @@ def _bounds(num_nodes: int, logw: np.ndarray, tgt: np.ndarray) -> tuple[float, f
     return row, col
 
 
-def _block_has_cycle(num_nodes: int, logw: np.ndarray, tgt: np.ndarray) -> bool:
-    """Whether the non-destination block's digraph contains any cycle.
-
-    The block is nonnegative, so its spectral radius is zero exactly when it
-    is nilpotent, i.e. the digraph is acyclic.
-    """
-    mask = ~np.isneginf(logw)
-    src = np.nonzero(mask)[0]
-    dst = tgt[mask]
-    if src.size == 0:
-        return False
-    if np.any(src == dst):
-        return True
-    adj = scipy.sparse.csr_matrix(
-        (np.ones(src.size, dtype=np.int8), (src, dst)),
-        shape=(num_nodes, num_nodes))
-    ncomp, labels = connected_components(adj, directed=True,
-                                         connection="strong")
-    return bool(np.max(np.bincount(labels, minlength=ncomp)) >= 2)
-
-
 def dominant_eigenvalue(gv: GoalView, rew: np.ndarray, *,
                         temperature: float = 1.0, tol: float = 1e-10,
                         max_iters: int | None = None,
                         band: float = DEFAULT_BAND) -> SpectralReport:
-    """Log-space power iteration on B1 with a Rayleigh-quotient readout.
+    """Linear power iteration on B1's cyclic core (the edges inside its
+    strongly connected components) with a Rayleigh-quotient readout.
+
+    The core has B1's lambda, the largest of its components' (the Frobenius
+    normal form), and no heavy edge into a cycle swamps its iterate.  An
+    empty core is nilpotent, lambda 0.  A component whose scaled iterate
+    leaves float range (rewards/T that climb and fall by about 600 around one
+    cycle), or a core weight above about e^745, raises ValidationError.
 
     Classification: Feasible (lambda < 1), Infeasible (lambda > 1), or
     Boundary when |lambda - 1| <= band (left undecided on purpose).
     """
-    g = gv.graph
+    n = gv.graph.num_nodes
     logw, tgt = _b1_slots(gv, rew, temperature)
     if max_iters is None:
-        max_iters = max(1000, 30 * g.num_nodes)
-    bounds = _bounds(g.num_nodes, logw, tgt)
-    if min(bounds) == 0.0 or not _block_has_cycle(g.num_nodes, logw, tgt):
-        # Acyclic block: nilpotent, spectral radius exactly zero.  (Power
-        # iteration must not run here -- the shift below would hand it a
-        # defective eigenvalue and O(1/k) convergence.)
+        max_iters = max(1000, 30 * n)
+    elif not max_iters >= 1:
+        raise ValidationError(f"max_iters must be None or at least 1, not {max_iters}")
+    bounds = _bounds(n, logw, tgt)
+    src, slot = np.nonzero(~np.isneginf(logw))
+    dst = tgt[src, slot]
+    _, labels = connected_components(scipy.sparse.csr_matrix(
+        (np.ones(src.size, dtype=bool), (src, dst)), shape=(n, n)), connection="strong")
+    core = labels[src] == labels[dst]
+    if min(bounds) == 0.0 or not core.any():
+        # the shift below would hand a nilpotent block a defective eigenvalue
         return SpectralReport(0.0, bounds, classify(0.0, band), 0, True)
-    # Power-iterate the shifted block A + cI.  The shift moves every
-    # eigenvalue to lam_i + c, so the Perron root strictly dominates in
-    # modulus even when the raw block has peripheral ties (bipartite grids,
-    # directed cycles put several eigenvalues on the same circle and stall
-    # the unshifted Rayleigh readout forever).  c is kept on the scale of
-    # the spectrum via the cheap certified bound.
+    # Iterate B + shift*I, so the Perron root strictly dominates in modulus
+    # where bipartite grids and directed cycles put several eigenvalues on one
+    # circle; the cheap certified bound keeps the shift on the spectrum's scale.
     shift = min(1.0, min(bounds))
-    logc = np.log(shift)
-    x = np.zeros(g.num_nodes)
-    x[gv.destination] = -np.inf
-    mu_hist: list[float] = []
+    lw = logw[src[core], slot[core]]
+    # scaled by the core's top weight or the shift, the larger: neither exceeds 1
+    scale = max(np.max(lw), np.log(shift))
+    b = scipy.sparse.csr_matrix((np.exp(lw - scale), (src[core], dst[core])), shape=(n, n))
+    c = np.exp(np.log(shift) - scale)
+    if c == 0.0:
+        raise ValidationError(f"B1's core weights reach e^{scale:.0f}, past float range")
+    x = np.where(np.arange(n) == gv.destination, 0.0, 1.0)
+    mus: list[float] = []
     for it in range(1, max_iters + 1):
-        y = _logsumexp_rows(logw + x[tgt])  # -inf on the destination's row
-        y = np.logaddexp(y, logc + x)
-        lognum, lognorm = _logsumexp_rows(np.stack((x + y, 2.0 * x)))
-        if np.isneginf(lognum):
-            return SpectralReport(0.0, bounds, classify(0.0, band), it, True)
-        mu = float(np.exp(lognum - lognorm))
-        mu_hist.append(mu)
-        if len(mu_hist) >= 3:
-            ref = max(1.0, mu)
-            if (abs(mu_hist[-1] - mu_hist[-2]) <= tol * ref
-                    and abs(mu_hist[-1] - mu_hist[-3]) <= tol * ref):
-                lam = max(0.0, mu - shift)
-                return SpectralReport(lam, bounds, classify(lam, band), it, True)
-        x = y - np.max(y)
-    lam = max(0.0, mu_hist[-1] - shift)
-    return SpectralReport(lam, bounds, classify(lam, band), max_iters, False)
+        y = b @ x + c * x  # x's largest entry is 1, so x . y >= c > 0
+        num = np.sum(x * y)  # plain reductions: a BLAS dot may fuse or reorder
+        mus.append(float(np.exp(np.log(num / np.sum(x * x)) + scale)))
+        ref = tol * max(1.0, mus[-1])
+        converged = len(mus) >= 3 and all(abs(mus[-1] - m) <= ref for m in mus[-3:-1])
+        if converged:
+            break
+        x = y / np.max(y)
+    # the largest entry's component has a positive Perron vector: a zero is underflow
+    if np.any(x[labels == labels[np.argmax(x)]] == 0.0):
+        raise ValidationError("B1's weights span more than float range around a cycle")
+    lam = max(0.0, mus[-1] - shift)
+    return SpectralReport(lam, bounds, classify(lam, band), it, converged)
 
 
 def convergence_rate_probe(gv: GoalView, rew: np.ndarray, *,

@@ -2,7 +2,10 @@
 
 Everything here trades speed for obviousness: a per-node-list slot layout,
 explicit walk enumeration, dense eigensolves, high-precision fixed points,
-central differences, the backward pass and spectral power iteration on scipy's logsumexp, and the
+central differences, the backward pass and the spectral power iteration over
+all of B1 on scipy's logsumexp (the latter a cross-check of the library's
+linear iteration on B1's cyclic core), that linear iteration again on a B1
+assembled from the edge arrays through scipy's COO conversion, and the
 classical MaxEnt, BIRL and MMP estimators written out independently of the
 receding-horizon estimator that the library runs them as, and `evaluate` and
 `sample_demonstrations` replanned from scratch for every demo, the samples
@@ -25,6 +28,7 @@ import warnings
 import mpmath as mp
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 from scipy.special import logsumexp
 
 from routeirl import (InfeasibilityError, Metrics, RoadGraph, GoalView,
@@ -593,10 +597,10 @@ def scipy_backward(gv: GoalView, rew: np.ndarray, *, temperature: float = 1.0,
     return v, max_iters, False
 
 
-def scipy_dominant_eigenvalue(gv: GoalView, rew: np.ndarray, shift: float, *,
-                              temperature: float = 1.0, tol: float = 1e-10,
-                              max_iters: int | None = None
-                              ) -> tuple[float, int, bool]:
+def log_dominant_eigenvalue(gv: GoalView, rew: np.ndarray, shift: float, *,
+                            temperature: float = 1.0, tol: float = 1e-10,
+                            max_iters: int | None = None
+                            ) -> tuple[float, int, bool]:
     """Shifted log-space power iteration on the non-destination block with a
     Rayleigh-quotient readout, on scipy.special.logsumexp; (lambda_max,
     iterations, converged).  Only for blocks with a cycle: the caller passes
@@ -623,6 +627,48 @@ def scipy_dominant_eigenvalue(gv: GoalView, rew: np.ndarray, shift: float, *,
                     and abs(mu_hist[-1] - mu_hist[-3]) <= tol * ref):
                 return max(0.0, mu - shift), it, True
         x = y - np.max(y)
+    return max(0.0, mu_hist[-1] - shift), max_iters, False
+
+
+def core_dominant_eigenvalue(gv: GoalView, rew: np.ndarray, shift: float, *,
+                             temperature: float = 1.0, tol: float = 1e-10,
+                             max_iters: int | None = None
+                             ) -> tuple[float, int, bool]:
+    """Shifted linear power iteration on the cyclic core of the
+    non-destination block with a Rayleigh-quotient readout; (lambda_max,
+    iterations, converged).  B1 comes from the edge arrays through scipy's
+    COO conversion, its strongly connected components from csgraph on that
+    matrix, and the core keeps the edges inside one component, weighted
+    exp(r/T - scale) for scale the larger of the core's largest log-weight
+    and log(shift).  Only for blocks with a cycle: the caller passes the
+    shift."""
+    g = gv.graph
+    keep = (g.edge_src != gv.destination) & (g.edge_dst != gv.destination)
+    src, dst = g.edge_src[keep], g.edge_dst[keep]
+    logw = np.asarray(rew)[keep] / temperature
+    shape = (g.num_nodes, g.num_nodes)
+    b1 = sp.coo_matrix((np.ones(src.size), (src, dst)), shape=shape).tocsr()
+    _, labels = connected_components(b1, directed=True, connection="strong")
+    inside = labels[src] == labels[dst]
+    scale = max(logw[inside].max(), np.log(shift))
+    core = sp.coo_matrix((np.exp(logw[inside] - scale), (src[inside], dst[inside])),
+                         shape=shape).tocsr()
+    c = np.exp(np.log(shift) - scale)
+    if max_iters is None:
+        max_iters = max(1000, 30 * g.num_nodes)
+    x = np.ones(g.num_nodes)
+    x[gv.destination] = 0.0
+    mu_hist = []
+    for it in range(1, max_iters + 1):
+        y = core.dot(x) + c * x
+        mu = float(np.exp(np.log((x * y).sum() / (x * x).sum()) + scale))
+        mu_hist.append(mu)
+        if len(mu_hist) >= 3:
+            ref = max(1.0, mu)
+            if (abs(mu_hist[-1] - mu_hist[-2]) <= tol * ref
+                    and abs(mu_hist[-1] - mu_hist[-3]) <= tol * ref):
+                return max(0.0, mu - shift), it, True
+        x = y / y.max()
     return max(0.0, mu_hist[-1] - shift), max_iters, False
 
 

@@ -358,6 +358,16 @@ def test_the_planner_makes_every_plan_the_estimator_reads():
     assert _library_callers({"_soft_plan"}) == ["planners.soft"]
 
 
+def test_the_log_sum_exp_stays_with_the_reference_backup():
+    # the library computes in the linear domain; its log-sum-exp serves only
+    # the public log-domain backup, and the spectral code imports neither
+    assert _library_callers({"_logsumexp_rows"}) == ["planners.softmax_backup"]
+    tree = ast.parse((Path(routeirl.__file__).parent / "spectral.py").read_text())
+    imported = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                and node.module == "planners" for a in node.names}
+    assert imported and not imported & {"_logsumexp_rows", "softmax_backup"}
+
+
 def test_an_oracle_is_not_a_copy_of_a_library_function():
     # a reference that moved out of the library into the oracles was moved,
     # not copied: no module-level function name is defined in both
@@ -700,6 +710,18 @@ def test_irl_config_validation():
     with pytest.raises(ValidationError):
         IrlConfig(init="zeros")
     IrlConfig(horizon=math.inf)  # fine
+
+
+def test_irl_config_rejects_bad_tolerances_and_iteration_caps():
+    # tol = -1 divided by zero in the soft plan's stopping test (tol / (1 + tol)),
+    # and a negative cap reported a skip with that many backward iterations
+    for bad in (-1.0, -1e-12, math.nan):
+        with pytest.raises(ValidationError, match="tol"):
+            IrlConfig(tol=bad)
+    for bad in (0, -5):
+        with pytest.raises(ValidationError, match="max_iters"):
+            IrlConfig(max_iters=bad)
+    IrlConfig(tol=0.0, max_iters=1)  # fine
 
 
 def test_demo_must_match_graph():

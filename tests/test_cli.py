@@ -250,6 +250,31 @@ def test_validation_error_exits_two(tmp_path, capsys):
     assert "out-demos" in capsys.readouterr().err
 
 
+def test_malformed_numbers_exit_two(tmp_path, capsys):
+    # these used to escape as ValueError or a zero-size min (exit 1), or to
+    # write nan steps/s and exit 0
+    gpath, dpath = str(tmp_path / "g.txt"), str(tmp_path / "d.txt")
+    assert main(["gen-grid", "--width", "4", "--height", "4", "--num-demos", "6",
+                 "--out-graph", gpath, "--out-demos", dpath]) == 0
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("algorithm = maxent\nepochs = 1\nsteps_per_epoch = 2\nwarmup = 1\n")
+    sweep = ["sweep-horizon", "--graph", gpath, "--demos", dpath, "--horizons", "0,1",
+             "--reps", "1", "--timing-rounds", "1", "--train-steps", "2",
+             "--out", str(tmp_path / "sweep.csv")]
+    for argv, what in (
+            (sweep + ["--weights=abc"], "--weights"),
+            (sweep + ["--horizons", "1,x"], "--horizons"),
+            (sweep + ["--timing-rounds", "0"], "--timing-rounds"),
+            (sweep + ["--reps", "0"], "--reps"),
+            (["train", "--graph", gpath, "--demos", dpath, "--config", str(cfg),
+              "--weights=-1,x", "--out", str(tmp_path / "run")], "--weights")):
+        capsys.readouterr()
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and what in err, (argv, err)
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_infeasible_rewards_exit_three(tmp_path, capsys):
     gpath = str(tmp_path / "g.txt")
     dpath = str(tmp_path / "d.txt")
