@@ -15,9 +15,7 @@ from .io import (export_reward_table, load_checkpoint, load_graph, load_merge_ma
                  load_reward_table, load_trajectories, save_checkpoint,
                  save_graph, save_merge_map, save_trajectories)
 from .metrics import Metrics, SignificanceResult, diff_of_proportions, evaluate
-from .planners import (Policy, RolloutResult, closed_form_forward,
-                       dijkstra_values, greedy_path, greedy_policy, rollout,
-                       softmax_backup, slot_rewards)
+from .planners import Policy, RolloutResult, greedy_path, rollout, softmax_backup
 from .rewards import (CompositeReward, DenseNetReward, LinearReward,
                       RewardModel, SparsePerEdgeReward, backprop,
                       edge_rewards, project_nonpositive)

@@ -49,10 +49,10 @@ class IrlConfig:
     def __post_init__(self):
         if self.algorithm not in _ALGS:
             raise ValidationError(f"unknown algorithm {self.algorithm!r}")
-        if self.temperature <= 0:
-            raise ValidationError("temperature must be positive")
-        if self.margin < 0:
-            raise ValidationError("margin must be nonnegative")
+        if not 0 < self.temperature < math.inf:
+            raise ValidationError(f"temperature must be positive and finite, not {self.temperature}")
+        if not 0 <= self.margin < math.inf:
+            raise ValidationError(f"margin must be nonnegative and finite, not {self.margin}")
         if self.init not in _INITS:
             raise ValidationError(f"unknown init {self.init!r}")
         if not self.tol >= 0:

@@ -53,7 +53,7 @@ class RoadGraph:
 
     @cached_property
     def safe_targets(self) -> np.ndarray:
-        """slot_target with 0 on invalid slots (``slot_rewards`` masks them)."""
+        """slot_target with 0 on invalid slots (a padded reward table's -inf masks them)."""
         return np.where(self.slot_valid, self.slot_target, 0)
 
     @cached_property
@@ -210,9 +210,8 @@ def _from_arrays(coords: np.ndarray, edge_src: np.ndarray, edge_dst: np.ndarray,
 class GoalView:
     """A graph conditioned on one destination: the pair and nothing more.
 
-    The destination is absorbing: planners pin its value to zero, and the
-    slot reward table of ``planners.slot_rewards`` is -inf on its row, which
-    is the only per-destination slot mask the planners apply.
+    The destination is absorbing: planners pin its value to zero and give
+    its row no action, the only per-destination slot mask they apply.
     """
 
     graph: RoadGraph

@@ -5,16 +5,17 @@ deterministic max-reward values, stochastic policies and forward mass
 propagation.  ``Planner.soft`` makes every soft plan, on scaled backups in
 the linear domain, and a plan reads out its soft values on request
 (``Policy.values``); the log-domain backward pass is a test oracle, and no
-library path runs ``softmax_backup`` (see its docstring).  A destination's
-slot reward table (``slot_rewards``: -inf on invalid slots and on the
-destination's row) is its only mask; backups and policies apply no other,
-so the reward tables and values they take must hold no NaN or +inf
-(``_checked_rewards``, once per table, where it enters).
+library path runs ``softmax_backup`` (see its docstring).  The reward
+table padded with -inf on invalid slots (``Planner.padded``) is the only
+slot mask, and the soft backups zero the destination's row and the rows
+that cannot reach it through their anchor, so the reward tables they take
+must hold no NaN or +inf (``_checked_rewards``, once per table, where it
+enters).
 Converged soft values start from the exact fixed point, Z = exp(v) = x / x_d
 with x = M^-1 e_d on one LU factor of the table's M = I - A, and the backups
 confirm it (``Planner.exact_start``: the max-reward values where M is
 singular, or x / x_d is not finite and positive on a reaching node, as a
-value below about -745 underflows); stationary edge mass solves I - P.
+value below about -745 underflows).
 The log-sum-exp and the rollout step make no reduction per short row yet add
 in the row-wise order, so they are bitwise equal to it (see their comments).
 A greedy policy is the shortest-path tree that the max-reward search
@@ -25,14 +26,13 @@ spread mass builds every node's edge, the successor forest (see
 ``Planner.greedy``, ``Successors`` and ``rollout``).  A soft policy's T>0
 samples draw on a table of its rows' normalised cumulative sums, built
 by its first walk, and take the slot ``Generator.choice`` would take for
-the same draw.  The sparse I - A and I - P are summed into a sparsity
-pattern the graph builds once, bitwise scipy's own assembly of them (see
+the same draw.  The sparse I - A is summed into a sparsity pattern the
+graph builds once, bitwise scipy's own assembly of it (see
 ``_identity_minus_slots``).
 """
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -59,30 +59,6 @@ def _checked_rewards(g: RoadGraph, rew) -> np.ndarray:
         e = int(np.flatnonzero(~(rew < np.inf))[0])
         raise ValidationError(f"edge {e} has reward {rew[e]}: NaN and +inf are not rewards")
     return rew
-
-
-def slot_rewards(gv: GoalView, rew: np.ndarray) -> np.ndarray:
-    """Per-slot reward table, -inf on invalid slots and the destination row:
-    the destination's only mask (see the module docstring)."""
-    return _slot_table(gv, _checked_rewards(gv.graph, rew))
-
-
-def _slot_table(gv: GoalView, rew: np.ndarray) -> np.ndarray:
-    """``slot_rewards`` of a float64 table known to hold no NaN or +inf."""
-    # invalid slots (SENTINEL, -1) read the appended -inf
-    out = np.concatenate((rew, [-np.inf]))[gv.graph.slot_edge]
-    out[gv.destination] = -np.inf
-    return out
-
-
-def dijkstra_values(gv: GoalView, rew: np.ndarray) -> np.ndarray:
-    """Max-reward value-to-destination per node (-inf if it cannot reach).
-
-    Rewards <= 0 run on a nonnegative-cost shortest path; any positive entry
-    forces the slower negative-cost routine, and a reward-gain cycle raises
-    InfeasibilityError.
-    """
-    return Planner(gv.graph, rew).best_values(gv.destination)
 
 
 class Successors:
@@ -222,7 +198,7 @@ def _forest(g: RoadGraph, rewards: np.ndarray, values: np.ndarray, tree: np.ndar
             dead: np.ndarray) -> np.ndarray:
     """``_tree_edges`` of every node in one pass over all slots, -1 on dead
     rows: the successor forest that a tail of spread mass runs on."""
-    # unlike _slot_table, q keeps the destination's row: a dead row's entry is ignored
+    # q keeps the destination's row: a dead row's entry is ignored
     q = np.concatenate((rewards[:-1] + values[g.edge_dst], [-np.inf]))[g.slot_edge]
     edge = _tree_edges(g, q, np.arange(g.num_nodes), tree, dead)
     edge[dead] = -1
@@ -360,8 +336,8 @@ def softmax_backup(gv: GoalView, rew_slots: np.ndarray, v_prev: np.ndarray,
                    temperature: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     """One log-domain backup: Q = r/T + v(s'), v = logsumexp_a Q, v(dest)=0.
 
-    rew_slots is ``slot_rewards(gv, rew)``, whose -inf entries (invalid
-    slots, the destination row) stay -inf in Q as v_prev holds no NaN or
+    rew_slots is the destination's slot reward table, -inf on invalid slots
+    and on its row, entries that stay -inf in Q as v_prev holds no NaN or
     +inf; a row with no finite Q (a dead end) gets v = -inf.  The
     log-sum-exp is ``_logsumexp_rows``, bitwise equal to scipy's.  No
     library path calls it: the test oracles' log-domain pass runs on it, and
@@ -392,13 +368,6 @@ def _identity_minus_slots(g: RoadGraph, weights: np.ndarray) -> sp.csc_matrix:
     return sp.csc_matrix((data[keep], rows[keep], indptr), shape=(g.num_nodes,) * 2)
 
 
-def greedy_policy(gv: GoalView, rew: np.ndarray) -> Policy:
-    """The planner's greedy policy of the max-reward values: their
-    shortest-path tree, each live node taking the first slot onto it that
-    attains its row max of r + v(s') (see ``Successors``)."""
-    return Planner(gv.graph, rew).greedy(gv.destination)
-
-
 def trajectory_nll(g: RoadGraph, traj: Trajectory, pol: Policy) -> float:
     """-sum_t log pi(a_t | s_t) over the trajectory's edges.  Under a greedy
     policy that is 0.0 if every edge is its node's successor edge, else inf:
@@ -417,7 +386,7 @@ def trajectory_nll(g: RoadGraph, traj: Trajectory, pol: Policy) -> float:
 
 
 def greedy_path(g: RoadGraph, pol: Policy, origin: int) -> Trajectory | None:
-    """Walk a greedy policy (see ``greedy_policy``) from origin; None if
+    """Walk a greedy policy (see ``Planner.greedy``) from origin; None if
     origin is the destination or cannot reach it."""
     if pol.successors is None:
         raise ValidationError("greedy_path needs a greedy policy")
@@ -706,23 +675,3 @@ def rollout(gv: GoalView, schedule: list[tuple[Policy, int | None]],
         lost += tail_lost
     return RolloutResult(edge_mass=edge_mass, steps=steps, truncated=truncated,
                          lost_mass=lost, absorbed_mass=absorbed)
-
-
-def closed_form_forward(gv: GoalView, pol: Policy,
-                        initial_mass: np.ndarray) -> np.ndarray:
-    """Stationary-policy edge mass via the linear system (I - P)' z = m;
-    equals an untruncated rollout of (pol, None).  The destination row of P
-    is empty, so z is the expected visits of every other node.  A greedy
-    policy has no P (its rollout tail is closed-form already)."""
-    if pol.successors is not None:
-        raise ValidationError("closed_form_forward needs a policy with a probability table")
-    g = gv.graph
-    m = np.asarray(initial_mass, dtype=np.float64)
-    probs = pol.probs[g.edge_src, g.edge_slot]
-    with warnings.catch_warnings():  # a singular system solves to NaN
-        warnings.simplefilter("ignore", sp.linalg.MatrixRankWarning)
-        z = np.atleast_1d(sp.linalg.spsolve(_identity_minus_slots(g, probs).T, m))
-    if not np.all(np.isfinite(z)):
-        raise InfeasibilityError("forward system is singular: policy mass "
-                                 "never drains to the destination")
-    return z[g.edge_src] * probs

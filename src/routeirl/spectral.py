@@ -19,7 +19,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import ValidationError
 from .graph import GoalView, Trajectory, gen_two_state_loop, two_state_loop_rewards
-from .planners import Planner, _checked_rewards, _slot_table, trajectory_nll
+from .planners import Planner, _checked_rewards, trajectory_nll
 
 FEASIBLE = "Feasible"
 INFEASIBLE = "Infeasible"
@@ -52,7 +52,9 @@ def _b1_slots(gv: GoalView, rew: np.ndarray, temperature: float):
     g = gv.graph
     logw = _checked_rewards(g, rew) / temperature
     logw[g.edge_dst == gv.destination] = -np.inf
-    return _slot_table(gv, logw), g.safe_targets
+    out = np.concatenate((logw, [-np.inf]))[g.slot_edge]  # invalid slots read the -inf
+    out[gv.destination] = -np.inf
+    return out, g.safe_targets
 
 
 def cheap_bounds(gv: GoalView, rew: np.ndarray,
@@ -66,7 +68,8 @@ def cheap_bounds(gv: GoalView, rew: np.ndarray,
 def _bounds(num_nodes: int, logw: np.ndarray, tgt: np.ndarray) -> tuple[float, float]:
     """``cheap_bounds`` of a B1 slot table from ``_b1_slots``."""
     mask = ~np.isneginf(logw)
-    w = np.where(mask, np.exp(logw), 0.0)
+    with np.errstate(over="ignore"):  # a weight past float range makes the bound +inf
+        w = np.where(mask, np.exp(logw), 0.0)
     row = float(np.max(w.sum(axis=1), initial=0.0))
     col = float(np.max(np.bincount(tgt[mask], w[mask], minlength=num_nodes), initial=0.0))
     return row, col
@@ -82,8 +85,9 @@ def dominant_eigenvalue(gv: GoalView, rew: np.ndarray, *,
     The core has B1's lambda, the largest of its components' (the Frobenius
     normal form), and no heavy edge into a cycle swamps its iterate.  An
     empty core is nilpotent, lambda 0.  A component whose scaled iterate
-    leaves float range (rewards/T that climb and fall by about 600 around one
-    cycle), or a core weight above about e^745, raises ValidationError.
+    sinks where floats no longer hold tol of it (rewards/T that climb and
+    fall by about 600 around one cycle), or a core weight above about e^745,
+    raises ValidationError.
 
     Classification: Feasible (lambda < 1), Infeasible (lambda > 1), or
     Boundary when |lambda - 1| <= band (left undecided on purpose).
@@ -125,8 +129,11 @@ def dominant_eigenvalue(gv: GoalView, rew: np.ndarray, *,
         if converged:
             break
         x = y / np.max(y)
-    # the largest entry's component has a positive Perron vector: a zero is underflow
-    if np.any(x[labels == labels[np.argmax(x)]] == 0.0):
+    # the largest entry's component has a positive Perron vector; where an
+    # entry of y is so small that the float spacing there (2^-1074 below the
+    # normal range) passes tol of it, y has underflowed out of that precision
+    floor = np.finfo(float).smallest_subnormal / max(tol, np.finfo(float).eps)
+    if np.any(y[labels == labels[np.argmax(y)]] < floor):
         raise ValidationError("B1's weights span more than float range around a cycle")
     lam = max(0.0, mus[-1] - shift)
     return SpectralReport(lam, bounds, classify(lam, band), it, converged)

@@ -51,14 +51,10 @@ class TrainConfig:
     init: str = "dijkstra"
     optimizer: str = "auto"         # auto | sgd | adam
     lr: float | None = None         # None -> per-model-kind default
-    beta1: float = 0.99
-    beta2: float = 0.999
-    eps: float = 1e-7
     warmup: int = 100
     epochs: int = 200
     steps_per_epoch: int = 100
     batch_size: int = 8
-    guard_margin: float = 0.05
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -104,12 +100,10 @@ class SGD:
 class Adam:
     """Adaptive-moment ascent with bias correction."""
 
-    def __init__(self, lr: float, beta1: float = 0.99, beta2: float = 0.999,
-                 eps: float = 1e-7):
+    beta1, beta2, eps = 0.99, 0.999, 1e-7
+
+    def __init__(self, lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.m: np.ndarray | None = None
         self.v: np.ndarray | None = None
         self.t = 0
@@ -128,6 +122,8 @@ class Adam:
 
 _SGD_LR = {"linear": 0.05, "dense": 0.01}
 _ADAM_LR = 1e-5
+# the learning rate halves each epoch whose spectral bound passes 1 - GUARD_MARGIN
+GUARD_MARGIN = 0.05
 
 
 def make_optimizers(model: RewardModel, cfg: TrainConfig):
@@ -136,8 +132,7 @@ def make_optimizers(model: RewardModel, cfg: TrainConfig):
     out = []
     for kind, sl in model.param_slices():
         if cfg.optimizer == "adam" or (cfg.optimizer == "auto" and kind == "sparse"):
-            opt = Adam(cfg.lr if cfg.lr is not None else _ADAM_LR,
-                       cfg.beta1, cfg.beta2, cfg.eps)
+            opt = Adam(cfg.lr if cfg.lr is not None else _ADAM_LR)
         else:
             opt = SGD(cfg.lr if cfg.lr is not None else _SGD_LR.get(kind, 0.05))
         out.append((sl, opt))
@@ -167,7 +162,7 @@ def train_expert(shard: Shard, model_init: RewardModel, cfg: TrainConfig,
     """Minibatch ascent on the shard's demos; deterministic under the seed.
 
     Per epoch the spectral bound over the shard's destinations is checked and
-    the learning rate halves whenever the bound exceeds 1 - guard_margin.
+    the learning rate halves whenever the bound exceeds 1 - GUARD_MARGIN.
     Per sample, the settings that need a converged backward pass (H=inf,
     which ``maxent`` runs at) are skipped outright when the destination's
     bound cannot certify feasibility (bound >= 1).  An epoch in which every
@@ -200,7 +195,7 @@ def train_expert(shard: Shard, model_init: RewardModel, cfg: TrainConfig,
     for epoch in range(cfg.epochs):
         bound = max([0.0] + [guard_bound(d) for d in dests])
         history.epoch_bounds.append(bound)
-        if bound > 1.0 - cfg.guard_margin:
+        if bound > 1.0 - GUARD_MARGIN:
             lr_scale *= 0.5
             history.guard_halvings += 1
         epoch_had_update = False

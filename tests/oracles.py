@@ -11,11 +11,14 @@ receding-horizon estimator that the library runs them as, and `evaluate` and
 `sample_demonstrations` replanned from scratch for every demo, the samples
 drawn hop by hop with `rng.choice` from the policy's rows, greedy policies
 stepped on one-hot tables, the sparse
-I - C assembled through scipy's COO conversion and sparse subtraction, and
+I - C assembled from the edge arrays through scipy's COO conversion and
+sparse subtraction, the stationary edge mass solved on that I - P
+(``closed_form_forward``), and
 the exact start solved per destination on a rescaled system, and the graph
 generators writing one record per node and per edge for `build_graph`.
 The log-domain backward pass (``power_iteration_backward`` on the library's
-``softmax_backup``, with ``policy_from_values``) lives here, apart from the
+``softmax_backup``, with ``policy_from_values``, on the slot reward tables
+of ``slot_rewards``) lives here, apart from the
 library's linear-domain planner, and the classical estimators take their
 soft policies from it.  The per-demo
 replanning takes them from a fresh ``Planner.soft``, so it checks what is
@@ -36,10 +39,8 @@ from routeirl import (InfeasibilityError, Metrics, RoadGraph, GoalView,
 from routeirl.algorithms import (GradientReport, IrlConfig, _skipped,
                                  edge_mass_of, state_mass)
 from routeirl.graph import Trajectory
-from routeirl.planners import (Planner, Policy, _default_iters, _slot_table,
-                               dijkstra_values, greedy_path, greedy_policy,
-                               rollout, slot_rewards, softmax_backup,
-                               trajectory_nll)
+from routeirl.planners import (Planner, Policy, _default_iters, greedy_path, rollout,
+                               softmax_backup, trajectory_nll)
 from routeirl.rewards import RewardModel, backprop, edge_rewards
 
 
@@ -300,16 +301,33 @@ def dense_b1_lambda(gv: GoalView, rew: np.ndarray, temperature: float = 1.0) -> 
     return float(np.max(np.abs(np.linalg.eigvals(A))))
 
 
-def identity_minus_slots_coo(g: RoadGraph, weights: np.ndarray) -> sp.csc_matrix:
+def identity_minus_edges(g: RoadGraph, weights: np.ndarray) -> sp.csc_matrix:
     """Sparse I - C built the plain scipy way: C from COO triplets over the
-    valid slots (one weight per edge; parallel edges summed by the CSC
+    edge arrays (one weight per edge; parallel edges summed by the CSC
     conversion), subtracted from a sparse identity, which drops the entries
     that come out 0."""
-    valid = g.slot_edge >= 0
-    rows, _ = np.nonzero(valid)
-    c = sp.csc_matrix((weights[g.slot_edge[valid]], (rows, g.slot_target[valid])),
-                      shape=(g.num_nodes,) * 2)
-    return sp.identity(g.num_nodes, format="csc") - c
+    n = g.num_nodes
+    return (sp.identity(n, format="csc")
+            - sp.csc_matrix((weights, (g.edge_src, g.edge_dst)), shape=(n, n)))
+
+
+def closed_form_forward(gv: GoalView, pol, initial_mass: np.ndarray) -> np.ndarray:
+    """Stationary-policy edge mass via the linear system (I - P)' z = m;
+    equals an untruncated rollout of (pol, None).  The destination row of P
+    is empty, so z is the expected visits of every other node.  A greedy
+    policy has no P (its rollout tail is closed-form already)."""
+    if pol.successors is not None:
+        raise ValidationError("closed_form_forward needs a policy with a probability table")
+    g = gv.graph
+    m = np.asarray(initial_mass, dtype=np.float64)
+    probs = pol.probs[g.edge_src, g.edge_slot]
+    with warnings.catch_warnings():  # a singular system solves to NaN
+        warnings.simplefilter("ignore", sp.linalg.MatrixRankWarning)
+        z = np.atleast_1d(sp.linalg.spsolve(identity_minus_edges(g, probs).T, m))
+    if not np.all(np.isfinite(z)):
+        raise InfeasibilityError("forward system is singular: policy mass "
+                                 "never drains to the destination")
+    return z[g.edge_src] * probs
 
 
 def solved_start(gv: GoalView, rew: np.ndarray, temperature: float = 1.0) -> np.ndarray:
@@ -323,7 +341,7 @@ def solved_start(gv: GoalView, rew: np.ndarray, temperature: float = 1.0) -> np.
     """
     g = gv.graph
     rew = np.asarray(rew, dtype=np.float64)
-    v_best = dijkstra_values(gv, rew) / temperature
+    v_best = Planner(g, rew).best_values(gv.destination) / temperature
     reach = np.isfinite(v_best)
     src, dst = g.edge_src, g.edge_dst
     live = np.flatnonzero(reach[src] & reach[dst] & (src != gv.destination))
@@ -334,7 +352,7 @@ def solved_start(gv: GoalView, rew: np.ndarray, temperature: float = 1.0) -> np.
     with warnings.catch_warnings():
         warnings.simplefilter("error", sp.linalg.MatrixRankWarning)
         try:
-            y = sp.linalg.spsolve(identity_minus_slots_coo(g, weights), rhs)
+            y = sp.linalg.spsolve(identity_minus_edges(g, weights), rhs)
         except sp.linalg.MatrixRankWarning:
             return v_best
     if not np.all(np.isfinite(y[reach]) & (y[reach] > 0)):
@@ -374,6 +392,16 @@ def rollout_dense(gv: GoalView, schedule: list, initial_mass: np.ndarray, *,
     if not truncated and m.sum() > tol and schedule[-1][1] is None:
         truncated = True
     return edge_mass, steps, truncated, lost, absorbed, m
+
+
+def slot_rewards(gv: GoalView, rew: np.ndarray) -> np.ndarray:
+    """Per-slot reward table, -inf on invalid slots and on the destination's
+    row: the log-domain backup's only mask."""
+    g = gv.graph
+    valid = goal_slots(gv)
+    out = np.full(valid.shape, -np.inf)
+    out[valid] = np.asarray(rew, dtype=np.float64)[g.slot_edge[valid]]
+    return out
 
 
 def greedy_probs_dense(gv: GoalView, rew: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -486,7 +514,7 @@ def power_iteration_backward(gv: GoalView, rew, *,
     if temperature <= 0:
         raise ValidationError("temperature must be positive")
     plan = Planner(gv.graph, rew, temperature)
-    rs = _slot_table(gv, plan.rew)
+    rs = slot_rewards(gv, plan.rew)
     if isinstance(init, str):
         if init not in ("onehot", "dijkstra", "exact"):
             raise ValidationError(f"unknown init {init!r}")
@@ -578,7 +606,7 @@ def scipy_backward(gv: GoalView, rew: np.ndarray, *, temperature: float = 1.0,
     if init == "onehot":
         v = np.full(g.num_nodes, -np.inf)
     else:
-        v = dijkstra_values(gv, rew) / temperature
+        v = Planner(g, rew).best_values(gv.destination) / temperature
     v[gv.destination] = 0.0
     if max_iters is None:
         max_iters = max(100, 10 * g.num_nodes)
@@ -709,7 +737,8 @@ def birl_gradient(model: RewardModel, g: RoadGraph, traj: Trajectory,
     traj.validate(g)
     gv = GoalView(g, traj.nodes[-1])
     r = edge_rewards(model, g)
-    v_best = dijkstra_values(gv, r)
+    plan = Planner(g, r)
+    v_best = plan.best_values(gv.destination)
     origin = traj.nodes[0]
     if np.isneginf(v_best[origin]):
         return _skipped("origin cannot reach destination")
@@ -727,7 +756,7 @@ def birl_gradient(model: RewardModel, g: RoadGraph, traj: Trajectory,
     dead = np.isneginf(v_soft)
     dead[gv.destination] = True
     pol_soft = Policy(probs=probs, destination=gv.destination, dead=dead)
-    pol_greedy = greedy_policy(gv, r)
+    pol_greedy = plan.greedy(gv.destination)
     demo_states = state_mass(g, traj.nodes)
     suffix_states = state_mass(g, traj.nodes[1:])
     roll_theta = rollout(gv, [(pol_soft, 1), (pol_greedy, None)], demo_states)
@@ -751,11 +780,11 @@ def mmp_gradient(model: RewardModel, g: RoadGraph, traj: Trajectory,
     margins[g.connector_flags] = 0.0
     margins[list(traj.edges)] = 0.0
     r_aug = r + margins
-    v_aug = dijkstra_values(gv, r_aug)
+    plan = Planner(g, r_aug)
     origin = traj.nodes[0]
-    if np.isneginf(v_aug[origin]):
+    if np.isneginf(plan.best_values(gv.destination)[origin]):
         return _skipped("origin cannot reach destination")
-    best = greedy_path(g, greedy_policy(gv, r_aug), origin)
+    best = greedy_path(g, plan.greedy(gv.destination), origin)
     if best is None:
         return _skipped("greedy walk failed to reach the destination")
     rho_tau = edge_mass_of(g, traj.edges)
@@ -783,11 +812,10 @@ def evaluate_per_demo(rew: np.ndarray, demos: list, g: RoadGraph, *,
     nll_ok = nll
     unreachable = 0
     for traj in demos:
-        gv = GoalView(g, traj.destination)
-        v = dijkstra_values(gv, rew)
+        plan = Planner(g, rew)
         pred = None
-        if not np.isneginf(v[traj.origin]):
-            pred = greedy_path(g, greedy_policy(gv, rew), traj.origin)
+        if not np.isneginf(plan.best_values(traj.destination)[traj.origin]):
+            pred = greedy_path(g, plan.greedy(traj.destination), traj.origin)
         if pred is None:
             unreachable += 1
         else:
@@ -820,16 +848,14 @@ def sample_per_demo(model: RewardModel, g: RoadGraph, num_demos: int, *,
             origin, dest = pairs[len(out)]
         else:
             origin, dest = (int(x) for x in rng.choice(g.num_nodes, size=2, replace=False))
-        gv = GoalView(g, dest)
+        plan = Planner(g, r, temperature)
         if temperature == 0.0:
-            v = dijkstra_values(gv, r)
-            pol = greedy_policy(gv, r)
+            pol = plan.greedy(dest)
         else:
-            v = dijkstra_values(gv, r)
-            pol, _ = Planner(g, r, temperature).soft(dest)
+            pol, _ = plan.soft(dest)
             if pol is None:
                 raise InfeasibilityError("softmax values did not converge")
-        if np.isneginf(v[origin]):
+        if np.isneginf(plan.best_values(dest)[origin]):
             if pairs is not None:
                 raise ValidationError(f"pair ({origin}, {dest}) is disconnected")
             failures += 1

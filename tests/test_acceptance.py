@@ -18,14 +18,14 @@ from routeirl import (CompositeReward, DenseNetReward, GoalView, LinearReward,
 from routeirl.algorithms import IrlConfig, demo_gradient, sample_demonstrations
 from routeirl.cli import main as cli_main
 from routeirl.metrics import diff_of_proportions, evaluate
-from routeirl.planners import Planner, closed_form_forward, dijkstra_values, rollout
+from routeirl.planners import Planner, rollout
 from routeirl.rewards import edge_rewards
 from routeirl.spectral import (classify, convergence_rate_probe,
                                dominant_eigenvalue, loss_surface_scan)
 from routeirl.training import TrainConfig, partition_geographic, train_expert
 
-from oracles import (birl_gradient, diamond_graph, enumerate_simple_paths,
-                     loopy_graph, maxent_gradient, mmp_gradient)
+from oracles import (birl_gradient, closed_form_forward, diamond_graph,
+                     enumerate_simple_paths, loopy_graph, maxent_gradient, mmp_gradient)
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:
@@ -132,10 +132,9 @@ def test_criterion_02_ordering_and_init_dominance():
     for g, rew, dest, temp in cases:
         if rew is None:
             rew = g.features @ np.array([-1.0])
-        gv = GoalView(g, dest)
-        vd = dijkstra_values(gv, rew) / temp
-        vd[dest] = 0.0
         plan = Planner(g, rew, temp)
+        vd = plan.best_values(dest) / temp
+        vd[dest] = 0.0
         cold, it_cold = plan.soft(dest, init="onehot", tol=1e-9, max_iters=100_000)
         warm, it_warm = plan.soft(dest, init="dijkstra", tol=1e-9, max_iters=100_000)
         assert cold is not None and warm is not None
@@ -371,7 +370,7 @@ def test_criterion_07_finite_difference_gradients():
         if cfg.algorithm == "receding_horizon" and cfg.horizon == 0:
             # the greedy rollouts telescope to the plain best-path hinge
             rew = edge_rewards(m2, g)
-            best = dijkstra_values(GoalView(g, demo.destination), rew)
+            best = Planner(g, rew).best_values(demo.destination)
             hinge = best[demo.origin] - math.fsum(rew[e] for e in demo.edges)
             return hinge / cfg.temperature
         rep = demo_gradient(m2, g, demo, cfg)

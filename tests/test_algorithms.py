@@ -10,6 +10,7 @@ from routeirl import (
     GoalView,
     IrlConfig,
     LinearReward,
+    TrainConfig,
     Trajectory,
     ValidationError,
     batch_gradient,
@@ -22,8 +23,7 @@ from routeirl import (
 import oracles
 import routeirl
 import routeirl.algorithms
-from routeirl.planners import (Planner, RolloutResult, _default_iters, greedy_path,
-                               greedy_policy)
+from routeirl.planners import Planner, RolloutResult, _default_iters, greedy_path
 from oracles import (birl_gradient, diamond_graph, fd_gradient, loopy_graph,
                      maxent_gradient, mmp_gradient, mp_soft_values,
                      tie_loop_graph)
@@ -224,7 +224,7 @@ def test_mmp_tie_loop_after_the_origin_is_not_truncated():
     assert np.array_equal(rep.gradient, [1.0]) and rep.loss == 2.0
     _same_report(rep, mmp_gradient(m, g, demo, cfg), "loss")
     r_aug = edge_rewards(m, g) + np.where(np.isin(np.arange(g.num_edges), demo.edges), 0.0, 1.0)
-    pol = greedy_policy(GoalView(g, 3), r_aug)
+    pol = Planner(g, r_aug).greedy(3)
     assert [greedy_path(g, pol, u).nodes for u in (1, 2)] == [(1, 2, 3), (2, 3)]
 
 
@@ -378,6 +378,25 @@ def test_an_oracle_is_not_a_copy_of_a_library_function():
     library = defined(Path(routeirl.__file__).parent.glob("*.py"))
     assert "power_iteration_backward" in defined([Path(oracles.__file__)])
     assert not library & defined([Path(oracles.__file__)])
+
+
+def test_the_library_keeps_only_what_it_runs(tmp_path):
+    # the test-only planners are oracles, the wrappers that built a
+    # throwaway planner for one call are gone, and so are the training
+    # settings no caller set
+    removed = ("closed_form_forward", "slot_rewards", "dijkstra_values", "greedy_policy")
+    assert not [name for name in removed
+                if hasattr(routeirl, name) or hasattr(routeirl.planners, name)]
+    source = Path(oracles.__file__).read_text()
+    defined = {node.name for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)}
+    assert {"closed_form_forward", "slot_rewards"} <= defined
+    # the oracle's I - P is scipy's own assembly, not the library's
+    assert "_identity_minus_slots" not in source
+    p = tmp_path / "train.cfg"
+    for key in ("beta1", "beta2", "eps", "guard_margin"):
+        p.write_text(f"epochs = 2\n{key} = 0.5\n")
+        with pytest.raises(ValidationError, match=f"train.cfg:2: unknown key '{key}'"):
+            TrainConfig.from_file(p)
 
 
 def _counting(monkeypatch, name):
@@ -547,9 +566,7 @@ def test_sample_demonstrations_properties():
     # temperature zero draws the deterministic best route
     d = sample_demonstrations(m, g, 1, rng_seed=0, temperature=0.0,
                               pairs=[(0, 24)])
-    rew = edge_rewards(m, g)
-    gv = GoalView(g, 24)
-    best = greedy_path(g, greedy_policy(gv, rew), 0)
+    best = greedy_path(g, Planner(g, edge_rewards(m, g)).greedy(24), 0)
     assert d[0] == best
 
 
@@ -703,10 +720,12 @@ def test_irl_config_validation():
         IrlConfig(horizon=-1)
     with pytest.raises(ValidationError):
         IrlConfig(horizon=2.5)
-    with pytest.raises(ValidationError):
-        IrlConfig(temperature=0.0)
-    with pytest.raises(ValidationError):
-        IrlConfig(margin=-0.1)
+    # NaN and inf settings used to fail mid-run, or to run on silently
+    for bad in ({"temperature": 0.0}, {"temperature": math.nan}, {"temperature": math.inf},
+                {"horizon": 0, "temperature": math.inf}, {"margin": -0.1},
+                {"margin": math.inf}, {"margin": math.nan}):
+        with pytest.raises(ValidationError, match="temperature|margin"):
+            IrlConfig(**bad)
     with pytest.raises(ValidationError):
         IrlConfig(init="zeros")
     IrlConfig(horizon=math.inf)  # fine

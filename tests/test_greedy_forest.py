@@ -3,8 +3,8 @@ import numpy as np
 import pytest
 
 from routeirl import GoalView, LinearReward, edge_rewards, gen_gridworld, gen_random_graph
-from routeirl.planners import dijkstra_values, greedy_policy, slot_rewards
-from oracles import greedy_probs_dense, tie_loop_graph
+from routeirl.planners import Planner
+from oracles import greedy_probs_dense, slot_rewards, tie_loop_graph
 from test_planners import _loopy_multigraph, _shaped_rewards
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -37,8 +37,9 @@ def test_greedy_policy_is_a_shortest_path_forest(kind, seed, data):
     g, rew = KINDS[kind](seed, np.random.default_rng(seed))
     dest = data.draw(st.integers(0, g.num_nodes - 1), label="destination")
     gv = GoalView(g, dest)
-    v = dijkstra_values(gv, rew)
-    pol = greedy_policy(gv, rew)
+    plan = Planner(g, rew)
+    v = plan.best_values(dest)
+    pol = plan.greedy(dest)
     edge, dead = pol.successors.edge, pol.dead
     live = np.flatnonzero(edge >= 0)
     q = slot_rewards(gv, rew) + v[g.safe_targets]

@@ -42,18 +42,15 @@ from routeirl.planners import (
     _default_iters,
     _identity_minus_slots,
     _logsumexp_rows,
-    closed_form_forward,
-    dijkstra_values,
     greedy_path,
-    greedy_policy,
     rollout,
-    slot_rewards,
     softmax_backup,
     trajectory_nll,
 )
 from oracles import (
     _value_diff,
     best_path_reward,
+    closed_form_forward,
     diamond_graph,
     enumerate_walks,
     goal_slots,
@@ -70,6 +67,7 @@ from oracles import (
     scipy_backward,
     evaluate_per_demo,
     sample_per_demo,
+    slot_rewards,
     soft_value_walks,
     tie_loop_graph,
     trajectory_policy_nll,
@@ -87,7 +85,7 @@ def test_dijkstra_matches_enumeration():
         g = gen_random_graph(12, rng_seed=seed)
         rew = _rand_rewards(g, seed)
         dest = int(np.random.default_rng(seed).integers(g.num_nodes))
-        v = dijkstra_values(GoalView(g, dest), rew)
+        v = Planner(g, rew).best_values(dest)
         assert v[dest] == 0.0
         for s in range(g.num_nodes):
             if s == dest:
@@ -103,7 +101,7 @@ def test_dijkstra_handles_positive_rewards_without_gain_cycles():
     g = build_graph(nodes, edges)
     m = LinearReward(np.array([1.0]))  # positive weight: reward = +feature
     rew = g.features @ m.get_params()
-    v = dijkstra_values(GoalView(g, 3), rew)
+    v = Planner(g, rew).best_values(3)
     assert v[0] == 4.5 and v[1] == 2.0 and v[2] == 0.5
 
 
@@ -111,7 +109,7 @@ def test_dijkstra_raises_on_reward_gain_cycle():
     g = loopy_graph()
     rew = np.full(g.num_edges, 0.25)  # every cycle gains reward
     with pytest.raises(InfeasibilityError):
-        dijkstra_values(GoalView(g, 4), rew)
+        Planner(g, rew).best_values(4)
 
 
 def test_backward_matches_walk_enumeration_on_dag():
@@ -165,7 +163,7 @@ def test_dijkstra_init_dominates_pointwise_and_in_iterations():
         cold, it_cold = plan.soft(gv.destination, init="onehot")
         assert cold is not None
         v_star = cold.values
-        v_dij = dijkstra_values(gv, rew)
+        v_dij = plan.best_values(gv.destination)
         assert np.all(v_dij <= v_star + 1e-12)
         warm, it_warm = plan.soft(gv.destination, init="dijkstra")
         assert warm is not None
@@ -222,8 +220,7 @@ def test_trajectory_policy_nll_is_stepwise_product():
 def test_greedy_path_follows_argmax():
     g = diamond_graph()
     rew = edge_rewards(LinearReward(np.array([-1.0])), g)
-    gv = GoalView(g, 3)
-    pol = greedy_policy(gv, rew)
+    pol = Planner(g, rew).greedy(3)
     t = greedy_path(g, pol, 0)
     assert t is not None and t.nodes == (0, 1, 3)  # top route is cheaper
     assert greedy_path(g, pol, 3) is None  # origin == destination
@@ -232,8 +229,7 @@ def test_greedy_path_follows_argmax():
     edges = [(0, 1, 2, [1.0])]
     g2 = build_graph(nodes, edges)
     rew2 = g2.features @ np.array([-1.0])
-    gv2 = GoalView(g2, 2)
-    assert greedy_path(g2, greedy_policy(gv2, rew2), 0) is None
+    assert greedy_path(g2, Planner(g2, rew2).greedy(2), 0) is None
 
 
 def test_rollout_conserves_mass():
@@ -318,7 +314,8 @@ def test_rollout_balances_mass_on_generated_graphs():
                        0.8), (_loopy_multigraph(seed), 0.8), (dense, 2.5)):
             rew = _rand_rewards(g, seed, lo=lo, hi=lo + 0.8)
             gv = GoalView(g, int(rng.integers(2, 14)))  # never the trap
-            soft, _ = Planner(g, rew).soft(gv.destination)
+            plan = Planner(g, rew)
+            soft, _ = plan.soft(gv.destination)
             assert soft is not None
             if g is dense:  # one backup over rows of 8+ slots, against scipy
                 v_prev = rng.normal(size=g.num_nodes)
@@ -326,9 +323,9 @@ def test_rollout_balances_mass_on_generated_graphs():
                 want = logsumexp(q, axis=1)
                 want[gv.destination] = 0.0
                 assert np.array_equal(v_next, want)
-            greedy = greedy_policy(gv, rew)
+            greedy = plan.greedy(gv.destination)
             # a greedy policy only runs out a schedule; its one-hot table steps
-            onehot = greedy_probs_dense(gv, rew, dijkstra_values(gv, rew))
+            onehot = greedy_probs_dense(gv, rew, plan.best_values(gv.destination))
             stepped = Policy(onehot, gv.destination, onehot.sum(axis=1) == 0)
             mass = rng.uniform(0.0, 1.0, g.num_nodes)
             for schedule, max_steps in (([(soft, None)], 1000), ([(greedy, None)], 1000),
@@ -384,12 +381,13 @@ def test_closed_form_tails_match_stepping_on_generated_graphs(monkeypatch):
                                                          rng_seed=seed), tie_loop_graph()):
             rew = _rand_rewards(g, seed, lo=0.8, hi=1.6)
             gv = GoalView(g, int(rng.integers(2, g.num_nodes)))  # never the trap
-            soft, _ = Planner(g, rew).soft(gv.destination)
-            far = dijkstra_values(gv, rew) < -4.0
+            plan = Planner(g, rew)
+            soft, _ = plan.soft(gv.destination)
+            far = plan.best_values(gv.destination) < -4.0
             spread = rng.uniform(0.0, 1.0, g.num_nodes)
             faint = np.where(far, 1e-14, spread)  # stepping leaves the faint mass
             heads = [[]] if soft is None else [[], [(soft, 1)], [(soft, 3)]]
-            pol = greedy_policy(gv, rew)
+            pol = plan.greedy(gv.destination)
             succ = pol.successors
             edge = succ.edge
             # one step finishes the mass on dead rows and on the destination's tree neighbours
@@ -463,8 +461,9 @@ def test_unit_mass_tails_equal_stepping_bitwise():
             rew = _rand_rewards(g, seed, lo=0.8, hi=1.6)
             dest = seed % g.num_nodes
             gv = GoalView(g, dest)
-            soft, _ = Planner(g, rew).soft(dest, 1)
-            greedy = greedy_policy(gv, rew)
+            plan = Planner(g, rew)
+            soft, _ = plan.soft(dest, 1)
+            greedy = plan.greedy(dest)
             stepped = Policy(oracles.policy_probs(g, greedy), dest, greedy.dead)
             for origin in range(g.num_nodes):
                 mass = np.zeros(g.num_nodes)
@@ -488,10 +487,11 @@ def test_greedy_path_walks_the_argmax():
         for g in (_with_trap(gen_random_graph(14 + seed, rng_seed=seed, extra_edges=12)),
                   _loopy_multigraph(seed), tie_loop_graph(), loopy_graph()):
             rew = _rand_rewards(g, seed)
+            plan = Planner(g, rew)
             for dest in range(g.num_nodes):
                 gv = GoalView(g, dest)
-                values = dijkstra_values(gv, rew)
-                pol = greedy_policy(gv, rew)
+                values = plan.best_values(dest)
+                pol = plan.greedy(dest)
                 onehot = greedy_probs_dense(gv, rew, values)
                 stepped = Policy(onehot, dest, onehot.sum(axis=1) == 0)
                 assert np.array_equal(pol.dead, stepped.dead)
@@ -536,16 +536,16 @@ def test_closed_form_forward_refuses_a_greedy_policy():
     g = loopy_graph()
     gv = GoalView(g, 4)
     with pytest.raises(routeirl.ValidationError, match="probability table"):
-        closed_form_forward(gv, greedy_policy(gv, _rand_rewards(g, 1)), np.ones(g.num_nodes))
+        closed_form_forward(gv, Planner(g, _rand_rewards(g, 1)).greedy(4), np.ones(g.num_nodes))
 
 
 def test_rollout_refuses_a_stepped_greedy_entry():
     # a greedy policy runs out a schedule; it takes no step count
     g = loopy_graph()
     gv = GoalView(g, 4)
-    rew = _rand_rewards(g, 1)
-    soft, _ = Planner(g, rew).soft(4, 1)
-    greedy = greedy_policy(gv, rew)
+    plan = Planner(g, _rand_rewards(g, 1))
+    soft, _ = plan.soft(4, 1)
+    greedy = plan.greedy(4)
     for schedule in ([(greedy, 2)], [(greedy, 0), (soft, None)], [(soft, 1), (greedy, 1)]):
         with pytest.raises(routeirl.ValidationError, match="tail"):
             rollout(gv, schedule, np.ones(g.num_nodes))
@@ -579,7 +579,7 @@ def test_max_backup_converges_to_dijkstra():
     v = onehot_values(gv)
     for _ in range(g.num_nodes + 2):
         v = max_backup(gv, slot_rewards(gv, rew), v)
-    assert np.allclose(v, dijkstra_values(gv, rew), atol=1e-12)
+    assert np.allclose(v, Planner(g, rew).best_values(4), atol=1e-12)
 
 
 def test_logsumexp_rows_matches_scipy_bitwise():
@@ -732,7 +732,7 @@ def test_dijkstra_values_match_networkx_with_parallel_edges_and_self_loops():
                 ref = np.full(g.num_nodes, -np.inf)
                 for node, dist in shortest(rev, dest, weight="cost").items():
                     ref[node] = -dist
-                v = dijkstra_values(GoalView(g, dest), rew)
+                v = Planner(g, rew).best_values(dest)
                 assert np.array_equal(np.isneginf(v), np.isneginf(ref))
                 np.testing.assert_allclose(v, ref, rtol=1e-12, atol=1e-12)
         # a positive self-loop off the destination is a reward-gain cycle
@@ -743,7 +743,7 @@ def test_dijkstra_values_match_networkx_with_parallel_edges_and_self_loops():
             nx.single_source_bellman_ford_path_length(_networkx_reversed(nx, g, rew), 0,
                                                       weight="cost")
         with pytest.raises(InfeasibilityError):
-            dijkstra_values(GoalView(g, 0), rew)
+            Planner(g, rew).best_values(0)
 
 
 def test_one_reversed_graph_per_call_and_one_plan_per_destination(monkeypatch):
@@ -827,7 +827,7 @@ def _log_soft_plan(gv, rew, temperature, horizon, init="exact"):
     if math.isinf(horizon):
         v, iters, conv = power_iteration_backward(gv, rew, temperature=temperature, init=init)
         return (policy_from_values(gv, rew, v, temperature) if conv else None), iters, v
-    v = dijkstra_values(gv, rew) / temperature
+    v = Planner(gv.graph, rew).best_values(gv.destination) / temperature
     v[gv.destination] = 0.0
     for _ in range(horizon - 1):
         _, v = softmax_backup(gv, slot_rewards(gv, rew), v, temperature)
@@ -974,8 +974,7 @@ def test_exact_start_falls_back_where_the_factor_fails():
                     [(0, 0, 1, [1.0, 0.0]), (1, 1, 0, [1.0, 0.0])])
     plan = routeirl.planners.Planner(g, np.zeros(2))
     assert plan._factor is None
-    gv = GoalView(g, 1)
-    assert np.array_equal(plan.exact_start(1), dijkstra_values(gv, np.zeros(2)))
+    assert np.array_equal(plan.exact_start(1), Planner(g, np.zeros(2)).best_values(1))
     pol, iters = plan.soft(1)
     assert pol is not None and iters == 1 and np.array_equal(pol.values, [0.0, 0.0])
     assert evaluate(np.zeros(2), [Trajectory.from_nodes(g, [0, 1])], g).nll == 0.0
@@ -1084,8 +1083,8 @@ def test_identity_minus_slots_equals_scipy_assembly():
     # with self-loops, three parallel edges on one pair and a trap node,
     # with weights that underflow to 0, weights of 1 on self-loops (1 - 1
     # drops a diagonal entry), the exp-reward weights a planner factorises
-    # and the policies closed_form_forward solves on (their destination rows
-    # are 0, and dropped)
+    # and the policies the oracle's closed_form_forward solves on (their
+    # destination rows are 0, and dropped)
     graphs = [gen_random_graph(12 + seed, rng_seed=seed, extra_edges=10) for seed in range(3)]
     graphs += [gen_gridworld(4, 5, feature_spec="random", rng_seed=2)]
     graphs += [_with_trap(_with_triple_edge(_loopy_multigraph(seed))) for seed in range(3)]
@@ -1095,16 +1094,17 @@ def test_identity_minus_slots_equals_scipy_assembly():
         rew = _rand_rewards(g, g.num_nodes, lo=0.8, hi=1.6)
         weights = [np.exp(rng.uniform(-800.0, 1.0, g.num_edges)), np.ones(g.num_edges),
                    np.exp(rew)]
+        plan = Planner(g, rew)
         for dest in (2, g.num_nodes // 2, g.num_nodes - 2):
             gv = GoalView(g, dest)
-            soft, _ = Planner(g, rew).soft(dest)
+            soft, _ = plan.soft(dest)
             assert soft is not None
             weights += [probs[g.edge_src, g.edge_slot]
                         for probs in (soft.probs,
-                                      greedy_probs_dense(gv, rew, dijkstra_values(gv, rew)))]
+                                      greedy_probs_dense(gv, rew, plan.best_values(dest)))]
         for w in weights:
             got = _identity_minus_slots(g, w)
-            want = oracles.identity_minus_slots_coo(g, w)
+            want = oracles.identity_minus_edges(g, w)
             for part in ("data", "indices", "indptr"):
                 a, b = getattr(got, part), getattr(want, part)
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
@@ -1127,9 +1127,6 @@ def test_non_finite_reward_tables_are_rejected():
         rew = _rand_rewards(g, 1)
         rew[6] = bad  # edge 1 -> 4, on the first demo
         calls = [lambda: routeirl.planners.Planner(g, rew),
-                 lambda: slot_rewards(gv, rew),
-                 lambda: greedy_policy(gv, rew),
-                 lambda: dijkstra_values(gv, rew),
                  lambda: routeirl.convergence_rate_probe(gv, rew),
                  lambda: routeirl.cheap_bounds(gv, rew),
                  lambda: routeirl.dominant_eigenvalue(gv, rew),
@@ -1139,7 +1136,6 @@ def test_non_finite_reward_tables_are_rejected():
                 call()
     rew = _rand_rewards(g, 1)
     rew[6] = -np.inf
-    assert slot_rewards(gv, rew)[1, g.edge_slot[6]] == -np.inf
     pol, _ = Planner(g, rew).soft(4)
     assert pol is not None and np.all(np.isfinite(pol.values))
     assert evaluate(rew, demos, g).nll > 0.0
@@ -1147,18 +1143,18 @@ def test_non_finite_reward_tables_are_rejected():
 
 
 def test_goal_view_is_a_graph_and_a_destination():
-    # the slot reward table is a destination's only mask: a view holds the
-    # pair and keeps nothing per destination, whatever is planned on it
+    # a view holds the pair and keeps nothing per destination, whatever is
+    # planned on it
     assert [f.name for f in dataclasses.fields(GoalView)] == ["graph", "destination"]
     assert not [name for name, attr in vars(GoalView).items()
                 if isinstance(attr, (cached_property, property))]
     g = loopy_graph()
     gv = GoalView(g, 4)
     rew = _rand_rewards(g, 1)
-    pol, _ = Planner(g, rew).soft(4)
-    greedy = greedy_policy(gv, rew)
+    plan = Planner(g, rew)
+    pol, _ = plan.soft(4)
+    greedy = plan.greedy(4)
     mass = np.ones(g.num_nodes)
     rollout(gv, [(pol, 2), (greedy, None)], mass)
-    closed_form_forward(gv, pol, mass)
     routeirl.dominant_eigenvalue(gv, rew)
     assert set(vars(gv)) == {"graph", "destination"}

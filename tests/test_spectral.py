@@ -219,18 +219,22 @@ def test_a_heavy_edge_into_a_cycle_does_not_hide_it():
     # cycle's weights would underflow and read lambda 0, Feasible
     g = _feeder_graph()
     for r in (300.0, 700.0, 800.0):
-        with np.errstate(over="ignore"):  # at r = 800 the row bound is +inf
-            rep = dominant_eigenvalue(GoalView(g, 3), np.array([r, 0.5, 0.5, 0.0, 0.0]))
+        rep = dominant_eigenvalue(GoalView(g, 3), np.array([r, 0.5, 0.5, 0.0, 0.0]))
         assert rep.classification == INFEASIBLE, r
         assert rep.converged
         assert abs(rep.lambda_max - np.exp(0.5)) < 1e-9, (r, rep.lambda_max)
+    # e^800 overflows: the row bound reads +inf, with no overflow warning
+    # (an error under the test settings)
+    assert cheap_bounds(GoalView(g, 3), np.array([800.0, 0.5, 0.5, 0.0, 0.0]))[0] == np.inf
 
 
 def test_a_cycle_beyond_float_range_raises():
     # a 10-ring, +s on five consecutive edges and -s on the other five (plus
-    # 0.01 each, so lambda = e^0.01); every ring node exits to node 10.  Past
-    # s of about 124 the scaled iterate underflows around the ring, and past
-    # about 745 the shift does against the largest weight
+    # 0.01 each, so lambda = e^0.01); every ring node exits to node 10.  From
+    # s of about 121 the scaled iterate sinks into subnormals around the ring,
+    # which hold less than tol of it (at 122-124 it read a wrong lambda, at
+    # 124 Feasible), and past about 745 the shift underflows against the
+    # largest weight
     gv = GoalView(_ring_graph(), 10)
 
     def ring(s):
@@ -240,9 +244,16 @@ def test_a_cycle_beyond_float_range_raises():
         rep = dominant_eigenvalue(gv, ring(s))
         assert rep.converged
         assert abs(rep.lambda_max - np.exp(0.01)) < 1e-8, (s, rep.lambda_max)
+    for s in range(121, 131):  # right or raised, never a wrong lambda
+        try:
+            rep = dominant_eigenvalue(gv, ring(float(s)))
+        except ValidationError as err:
+            assert "float range" in str(err)
+            continue
+        assert rep.converged
+        assert abs(rep.lambda_max - np.exp(0.01)) < 1e-8, (s, rep.lambda_max)
     for s in (150.0, 400.0, 800.0):
-        # at s = 800 the row bound is +inf
-        with np.errstate(over="ignore"), pytest.raises(ValidationError, match="float range"):
+        with pytest.raises(ValidationError, match="float range"):
             dominant_eigenvalue(gv, ring(s))
 
 

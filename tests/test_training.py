@@ -77,7 +77,7 @@ def test_guard_halves_lr_when_bound_is_hot():
     cfg = _small_cfg(horizon=1.0, lr=0.0, epochs=3)
     model, hist = train_expert(shard, init, cfg)
     assert hist.guard_halvings == 3
-    assert all(b > 1.0 - cfg.guard_margin for b in hist.epoch_bounds)
+    assert all(b > 1.0 - routeirl.training.GUARD_MARGIN for b in hist.epoch_bounds)
     scales = [rec["lr_scale"] for rec in hist.steps]
     # warmup=5 finishes inside epoch 0, after which only halving moves it
     assert scales[5] == 0.5
@@ -171,7 +171,9 @@ def test_config_validation(tmp_path):
         TrainConfig(optimizer="lbfgs")
     # estimator fields are checked on construction, before any run starts
     for bad in ({"algorithm": "qlearning"}, {"horizon": 2.5}, {"temperature": -1},
-                {"margin": -3}, {"init": "zeros"}):
+                {"temperature": math.nan}, {"temperature": math.inf},
+                {"horizon": 0, "temperature": math.inf}, {"margin": -3},
+                {"margin": math.inf}, {"margin": math.nan}, {"init": "zeros"}):
         with pytest.raises(ValidationError):
             TrainConfig(**bad)
     p = tmp_path / "train.cfg"
