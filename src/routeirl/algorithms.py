@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import InfeasibilityError, ValidationError
 from .graph import GoalView, RoadGraph, Trajectory
-from .planners import Planner, Policy, rollout, trajectory_nll
+from .planners import Planner, Policy, Successors, rollout, trajectory_nll
 # not called here: the benchmark's tracer rebinds this copy of the kernel too
 from .planners import softmax_backup  # noqa: F401
 from .rewards import RewardModel, backprop, edge_rewards
@@ -216,9 +216,10 @@ def sample_demonstrations(model: RewardModel, g: RoadGraph, num_demos: int, *,
                           pairs: list[tuple[int, int]] | None = None
                           ) -> list[Trajectory]:
     """Draw loop-free demo paths from the converged stochastic policy
-    (or the deterministic best path at temperature 0).  Deterministic under
-    the seed.  Stochastic walks that revisit a node or dead-end are
-    rejected and resampled.
+    (or the deterministic best path at temperature 0; a temperature outside
+    [0, inf) raises ValidationError).  Deterministic under the seed.
+    Stochastic walks that revisit a node or dead-end are rejected and
+    resampled.
     """
     rng = np.random.default_rng(rng_seed)
     plan = Planner(g, edge_rewards(model, g), temperature)
@@ -249,14 +250,14 @@ def sample_demonstrations(model: RewardModel, g: RoadGraph, num_demos: int, *,
                 raise ValidationError(f"pair ({origin}, {dest}) is disconnected")
             failures += 1
             continue
-        if pol.successors is None:
-            walk = _sample_walk(g, pol, origin, dest, rng)
-        else:
-            # the forest path to dest, drawing the double per hop that
+        if isinstance(pol, Successors):
+            # the tree path to dest, drawing the double per hop that
             # rng.choice draws on the one-hot rows
-            edges, nodes = pol.successors.walk(origin)
+            edges, nodes = pol.walk(origin)
             rng.random(len(edges))
             walk = Trajectory(nodes=tuple(nodes), edges=tuple(edges))
+        else:
+            walk = _sample_walk(g, pol, origin, dest, rng)
         if walk is None:
             failures += 1
             continue

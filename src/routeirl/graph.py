@@ -10,6 +10,10 @@ tuples and build_graph checks them.  Arrays are the internal format: the
 generators and the compression and sharding transforms build a graph's
 coordinate, endpoint, feature and connector arrays with numpy and hand them
 to the same array constructor build_graph ends in.
+
+A graph caches the slot and reversed-pair layouts its planners read, none
+of which depends on a reward table; a planner assembles a table's
+matrices, I - A among them, with scipy.
 """
 from __future__ import annotations
 
@@ -76,20 +80,6 @@ class RoadGraph:
         starts = np.flatnonzero(np.diff(pair[order], prepend=-1))
         indptr = np.searchsorted(self.edge_dst[order[starts]], np.arange(self.num_nodes + 1))
         return order, starts, self.edge_src[order[starts]], indptr
-
-    @cached_property
-    def slot_pattern(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """CSC sparsity pattern of an (S, S) matrix with an entry per edge
-        (row src, column dst) and on the diagonal, each column's rows
-        ascending: (each edge's position, each node's diagonal position,
-        each position's row, the column pointer).  Parallel edges share a
-        position.  Indices are 32-bit where they fit, as scipy keeps them."""
-        n, E = self.num_nodes, self.num_edges
-        key = np.concatenate([self.edge_dst * n + self.edge_src, np.arange(n) * (n + 1)])
-        pairs, at = np.unique(key, return_inverse=True)
-        idx = np.int32 if max(pairs.size, n) <= np.iinfo(np.int32).max else np.int64
-        indptr = np.searchsorted(pairs // n, np.arange(n + 1)).astype(idx)
-        return at[:E], at[E:], (pairs % n).astype(idx), indptr
 
     @cached_property
     def out_degree(self) -> np.ndarray:

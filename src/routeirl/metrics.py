@@ -38,20 +38,20 @@ def evaluate(model_or_table, demos: list[Trajectory], g: RoadGraph, *,
     """Greedy highest-reward predictions scored against demos.
 
     nll=True additionally reports the mean demo NLL under the converged
-    softmax policy; it is omitted (None) when any required backward pass
-    fails to converge, mirroring algorithms for which the likelihood is
-    undefined.  Each distinct destination is planned once, on one reversed
-    graph for the table: one Dijkstra pass, one greedy policy that every walk
-    to it follows and, with nll=True, its soft values and softmax policy,
-    started at Z = x / x_d on the table's one LU factor of I - A and
-    confirmed by the backward pass (the max-reward values start it where
-    I - A is singular, exp overflows, a reaching value lies below about
-    -745, or the destination is infeasible).
+    softmax policy, at a temperature above 0; it is omitted (None) when any
+    required backward pass fails to converge, mirroring algorithms for
+    which the likelihood is undefined.  A temperature outside [0, inf)
+    raises ValidationError, as any ``Planner`` does.  Each distinct
+    destination is planned once, on one reversed graph for the table: one
+    Dijkstra pass, one greedy policy that every walk to it follows and,
+    with nll=True, its soft values and softmax policy, started at
+    Z = x / x_d on the table's one LU factor of I - A and confirmed by the
+    backward pass (the max-reward values start it where I - A is singular,
+    exp overflows, a reaching value lies below about -745, or the
+    destination is infeasible).
     """
     if not demos:
         raise ValidationError("no demos to evaluate")
-    if nll and temperature <= 0:
-        raise ValidationError("temperature must be positive")
     rew = (edge_rewards(model_or_table, g) if isinstance(model_or_table, RewardModel)
            else model_or_table)
     plan = Planner(g, rew, temperature)

@@ -19,16 +19,15 @@ value below about -745 underflows).
 The log-sum-exp and the rollout step make no reduction per short row yet add
 in the row-wise order, so they are bitwise equal to it (see their comments).
 A greedy policy is the shortest-path tree that the max-reward search
-returns, so exact ties follow the tree and no walk loops.  A walk (T=0
-samples, ``greedy_path``, greedy NLLs and one-node rollout tails) follows
-the tree and picks each visited node's edge onto it; only a tail of
-spread mass builds every node's edge, the successor forest (see
-``Planner.greedy``, ``Successors`` and ``rollout``).  A soft policy's T>0
+returns, a ``Successors``, so exact ties follow the tree and no walk
+loops.  A walk (T=0 samples, ``greedy_path``, greedy NLLs and one-node
+rollout tails) follows the tree and picks each visited node's edge onto
+it; only a tail of spread mass builds every node's edge, the successor
+forest (see ``Successors`` and ``rollout``).  A soft ``Policy``'s T>0
 samples draw on a table of its rows' normalised cumulative sums, built
 by its first walk, and take the slot ``Generator.choice`` would take for
-the same draw.  The sparse I - A is summed into a sparsity pattern the
-graph builds once, bitwise scipy's own assembly of it (see
-``_identity_minus_slots``).
+the same draw.  A temperature outside [0, inf) is rejected where a
+``Planner`` is built; T = 0 plans greedily only.
 """
 from __future__ import annotations
 
@@ -62,11 +61,11 @@ def _checked_rewards(g: RoadGraph, rew) -> np.ndarray:
 
 
 class Successors:
-    """A greedy policy toward one destination: the shortest-path tree of
-    the max-reward values (tree[u] the node after u, negative on dead rows:
-    the destination and the nodes that cannot reach it), and the edge each
-    live node takes onto it, its first slot to tree[u] that attains the row
-    max of r + v(s') (``_tree_edges``).
+    """A greedy policy toward one destination: the max-reward values, their
+    shortest-path tree (tree[u] the node after u, negative on dead rows: the
+    destination and the nodes that cannot reach it), and the edge each live
+    node takes onto it, its first slot to tree[u] that attains the row max
+    of r + v(s') (``_tree_edges``).
 
     A walk follows the tree and picks the edges of the nodes it visits
     only; it is kept until the next walk from another origin, so a
@@ -237,23 +236,20 @@ def _jump_tables(destination: int, tree: np.ndarray, dead: np.ndarray, edge: np.
 
 
 class Policy:
-    """Per-slot action distribution conditioned on one destination.
+    """A soft policy: per-slot action distribution toward one destination.
 
     Rows with no usable action (including the destination row, which is
-    absorbing) are marked dead.  A soft policy holds its (num_nodes,
-    max_out_degree) ``probs``, zero on dead rows, and its walks draw on its
-    ``draws`` table, built by the first walk and kept; a planned one keeps
-    its scaled values (``values``).  A greedy policy is its ``successors``
-    and has no probs (None).
+    absorbing) are marked dead.  It holds its (num_nodes, max_out_degree)
+    ``probs``, zero on dead rows, and its walks draw on its ``draws``
+    table, built by the first walk and kept; a planned one keeps its scaled
+    values (``values``).  A greedy policy is a ``Successors``.
     """
 
-    def __init__(self, probs: np.ndarray | None, destination: int,
-                 dead: np.ndarray, successors: Successors | None = None,
+    def __init__(self, probs: np.ndarray, destination: int, dead: np.ndarray,
                  scaled: tuple[np.ndarray, np.ndarray] | None = None):
         self.probs = probs
         self.destination = destination
         self.dead = dead            # (num_nodes,) bool
-        self.successors = successors
         self.scaled = scaled
 
     @cached_property
@@ -349,32 +345,13 @@ def softmax_backup(gv: GoalView, rew_slots: np.ndarray, v_prev: np.ndarray,
     return q, v
 
 
-def _identity_minus_slots(g: RoadGraph, weights: np.ndarray) -> sp.csc_matrix:
-    """Sparse I - C over all nodes, C[s, s'] the sum of ``weights`` (one per
-    edge, that is per valid slot) over the edges s -> s': parallel edges
-    add in edge order and self-loops land on the diagonal.
-
-    The sums go into the graph's ``slot_pattern``, and entries that come
-    out 0.0 are dropped, so the matrix is bitwise the one scipy builds as
-    ``identity - csc_matrix((weights, (src, dst)))``: its duplicate sum adds
-    a pair's edges in slot order, and its subtraction drops zeros.
-    """
-    pos, diag, rows, indptr = g.slot_pattern
-    c = np.bincount(pos, weights, minlength=rows.size)
-    data = 0.0 - c
-    data[diag] = 1.0 - c[diag]
-    keep = data != 0.0
-    indptr = np.append(0, np.cumsum(keep))[indptr].astype(indptr.dtype)
-    return sp.csc_matrix((data[keep], rows[keep], indptr), shape=(g.num_nodes,) * 2)
-
-
-def trajectory_nll(g: RoadGraph, traj: Trajectory, pol: Policy) -> float:
+def trajectory_nll(g: RoadGraph, traj: Trajectory, pol: Policy | Successors) -> float:
     """-sum_t log pi(a_t | s_t) over the trajectory's edges.  Under a greedy
     policy that is 0.0 if every edge is its node's successor edge, else inf:
     the edges of a trajectory that chains (``Trajectory.validate``) are then
     a prefix of the walk from its origin."""
-    if pol.successors is not None:
-        walked, _ = pol.successors.walk(traj.origin)
+    if isinstance(pol, Successors):
+        walked, _ = pol.walk(traj.origin)
         return 0.0 if tuple(walked[:len(traj.edges)]) == traj.edges else math.inf
     nll = 0.0
     for e in traj.edges:
@@ -385,12 +362,12 @@ def trajectory_nll(g: RoadGraph, traj: Trajectory, pol: Policy) -> float:
     return nll
 
 
-def greedy_path(g: RoadGraph, pol: Policy, origin: int) -> Trajectory | None:
+def greedy_path(g: RoadGraph, pol: Successors, origin: int) -> Trajectory | None:
     """Walk a greedy policy (see ``Planner.greedy``) from origin; None if
     origin is the destination or cannot reach it."""
-    if pol.successors is None:
+    if not isinstance(pol, Successors):
         raise ValidationError("greedy_path needs a greedy policy")
-    edges, nodes = pol.successors.walk(origin)
+    edges, nodes = pol.walk(origin)
     if not edges or nodes[-1] != pol.destination:
         return None
     return Trajectory(nodes=tuple(nodes), edges=tuple(edges))
@@ -407,19 +384,22 @@ def _reversed_graph(g: RoadGraph, rew: np.ndarray) -> sp.csr_matrix:
 class Planner:
     """One reward table's planning state, shared by all its destinations.
 
-    Per table: its one check, the reversed graph, the shortest-path routine
-    that runs on it (negative-cost when any reward is positive), and the
-    first exact start's LU factor of M = I - A (each start Z = x / x_d, see
-    ``exact_start``), and the reward table padded with -inf for invalid
-    slots (``padded``).  Per destination, computed on first use and kept:
-    max-reward values and their shortest-path tree (one search), greedy
-    policy (that tree; its forest and jump tables are built by the first
-    tail that needs them), and each horizon's soft plan (``soft``, kept too
-    where it does not converge; its scaled table is dropped once the policy
-    is built).  The arrays it returns must not be modified.
+    Per table: its checks (a temperature in [0, inf), 0 for greedy plans
+    only, and ``_checked_rewards``), the reversed graph, the shortest-path
+    routine that runs on it (negative-cost when any reward is positive),
+    the first exact start's LU factor of M = I - A (each start Z = x / x_d,
+    see ``exact_start``), and the reward table padded with -inf for invalid
+    slots (``padded``).  Per destination, made on first use and kept in one
+    memo: the search's values and tree, which are the greedy policy
+    (``greedy``; the first tail that needs them builds its forest and jump
+    tables), and each horizon's soft plan (``soft``, kept too where it does
+    not converge, its scaled table dropped once the policy is built).  The
+    arrays it returns must not be modified.
     """
 
     def __init__(self, g: RoadGraph, rew: np.ndarray, temperature: float = 1.0):
+        if not 0 <= temperature < math.inf:
+            raise ValidationError(f"temperature must be in [0, inf), not {temperature}")
         self.graph = g
         self.rew = _checked_rewards(g, rew)
         self.padded = np.concatenate((self.rew, [-np.inf]))  # slot_edge's SENTINEL reads -inf
@@ -434,11 +414,6 @@ class Planner:
             self._memo[kind, dest] = make()
         return self._memo[kind, dest]
 
-    def best_values(self, dest: int) -> np.ndarray:
-        if ("best", dest) not in self._memo:
-            self._memo["best", dest], self._memo["tree", dest] = self._shortest_paths(dest)
-        return self._memo["best", dest]
-
     def _shortest_paths(self, dest: int) -> tuple[np.ndarray, np.ndarray]:
         """(max-reward values, each node's successor on the shortest-path
         tree, negative where it has none) from one search toward dest."""
@@ -451,15 +426,14 @@ class Planner:
             raise InfeasibilityError("reward-gain cycle: best path is unbounded") from None
         return -dist, tree
 
-    def greedy(self, dest: int) -> Policy:
-        """The greedy policy of the max-reward values: their tree, walked
-        node by node (see ``Successors``)."""
-        if ("greedy", dest) not in self._memo:
-            v = self.best_values(dest)
-            tree = self._memo["tree", dest]
-            succ = Successors(self.graph, dest, self.padded, v, tree)
-            self._memo["greedy", dest] = Policy(None, dest, succ.dead, succ)
-        return self._memo["greedy", dest]
+    def greedy(self, dest: int) -> Successors:
+        """The greedy policy of the max-reward values: they and their tree,
+        from one search, walked node by node (see ``Successors``)."""
+        return self.memo("search", dest, lambda: Successors(
+            self.graph, dest, self.padded, *self._shortest_paths(dest)))
+
+    def best_values(self, dest: int) -> np.ndarray:
+        return self.greedy(dest).values
 
     def soft(self, dest: int, horizon: float = math.inf, init: str = "exact",
              tol: float = 1e-9, max_iters: int | None = None,
@@ -486,15 +460,18 @@ class Planner:
     @cached_property
     def _factor(self):
         """``splu`` of M = I - A, A[s, s'] summing exp(r/T) over the edges
-        s -> s'; None where exp overflows or M is singular.  The ordering
-        is the one with the fastest solves on the cli-pipeline graph."""
+        s -> s' (scipy's assembly, which drops the entries that come out
+        0); None where exp overflows or M is singular.  The ordering is the
+        one with the fastest solves on the cli-pipeline graph."""
         with np.errstate(over="ignore"):
             w = np.exp(self.rew / self.temperature)
         if not w.max(initial=0.0) < np.inf:
             return None
+        g, n = self.graph, self.graph.num_nodes
+        m = sp.identity(n, format="csc") - sp.csc_matrix((w, (g.edge_src, g.edge_dst)),
+                                                         shape=(n, n))
         try:
-            return sp.linalg.splu(_identity_minus_slots(self.graph, w),
-                                  permc_spec="MMD_AT_PLUS_A")
+            return sp.linalg.splu(m, permc_spec="MMD_AT_PLUS_A")
         except RuntimeError:  # exactly singular
             return None
 
@@ -595,7 +572,7 @@ class RolloutResult:
     absorbed_mass: float       # mass that reached the destination
 
 
-def rollout(gv: GoalView, schedule: list[tuple[Policy, int | None]],
+def rollout(gv: GoalView, schedule: list[tuple[Policy | Successors, int | None]],
             initial_mass: np.ndarray, *, tol: float = 1e-12,
             max_steps: int | None = None) -> RolloutResult:
     """Propagate state mass through a time-varying policy schedule.
@@ -605,8 +582,8 @@ def rollout(gv: GoalView, schedule: list[tuple[Policy, int | None]],
     reaching the destination is absorbed immediately and emits no further
     edge mass.  Edge mass accumulates per original edge id.
 
-    Policies with probs step.  A greedy policy runs only as a (policy,
-    None) tail, in closed form on its ``Successors``, with the figures
+    Soft policies step.  A greedy policy (a ``Successors``) runs only as a
+    (policy, None) tail, in closed form, with the figures
     (cut and truncated at max_steps too) that stepping its one-hot rows
     reports.  Mass on one node walks its path, bitwise equal to stepping:
     every tail at H=0 and for ``mmp``.  Mass on many nodes is summed on the
@@ -623,7 +600,7 @@ def rollout(gv: GoalView, schedule: list[tuple[Policy, int | None]],
     for pol, length in schedule:
         if pol.destination != gv.destination:
             raise ValidationError("policy destination != rollout destination")
-        if pol.successors is not None and length is not None:
+        if isinstance(pol, Successors) and length is not None:
             raise ValidationError("a greedy policy runs only as a rollout's tail (steps None)")
     absorbed = float(m[gv.destination])
     m[gv.destination] = 0.0
@@ -633,9 +610,9 @@ def rollout(gv: GoalView, schedule: list[tuple[Policy, int | None]],
     eidx = None  # the valid slots' edges, set up by the first step
     tail = None
     for pol, length in schedule:
-        if pol.successors is not None:
+        if isinstance(pol, Successors):
             if m.sum() > tol:
-                tail = pol.successors.tail(m, tol, max_steps - steps)
+                tail = pol.tail(m, tol, max_steps - steps)
             break
         pv = None
         k = 0

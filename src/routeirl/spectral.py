@@ -6,7 +6,7 @@ decides everything: the soft values (and the demo likelihood) are finite iff
 lambda_max(B1) < 1, and the backward pass converges geometrically at that
 rate.  The bounds read the padded slot layout, the eigenvalue iteration runs
 in the linear domain on a sparse B1, and the rate probe reads the planner's
-own soft pass.  A temperature at or below 0 raises ValidationError.
+own soft pass.  A temperature outside (0, inf) raises ValidationError.
 """
 from __future__ import annotations
 
@@ -47,8 +47,8 @@ def classify(lam: float, band: float = DEFAULT_BAND) -> str:
 def _b1_slots(gv: GoalView, rew: np.ndarray, temperature: float):
     """Log-weights of the non-destination block in slot layout (-inf off the
     block), and slot targets that are safe to index with."""
-    if not temperature > 0:
-        raise ValidationError(f"temperature must be positive, not {temperature}")
+    if not 0 < temperature < math.inf:
+        raise ValidationError(f"temperature must be positive and finite, not {temperature}")
     g = gv.graph
     logw = _checked_rewards(g, rew) / temperature
     logw[g.edge_dst == gv.destination] = -np.inf

@@ -27,7 +27,7 @@ from .errors import ValidationError
 from .graph import GoalView, RoadGraph, Trajectory, extract_subgraph
 from .io import load_config, save_checkpoint, write_csv
 from .metrics import evaluate
-from .rewards import RewardModel, edge_rewards, project_nonpositive
+from .rewards import RewardModel, SparsePerEdgeReward, edge_rewards, project_nonpositive
 from .spectral import cheap_bounds
 
 
@@ -328,14 +328,19 @@ def assemble_global(g: RoadGraph, shards: list[Shard],
 def cross_region_eval(shards: list[Shard], models: list[RewardModel], *,
                       temperature: float = 1.0) -> np.ndarray:
     """m x m exact-match accuracy: entry (i, j) evaluates expert i on shard
-    j's held-out demos."""
+    j's held-out demos.  It is NaN for j != i where expert i holds per-edge
+    parameters (a ``SparsePerEdgeReward``, alone or in a composite): they
+    index shard i's local edge ids, which name other edges on shard j."""
     m = len(shards)
     if len(models) != m:
         raise ValidationError("one model per shard required")
-    acc = np.zeros((m, m))
+    acc = np.full((m, m), np.nan)
     for j, shard in enumerate(shards):
         demos = shard.eval_demos if shard.eval_demos else shard.demos
         for i, model in enumerate(models):
+            if i != j and any(kind == SparsePerEdgeReward.kind
+                              for kind, _ in model.param_slices()):
+                continue
             res = evaluate(model, demos, shard.subgraph,
                            temperature=temperature, nll=False)
             acc[i, j] = res.acc

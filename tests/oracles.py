@@ -39,7 +39,7 @@ from routeirl import (InfeasibilityError, Metrics, RoadGraph, GoalView,
 from routeirl.algorithms import (GradientReport, IrlConfig, _skipped,
                                  edge_mass_of, state_mass)
 from routeirl.graph import Trajectory
-from routeirl.planners import (Planner, Policy, _default_iters, greedy_path, rollout,
+from routeirl.planners import (Planner, Policy, Successors, _default_iters, greedy_path, rollout,
                                softmax_backup, trajectory_nll)
 from routeirl.rewards import RewardModel, backprop, edge_rewards
 
@@ -316,7 +316,7 @@ def closed_form_forward(gv: GoalView, pol, initial_mass: np.ndarray) -> np.ndarr
     equals an untruncated rollout of (pol, None).  The destination row of P
     is empty, so z is the expected visits of every other node.  A greedy
     policy has no P (its rollout tail is closed-form already)."""
-    if pol.successors is not None:
+    if isinstance(pol, Successors):
         raise ValidationError("closed_form_forward needs a policy with a probability table")
     g = gv.graph
     m = np.asarray(initial_mass, dtype=np.float64)
@@ -423,9 +423,9 @@ def greedy_probs_dense(gv: GoalView, rew: np.ndarray, v: np.ndarray) -> np.ndarr
 def policy_probs(g: RoadGraph, pol) -> np.ndarray:
     """A policy's probability table; a greedy policy, which holds none,
     gives the one-hot table of its successor array."""
-    if pol.successors is None:
+    if not isinstance(pol, Successors):
         return pol.probs
-    edge = pol.successors.edge
+    edge = pol.edge
     probs = np.zeros((g.num_nodes, g.max_out_degree))
     live = np.flatnonzero(edge >= 0)
     probs[live, g.edge_slot[edge[live]]] = 1.0

@@ -23,7 +23,7 @@ from routeirl import (
 import oracles
 import routeirl
 import routeirl.algorithms
-from routeirl.planners import Planner, RolloutResult, _default_iters, greedy_path
+from routeirl.planners import Planner, RolloutResult, Successors, _default_iters, greedy_path
 from oracles import (birl_gradient, diamond_graph, fd_gradient, loopy_graph,
                      maxent_gradient, mmp_gradient, mp_soft_values,
                      tie_loop_graph)
@@ -284,7 +284,7 @@ def test_closed_form_tails_keep_the_stepped_gradients(monkeypatch):
     real = routeirl.algorithms.rollout
 
     def stepped(gv, schedule, mass):
-        if schedule[-1][0].successors is None:
+        if not isinstance(schedule[-1][0], Successors):
             return real(gv, schedule, mass)
         edge_mass, steps, truncated, lost, absorbed, _ = oracles.rollout_dense(
             gv, schedule, mass, max_steps=_default_iters(gv.graph.num_nodes))
@@ -383,10 +383,34 @@ def test_an_oracle_is_not_a_copy_of_a_library_function():
 def test_the_library_keeps_only_what_it_runs(tmp_path):
     # the test-only planners are oracles, the wrappers that built a
     # throwaway planner for one call are gone, and so are the training
-    # settings no caller set
-    removed = ("closed_form_forward", "slot_rewards", "dijkstra_values", "greedy_policy")
+    # settings no caller set; I - A has one assembly, scipy's, and a
+    # greedy plan is its tree, with no probability table
+    removed = ("closed_form_forward", "slot_rewards", "dijkstra_values", "greedy_policy",
+               "_identity_minus_slots")
     assert not [name for name in removed
                 if hasattr(routeirl, name) or hasattr(routeirl.planners, name)]
+    assert not hasattr(routeirl.RoadGraph, "slot_pattern")
+    g = gen_gridworld(3, 3)
+    greedy = Planner(g, np.full(g.num_edges, -1.0)).greedy(4)
+    assert isinstance(greedy, Successors)
+    assert not hasattr(greedy, "probs") and not hasattr(greedy, "successors")
+
+    def callers(node, name, scope):
+        """The scopes (module.Class.function) in node that call name."""
+        found = []
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}"
+            if isinstance(child, ast.Call) and name in (getattr(child.func, "attr", None),
+                                                        getattr(child.func, "id", None)):
+                found.append(scope)
+            found += callers(child, name, inner)
+        return found
+
+    splu = [caller for path in Path(routeirl.__file__).parent.glob("*.py")
+            for caller in callers(ast.parse(path.read_text()), "splu", path.stem)]
+    assert splu == ["planners.Planner._factor"]
     source = Path(oracles.__file__).read_text()
     defined = {node.name for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)}
     assert {"closed_form_forward", "slot_rewards"} <= defined

@@ -5,10 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from routeirl import (GoalView, ValidationError, build_graph, cheap_bounds,
-                      dominant_eigenvalue, export_reward_table, load_graph,
-                      load_merge_map, load_reward_table, load_trajectories,
-                      save_graph)
+from routeirl import (GoalView, LinearReward, ValidationError, build_graph,
+                      cheap_bounds, dominant_eigenvalue, evaluate,
+                      export_reward_table, load_graph, load_merge_map,
+                      load_reward_table, load_trajectories,
+                      sample_demonstrations, save_graph)
 from routeirl.cli import main
 
 from oracles import blocked_chain_graph
@@ -217,14 +218,15 @@ def test_probe_rate_on_a_slow_feasible_corner(tmp_path, capsys):
 
 def test_diagnose_rejects_a_temperature_at_or_below_zero(tmp_path, capsys):
     # T = 0 divided by zero and reported lambda = 0, and T = -1 reported an
-    # infeasible lambda: both are invalid, in the library and on the CLI
+    # infeasible lambda: both are invalid, in the library and on the CLI, as
+    # are T = inf and NaN
     gpath, rpath = str(tmp_path / "g.txt"), str(tmp_path / "r.txt")
     assert main(["gen-grid", "--width", "3", "--height", "3", "--out-graph", gpath]) == 0
     g = load_graph(gpath)
     rew = np.full(g.num_edges, -1.0)
     export_reward_table(rew, rpath)
     capsys.readouterr()
-    for temperature in (0.0, -1.0):
+    for temperature in (0.0, -1.0, np.inf, np.nan):
         for call in (cheap_bounds, dominant_eigenvalue):
             with pytest.raises(ValidationError, match="temperature must be positive"):
                 call(GoalView(g, 4), rew, temperature=temperature)
@@ -232,6 +234,61 @@ def test_diagnose_rejects_a_temperature_at_or_below_zero(tmp_path, capsys):
                      f"--temperature={temperature}"])
         assert code == 2
         assert "temperature must be positive" in capsys.readouterr().err
+
+
+def test_a_planner_takes_a_temperature_from_zero_to_inf(tmp_path, capsys):
+    # T = inf made evaluate report nll NaN and exit 0, and made T > 0
+    # sampling raise a bare ValueError (exit 1); T = 0 plans greedily only
+    gpath, dpath, rpath = (str(tmp_path / name) for name in ("g.txt", "d.txt", "r.txt"))
+    assert main(["gen-grid", "--width", "3", "--height", "3", "--num-demos", "3",
+                 "--out-graph", gpath, "--out-demos", dpath]) == 0
+    g = load_graph(gpath)
+    demos = load_trajectories(dpath, g)
+    rew = np.full(g.num_edges, -1.0)
+    export_reward_table(rew, rpath)
+    model = LinearReward(np.full(g.feature_dim, -1.0))
+    capsys.readouterr()
+    for temperature in (np.inf, np.nan):
+        for call in (lambda: evaluate(rew, demos, g, temperature=temperature, nll=False),
+                     lambda: sample_demonstrations(model, g, 3, temperature=temperature)):
+            with pytest.raises(ValidationError, match=r"temperature must be in \[0, inf\)"):
+                call()
+        for argv in (["eval", "--graph", gpath, "--demos", dpath, "--rewards", rpath],
+                     ["gen-grid", "--width", "3", "--height", "3", "--num-demos", "3",
+                      "--out-graph", str(tmp_path / "g2.txt"), "--out-demos", dpath]):
+            assert main(argv + [f"--temperature={temperature}"]) == 2
+            assert "temperature must be in [0, inf)" in capsys.readouterr().err
+    assert evaluate(rew, demos, g, temperature=0.0, nll=False).n == 3
+    assert len(sample_demonstrations(model, g, 3, temperature=0.0)) == 3
+
+
+def test_cross_region_marks_per_edge_experts_off_their_shard(tmp_path, capsys):
+    # a sparse expert's parameters index its own shard's local edges: on a
+    # compressed 12x12 two-segment grid the shards differ in edge count and
+    # the run exited 2 after training; on an 8x8 grid they do not, and the
+    # off-diagonal entries were scored on the other shard's edge ids
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("algorithm = receding_horizon\nhorizon = 3\nepochs = 1\n"
+                   "steps_per_epoch = 4\nbatch_size = 4\nwarmup = 1\n")
+    for width, segments in ((12, "2"), (8, "1")):
+        gpath, dpath = str(tmp_path / f"g{width}.txt"), str(tmp_path / f"d{width}.txt")
+        assert main(["gen-grid", "--width", str(width), "--height", str(width),
+                     "--segments-per-block", segments, "--seed", "2", "--num-demos", "30",
+                     "--out-graph", gpath, "--out-demos", dpath]) == 0
+        if width == 12:
+            cpath, cdpath = str(tmp_path / "c.txt"), str(tmp_path / "cd.txt")
+            assert main(["compress", "--graph", gpath, "--v-cap", "3", "--demos", dpath,
+                         "--out-graph", cpath, "--out-merge-map", str(tmp_path / "m.txt"),
+                         "--out-demos", cdpath]) == 0
+            gpath, dpath = cpath, cdpath
+        out = tmp_path / f"run{width}"
+        code, _ = run(capsys, "train", "--graph", gpath, "--demos", dpath,
+                      "--config", str(cfg), "--model", "sparse", "--shards", "2",
+                      "--seed", "2", "--out", str(out))
+        assert code == 0
+        acc = np.loadtxt(out / "cross_region.csv", delimiter=",")
+        assert np.isnan(acc[0, 1]) and np.isnan(acc[1, 0])
+        assert 0.0 <= acc[0, 0] <= 1.0 and 0.0 <= acc[1, 1] <= 1.0
 
 
 def test_missing_file_exits_two(tmp_path, capsys):

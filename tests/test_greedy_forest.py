@@ -40,7 +40,7 @@ def test_greedy_policy_is_a_shortest_path_forest(kind, seed, data):
     plan = Planner(g, rew)
     v = plan.best_values(dest)
     pol = plan.greedy(dest)
-    edge, dead = pol.successors.edge, pol.dead
+    edge, dead = pol.edge, pol.dead
     live = np.flatnonzero(edge >= 0)
     q = slot_rewards(gv, rew) + v[g.safe_targets]
     top = q.max(axis=1)

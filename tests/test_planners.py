@@ -40,7 +40,6 @@ from routeirl.planners import (
     Policy,
     Successors,
     _default_iters,
-    _identity_minus_slots,
     _logsumexp_rows,
     greedy_path,
     rollout,
@@ -387,11 +386,10 @@ def test_closed_form_tails_match_stepping_on_generated_graphs(monkeypatch):
             spread = rng.uniform(0.0, 1.0, g.num_nodes)
             faint = np.where(far, 1e-14, spread)  # stepping leaves the faint mass
             heads = [[]] if soft is None else [[], [(soft, 1)], [(soft, 3)]]
-            pol = plan.greedy(gv.destination)
-            succ = pol.successors
+            succ = plan.greedy(gv.destination)
             edge = succ.edge
             # one step finishes the mass on dead rows and on the destination's tree neighbours
-            near = np.where(pol.dead | (g.edge_dst[edge] == gv.destination), spread, 0.0)
+            near = np.where(succ.dead | (g.edge_dst[edge] == gv.destination), spread, 0.0)
             near[gv.destination] = 0.0
             for mass in (np.eye(g.num_nodes)[int(rng.integers(g.num_nodes))],
                          spread, faint, near):
@@ -399,9 +397,9 @@ def test_closed_form_tails_match_stepping_on_generated_graphs(monkeypatch):
                     for max_steps in (1000, 4):
                         # a fresh successor graph per rollout, so every
                         # rollout builds its own tables
-                        fresh = Successors(g, pol.destination, succ.rewards, succ.values,
+                        fresh = Successors(g, succ.destination, succ.rewards, succ.values,
                                            succ.tree)
-                        schedule = head + [(Policy(None, pol.destination, pol.dead, fresh), None)]
+                        schedule = head + [(fresh, None)]
                         res = rollout(gv, schedule, mass, max_steps=max_steps)
                         edge_mass, steps, truncated, lost, absorbed, _ = rollout_dense(
                             gv, schedule, mass, max_steps=max_steps)
@@ -432,7 +430,7 @@ def test_walked_edges_equal_the_forest_on_generated_graphs():
     for g, rew, dests in cases:
         plan = Planner(g, rew)
         for dest in dests:
-            succ = plan.greedy(dest).successors
+            succ = plan.greedy(dest)
             # a fresh tree per destination, so every walk runs before any forest
             walker = Successors(g, dest, succ.rewards, succ.values, succ.tree)
             walks = [walker.walk(origin) for origin in range(g.num_nodes)]
@@ -783,9 +781,8 @@ def test_one_reversed_graph_per_call_and_one_plan_per_destination(monkeypatch):
     calls.clear()
     batch_gradient(m, g, demos, IrlConfig(algorithm="mmp"))
     assert calls == {"_reversed_graph": len(demos)}
-    # walks read only the tree: no greedy policy holds a probability table
-    # or has built its forest
-    assert all(pol.probs is None and "edge" not in vars(pol.successors) for pol in greedy)
+    # walks read only the tree: no greedy policy has built its forest
+    assert all("edge" not in vars(pol) for pol in greedy)
     # tails of spread mass build each destination's forest and tables once
     calls.clear()
     batch_gradient(m, g, demos, IrlConfig(horizon=3))
@@ -939,31 +936,47 @@ def test_shared_factor_start_matches_the_rescaled_solve():
     # per-destination rescaled solve and with a tight reference, and the
     # backups confirm it at once, on generated graphs, multigraphs with
     # parallel edges and self-loops, and a trap node, for linear and shaped
-    # mixed-sign rewards at two temperatures
-    cases = 0
+    # mixed-sign rewards at two temperatures; and on the tables whose I - A
+    # loses entries in assembly: three parallel edges on one pair, the later
+    # copies at a reward whose weight underflows to 0, and a zero-reward
+    # self-loop on the destination, whose unit weight cancels its diagonal
+    cases = []
     for seed in range(3):
         for g in (gen_random_graph(16 + seed, rng_seed=seed, extra_edges=14),
                   _loopy_multigraph(seed),
                   _with_trap(gen_random_graph(14 + seed, rng_seed=seed + 5, extra_edges=12))):
             for rew in (_rand_rewards(g, seed, lo=0.8, hi=1.6), _shaped_rewards(g, seed)):
-                for temperature in (1.0, 0.7):
-                    plan = routeirl.planners.Planner(g, rew, temperature)
-                    for dest in range(2, g.num_nodes, 3):  # never the trap
-                        gv = GoalView(g, dest)
-                        tight, it_ref = plan.soft(dest, init="dijkstra", tol=1e-12)
-                        if tight is None:
-                            continue
-                        ref = tight.values
-                        start = plan.exact_start(dest)
-                        want = oracles.solved_start(gv, rew, temperature)
-                        fin = np.isfinite(ref)
-                        for other in (ref, want):
-                            assert np.array_equal(np.isneginf(start), np.isneginf(other))
-                            assert np.max(np.abs(start[fin] - other[fin])) <= 1e-10
-                        pol, iters = plan.soft(dest, init="exact")  # from start
-                        assert pol is not None and iters <= 2 < it_ref
-                        cases += 1
-    assert cases >= 150
+                cases.append(("plain", g, rew, range(2, g.num_nodes, 3)))  # never the trap
+        g = _with_trap(_with_triple_edge(_loopy_multigraph(seed)))
+        rew = _rand_rewards(g, seed, lo=0.8, hi=1.6)
+        _, first = np.unique(g.edge_src * g.num_nodes + g.edge_dst, return_index=True)
+        faint = rew.copy()
+        faint[np.setdiff1d(np.arange(g.num_edges), first)] = -800.0
+        cases.append(("underflow", g, faint, range(2, g.num_nodes - 1, 3)))
+        for loop in np.flatnonzero(g.edge_src == g.edge_dst):
+            cancel = rew.copy()
+            cancel[loop] = 0.0
+            cases.append(("cancel", g, cancel, [int(g.edge_src[loop])]))
+    solved = Counter()
+    for kind, g, rew, dests in cases:
+        for temperature in (1.0, 0.7):
+            plan = routeirl.planners.Planner(g, rew, temperature)
+            for dest in dests:
+                gv = GoalView(g, dest)
+                tight, it_ref = plan.soft(dest, init="dijkstra", tol=1e-12)
+                if tight is None:
+                    continue
+                ref = tight.values
+                start = plan.exact_start(dest)
+                want = oracles.solved_start(gv, rew, temperature)
+                fin = np.isfinite(ref)
+                for other in (ref, want):
+                    assert np.array_equal(np.isneginf(start), np.isneginf(other))
+                    assert np.max(np.abs(start[fin] - other[fin])) <= 1e-10
+                pol, iters = plan.soft(dest, init="exact")  # from start
+                assert pol is not None and iters <= 2 < it_ref
+                solved[kind] += 1
+    assert solved["plain"] >= 150 and solved["underflow"] >= 20 and solved["cancel"] == 18
 
 
 def test_exact_start_falls_back_where_the_factor_fails():
@@ -1075,42 +1088,6 @@ def _with_triple_edge(g):
     recs += [(g.num_edges + k, recs[0][1], recs[0][2], g.features[0] * (1.3 + k))
              for k in range(2)]
     return build_graph([(s, *g.coords[s]) for s in range(g.num_nodes)], recs)
-
-
-def test_identity_minus_slots_equals_scipy_assembly():
-    # I - C summed into the graph's slot pattern is bitwise the matrix that
-    # scipy's COO conversion and sparse subtraction build, on multigraphs
-    # with self-loops, three parallel edges on one pair and a trap node,
-    # with weights that underflow to 0, weights of 1 on self-loops (1 - 1
-    # drops a diagonal entry), the exp-reward weights a planner factorises
-    # and the policies the oracle's closed_form_forward solves on (their
-    # destination rows are 0, and dropped)
-    graphs = [gen_random_graph(12 + seed, rng_seed=seed, extra_edges=10) for seed in range(3)]
-    graphs += [gen_gridworld(4, 5, feature_spec="random", rng_seed=2)]
-    graphs += [_with_trap(_with_triple_edge(_loopy_multigraph(seed))) for seed in range(3)]
-    built = dropped = 0
-    for g in graphs:
-        rng = np.random.default_rng(g.num_edges)
-        rew = _rand_rewards(g, g.num_nodes, lo=0.8, hi=1.6)
-        weights = [np.exp(rng.uniform(-800.0, 1.0, g.num_edges)), np.ones(g.num_edges),
-                   np.exp(rew)]
-        plan = Planner(g, rew)
-        for dest in (2, g.num_nodes // 2, g.num_nodes - 2):
-            gv = GoalView(g, dest)
-            soft, _ = plan.soft(dest)
-            assert soft is not None
-            weights += [probs[g.edge_src, g.edge_slot]
-                        for probs in (soft.probs,
-                                      greedy_probs_dense(gv, rew, plan.best_values(dest)))]
-        for w in weights:
-            got = _identity_minus_slots(g, w)
-            want = oracles.identity_minus_edges(g, w)
-            for part in ("data", "indices", "indptr"):
-                a, b = getattr(got, part), getattr(want, part)
-                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-            built += 1
-            dropped += got.nnz < g.slot_pattern[2].size
-    assert built == 9 * len(graphs) and dropped >= 7 * len(graphs)
 
 
 # ---------------------------------------------------------------------------

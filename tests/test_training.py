@@ -337,5 +337,11 @@ def test_cross_region_eval_recovers_truth():
     assert np.all((acc >= 0.0) & (acc <= 1.0))
     # demos are the truth model's greedy routes, so the truth row is perfect
     assert np.all(acc[0] == 1.0)
+    # per-edge parameters index their own shard's edge ids: off that shard
+    # such an expert reads NaN, alone or in a composite
+    sparse = SparsePerEdgeReward.for_graph(shards[0].subgraph)
+    for expert in (sparse, CompositeReward([truth, sparse])):
+        acc = cross_region_eval(shards, [expert, truth])
+        assert np.isnan(acc[0, 1]) and not np.isnan(acc[[0, 1, 1], [0, 0, 1]]).any()
     with pytest.raises(ValidationError):
         cross_region_eval(shards, [truth])
