@@ -2,7 +2,8 @@
 
 One receding-horizon estimator covers the classical family through its
 horizon H: H softmax backups from max-reward values, then a deterministic
-greedy tail.  ``demo_gradient`` resolves the configured algorithm name:
+greedy tail.  ``batch_gradient`` resolves the configured algorithm name,
+and ``demo_gradient`` is a batch of one:
 
 - ``receding_horizon``: RH(H) at the configured horizon.
 - ``birl``: RH(1), one softmax step over max-reward values.
@@ -94,41 +95,32 @@ def edge_mass_of(g: RoadGraph, edges) -> np.ndarray:
 # the general receding-horizon estimator
 
 
-def receding_horizon_gradient(model: RewardModel, g: RoadGraph,
-                              traj: Trajectory, cfg: IrlConfig, *,
-                              margin: float | None = None,
-                              plan: Planner | None = None) -> GradientReport:
-    """RH(H) gradient; ``cfg.margin`` and ``cfg.algorithm`` are not read, and
-    ``cfg.init``, ``cfg.tol`` and ``cfg.max_iters`` only at H=inf.
+def _receding_horizon(model: RewardModel, g: RoadGraph, traj: Trajectory,
+                      cfg: IrlConfig, r: np.ndarray, plan: Planner | None,
+                      margin: float | None) -> GradientReport:
+    """RH(H) report on one demo, planned by the batch's ``plan`` on its reward
+    table r at ``cfg.temperature``; ``cfg.margin`` and ``cfg.algorithm`` are not
+    read, and ``cfg.init``, ``cfg.tol`` and ``cfg.max_iters`` only at H=inf.
 
-    The planner makes the plans; this rolls them out and backprops.  With
-    ``margin`` (H=0 only) the planner sees rewards raised by ``margin`` on
-    every edge but the connectors and the demo's own, and the report
-    carries the margin loss r_aug.rho_best - r.rho_demo instead of an NLL.
-    Without one, ``plan`` (a Planner on the model's rewards at
-    ``cfg.temperature``) may be shared by the demos of a batch.
+    With ``margin`` (H=0, plan None) the demo's own planner sees r raised by
+    ``margin`` on every edge but the connectors and the demo's own, and the
+    report carries the margin loss r_aug.rho_best - r.rho_demo instead of an NLL.
     """
     traj.validate(g)
-    horizon = cfg.horizon
-    if margin is not None and horizon != 0:
-        raise ValidationError("a margin applies at horizon 0 only")
-    r = edge_rewards(model, g) if plan is None else plan.rew
     if margin is not None:
         margins = np.full(g.num_edges, margin)
         margins[g.connector_flags] = 0.0
         margins[list(traj.edges)] = 0.0
         plan = Planner(g, r + margins, cfg.temperature)
-    elif plan is None:
-        plan = Planner(g, r, cfg.temperature)
     gv = GoalView(g, traj.destination)
     origin = traj.nodes[0]
     if np.isneginf(plan.best_values(gv.destination)[origin]):
         return _skipped("origin cannot reach destination")
     # H=inf plans with soft values all the way and has no greedy tail
-    pol_greedy = None if math.isinf(horizon) else plan.greedy(gv.destination)
+    pol_greedy = None if math.isinf(cfg.horizon) else plan.greedy(gv.destination)
     pol_soft, backward_iters = None, 0
-    if horizon != 0:
-        pol_soft, backward_iters = plan.soft(gv.destination, horizon, cfg.init,
+    if cfg.horizon != 0:
+        pol_soft, backward_iters = plan.soft(gv.destination, cfg.horizon, cfg.init,
                                              cfg.tol, cfg.max_iters)
         if pol_soft is None:
             rep = _skipped("backward pass did not converge")
@@ -137,7 +129,7 @@ def receding_horizon_gradient(model: RewardModel, g: RoadGraph,
     pol = pol_greedy if pol_soft is None else pol_soft
 
     rho_tau = edge_mass_of(g, traj.edges)
-    if horizon == 0 or math.isinf(horizon):
+    if cfg.horizon == 0 or math.isinf(cfg.horizon):
         # one stationary policy drives both rollouts, and a rollout is linear
         # in its initial mass: rho_theta - rho_star is the origin's rollout
         # at H=0 the origin reaches the destination (checked above), so its
@@ -181,26 +173,29 @@ def algorithm_settings(cfg: IrlConfig) -> tuple[float, float, float | None]:
     return cfg.horizon, cfg.temperature, None
 
 
+def _reports(model: RewardModel, g: RoadGraph, trajectories: list[Trajectory],
+             cfg: IrlConfig) -> list[GradientReport]:
+    """Each demo's report at the settings of ``cfg.algorithm``, on one reward
+    evaluation and one Planner shared by all demos but ``mmp``'s."""
+    horizon, temperature, margin = algorithm_settings(cfg)
+    rh_cfg = replace(cfg, horizon=horizon, temperature=temperature)
+    r = edge_rewards(model, g)
+    plan = None if margin is not None else Planner(g, r, temperature)
+    return [_receding_horizon(model, g, traj, rh_cfg, r, plan, margin)
+            for traj in trajectories]
+
+
 def demo_gradient(model: RewardModel, g: RoadGraph, traj: Trajectory,
                   cfg: IrlConfig) -> GradientReport:
-    """Run the receding-horizon estimator at the settings of the algorithm
-    name (see ``algorithm_settings``)."""
-    horizon, temperature, margin = algorithm_settings(cfg)
-    return receding_horizon_gradient(
-        model, g, traj, replace(cfg, horizon=horizon, temperature=temperature),
-        margin=margin)
+    """The report of a batch of one (see ``batch_gradient``)."""
+    return _reports(model, g, [traj], cfg)[0]
 
 
 def batch_gradient(model: RewardModel, g: RoadGraph,
                    trajectories: list[Trajectory], cfg: IrlConfig
                    ) -> tuple[np.ndarray | None, list[GradientReport]]:
-    """Mean ascent direction over the non-skipped demos, in input order.
-    Without a margin (all but ``mmp``) the demos share one Planner."""
-    horizon, temperature, margin = algorithm_settings(cfg)
-    rh_cfg = replace(cfg, horizon=horizon, temperature=temperature)
-    plan = None if margin is not None else Planner(g, edge_rewards(model, g), temperature)
-    reports = [receding_horizon_gradient(model, g, traj, rh_cfg, margin=margin, plan=plan)
-               for traj in trajectories]
+    """Mean ascent direction over the non-skipped demos, and every report."""
+    reports = _reports(model, g, trajectories, cfg)
     grads = [rep.gradient for rep in reports if not rep.skipped]
     if not grads:
         return None, reports

@@ -97,18 +97,21 @@ def cmd_gen_grid(args) -> int:
     g = gen_gridworld(args.width, args.height, feature_spec=args.feature_spec,
                       rng_seed=args.seed, feature_dim=args.feature_dim,
                       segments_per_block=args.segments_per_block)
-    save_graph(g, args.out_graph)
     info = {"nodes": g.num_nodes, "edges": g.num_edges,
             "max_out_degree": g.max_out_degree}
+    demos = None
     if args.num_demos > 0:
+        # the demos are drawn first: a run that exits 2 or 3 writes nothing
         if not args.out_demos:
             raise ValidationError("--num-demos needs --out-demos")
         model = LinearReward(_parse_weights(args.weights, g.features.shape[1]))
         demos = sample_demonstrations(model, g, args.num_demos,
                                       rng_seed=args.seed,
                                       temperature=args.temperature)
-        save_trajectories(demos, args.out_demos, g)
         info["demos"] = len(demos)
+    save_graph(g, args.out_graph)
+    if demos is not None:
+        save_trajectories(demos, args.out_demos, g)
     _manifest(args, args.out_graph)
     print(json.dumps(info, sort_keys=True))
     return 0
@@ -153,11 +156,11 @@ def cmd_train(args) -> int:
         cfg.rng_seed = args.seed
     else:
         args.seed = cfg.rng_seed   # model init + manifest see the real seed
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     shards, dropped = partition_geographic(
         g, demos, args.shards, eval_fraction=args.eval_fraction,
         rng_seed=cfg.rng_seed)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     models = []
     summary = {"shards": args.shards, "dropped_demos": len(dropped),
                "per_shard": []}

@@ -282,6 +282,12 @@ class MergeMap:
         """Original edge -> the compressed edge whose expansion starts with it."""
         return {exp[0]: c for c, exp in enumerate(self.edge_expansion) if exp}
 
+    def check_edge_count(self, num_edges: int) -> None:
+        """Reject a map that does not describe a graph of num_edges edges."""
+        if len(self.edge_expansion) != num_edges:
+            raise ValidationError(f"merge map describes {len(self.edge_expansion)} edges, "
+                                  f"the graph has {num_edges}")
+
     def expand_edges(self, edges: Sequence[int]) -> tuple[int, ...]:
         out: list[int] = []
         for e in edges:

@@ -12,10 +12,10 @@ reads back exactly.  Readers skip blank and `#` lines and name a bad line as
   checkpoint     JSON {"version", "model", "metadata"}; summaries: JSON or CSV
 
 C records flag connector edges; load_graph(path, merge_map=...) also flags
-the map's empty expansions, so files without C records still load.  A node
-line names the smallest edge id between two nodes, so save_trajectories
-rejects a route over any other parallel edge.  M records without I records
-load with an empty node image.
+the map's empty expansions, so files without C records still load, and
+rejects a map with another edge count.  A node line names the smallest edge
+id between two nodes, so save_trajectories rejects a route over any other
+parallel edge.  M records without I records load with an empty node image.
 """
 from __future__ import annotations
 
@@ -107,6 +107,7 @@ def load_graph(path: str | Path, merge_map: MergeMap | None = None) -> RoadGraph
 
     _read_records(path, record, "record")
     if merge_map is not None:
+        merge_map.check_edge_count(len(edges))
         connectors.update(e for e, exp in enumerate(merge_map.edge_expansion) if not exp)
     return build_graph(nodes, edges, connector_edge_ids=sorted(connectors))
 
@@ -176,9 +177,15 @@ def load_checkpoint(path: str | Path) -> tuple[RewardModel, dict]:
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as err:
         raise ValidationError(f"{path}: not a checkpoint ({err})") from None
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{path}: not a checkpoint (a JSON object is expected)")
     if doc.get("version") != CHECKPOINT_VERSION:
         raise ValidationError(f"{path}: unsupported checkpoint version {doc.get('version')}")
-    return model_from_payload(doc["model"]), doc.get("metadata", {})
+    try:
+        return model_from_payload(doc["model"]), doc.get("metadata", {})
+    except (ValidationError, KeyError, TypeError, AttributeError, ValueError) as err:
+        raise ValidationError(f"{path}: malformed checkpoint model "
+                              f"({type(err).__name__}: {err})") from None
 
 
 def load_config(path: str | Path, parsers: dict[str, Callable[[str], object]]) -> dict:

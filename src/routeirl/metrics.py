@@ -41,7 +41,8 @@ def evaluate(model_or_table, demos: list[Trajectory], g: RoadGraph, *,
     softmax policy, at a temperature above 0; it is omitted (None) when any
     required backward pass fails to converge, mirroring algorithms for
     which the likelihood is undefined.  A temperature outside [0, inf)
-    raises ValidationError, as any ``Planner`` does.  Each distinct
+    raises ValidationError, as any ``Planner`` does, and so does a
+    merge_map with another edge count than g.  Each distinct
     destination is planned once, on one reversed graph for the table: one
     Dijkstra pass, one greedy policy that every walk to it follows and,
     with nll=True, its soft values and softmax policy, started at
@@ -52,6 +53,8 @@ def evaluate(model_or_table, demos: list[Trajectory], g: RoadGraph, *,
     """
     if not demos:
         raise ValidationError("no demos to evaluate")
+    if merge_map is not None:
+        merge_map.check_edge_count(g.num_edges)
     rew = (edge_rewards(model_or_table, g) if isinstance(model_or_table, RewardModel)
            else model_or_table)
     plan = Planner(g, rew, temperature)

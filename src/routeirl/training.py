@@ -260,10 +260,13 @@ def partition_geographic(g: RoadGraph, demos: list[Trajectory], m: int, *,
                          ) -> tuple[list[Shard], list[Trajectory]]:
     """Split the graph into m balanced coordinate cells and assign each demo
     to the cell of its destination.  Demos not fully contained in their
-    shard's subgraph are dropped (and returned).  Deterministic.
+    shard's subgraph are dropped (and returned).  A share eval_fraction in
+    [0, 1) of each shard's demos is held out.  Deterministic.
     """
     if m < 1:
         raise ValidationError("need at least one cell")
+    if not 0 <= eval_fraction < 1:
+        raise ValidationError(f"eval_fraction must lie in [0, 1), not {eval_fraction}")
     if m > g.num_nodes:
         raise ValidationError("more cells than nodes")
     mx = 1

@@ -1,6 +1,7 @@
 import ast
 import math
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -334,7 +335,7 @@ def _library_callers(names) -> list[str]:
 
 
 def test_only_the_receding_horizon_estimator_calls_backprop():
-    assert _library_callers({"backprop"}) == ["algorithms.receding_horizon_gradient"]
+    assert _library_callers({"backprop"}) == ["algorithms._receding_horizon"]
 
 
 def test_one_function_runs_the_shortest_path_routines():
@@ -416,6 +417,21 @@ def test_the_library_keeps_only_what_it_runs(tmp_path):
     assert {"closed_form_forward", "slot_rewards"} <= defined
     # the oracle's I - P is scipy's own assembly, not the library's
     assert "_identity_minus_slots" not in source
+    # one estimator path: a helper evaluates the rewards and builds the
+    # batch's planner, and the per-demo core builds only mmp's margin planner
+    assert not hasattr(routeirl, "receding_horizon_gradient")
+    assert not hasattr(routeirl.algorithms, "receding_horizon_gradient")
+    alg = ast.parse(Path(routeirl.algorithms.__file__).read_text())
+    assert sorted(callers(alg, "edge_rewards", "algorithms")) == [
+        "algorithms._reports", "algorithms.sample_demonstrations"]
+    assert sorted(callers(alg, "Planner", "algorithms")) == [
+        "algorithms._receding_horizon", "algorithms._reports",
+        "algorithms.sample_demonstrations"]
+    core = next(node for node in alg.body
+                if isinstance(node, ast.FunctionDef) and node.name == "_receding_horizon")
+    margin_branch = next(node for node in ast.walk(core) if isinstance(node, ast.If)
+                         and ast.unparse(node.test) == "margin is not None")
+    assert callers(margin_branch, "Planner", "core") == ["core"]
     p = tmp_path / "train.cfg"
     for key in ("beta1", "beta2", "eps", "guard_margin"):
         p.write_text(f"epochs = 2\n{key} = 0.5\n")
@@ -487,7 +503,7 @@ def test_a_batch_plans_each_destination_once(monkeypatch):
 
 
 def test_oracle_estimators_call_no_library_estimator(monkeypatch):
-    estimators = ("receding_horizon_gradient", "demo_gradient", "batch_gradient")
+    estimators = ("demo_gradient", "batch_gradient")
     referenced = set(vars(oracles))
     for fn in (maxent_gradient, birl_gradient, mmp_gradient):
         referenced |= set(fn.__code__.co_names)
@@ -572,6 +588,28 @@ def test_batch_gradient_averages_non_skipped():
     gnone, reps = batch_gradient(bad, g, demos,
                                  IrlConfig(algorithm="maxent", max_iters=100))
     assert gnone is None and all(r.skipped for r in reps)
+    # demo_gradient is a batch of one: every field of its report equals the
+    # batch's, for every algorithm, with a linear and a composite model
+    g = gen_gridworld(5, 5, feature_spec="random", rng_seed=2)
+    demos = sample_demonstrations(LinearReward(np.array([-1.0, -1.0])), g, 5, rng_seed=1)
+    demos.append(demos[0])
+    sparse = routeirl.SparsePerEdgeReward.for_graph(g, l1_coeff=1e-3)
+    sparse.set_params(np.random.default_rng(3).uniform(-0.3, 0.0, sparse.get_params().size))
+    models = (LinearReward(np.array([-0.8, -0.6])),
+              routeirl.CompositeReward([LinearReward(np.array([-0.8, -0.6])), sparse]))
+    cfgs = [IrlConfig(horizon=h) for h in (0, 1, 10, math.inf)] + [
+        IrlConfig(algorithm="mmp", margin=0.4), IrlConfig(algorithm="birl"),
+        IrlConfig(algorithm="maxent")]
+    for m in models:
+        for cfg in cfgs:
+            gmean, reports = batch_gradient(m, g, demos, cfg)
+            kept = [rep.gradient for rep in reports if not rep.skipped]
+            assert len(kept) == len(demos) and np.array_equal(gmean, np.mean(kept, axis=0))
+            for demo, rep in zip(demos, reports):
+                solo = demo_gradient(m, g, demo, cfg)
+                assert np.array_equal(solo.gradient, rep.gradient), cfg
+                assert [getattr(solo, f.name) for f in fields(rep) if f.name != "gradient"] == \
+                    [getattr(rep, f.name) for f in fields(rep) if f.name != "gradient"], cfg
 
 
 def test_sample_demonstrations_properties():

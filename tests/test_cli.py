@@ -305,6 +305,53 @@ def test_validation_error_exits_two(tmp_path, capsys):
                  "--num-demos", "2", "--out-graph", gpath])
     assert code == 2
     assert "out-demos" in capsys.readouterr().err
+    # the arguments are checked before anything is written
+    assert not list(tmp_path.iterdir())
+
+
+def test_malformed_checkpoints_exit_two(tmp_path, capsys):
+    # these used to escape as AttributeError and KeyError (exit 1), and an
+    # unknown kind did not name the file
+    gpath, dpath = str(tmp_path / "g.txt"), str(tmp_path / "d.txt")
+    assert main(["gen-grid", "--width", "3", "--height", "3", "--num-demos", "2",
+                 "--out-graph", gpath, "--out-demos", dpath]) == 0
+    for i, doc in enumerate(([1, 2], {"version": 1, "model": {"kind": "linear"}},
+                             {"version": 1, "model": [1]},
+                             {"version": 1, "model": {"kind": "tree"}})):
+        ckpt = tmp_path / f"{i}.ckpt"
+        ckpt.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["eval", "--graph", gpath, "--demos", dpath,
+                     "--checkpoint", str(ckpt)]) == 2, doc
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(ckpt) in err, (doc, err)
+
+
+def test_a_merge_map_must_describe_its_graph(tmp_path, capsys):
+    # eval used to raise IndexError (exit 1) on a map of too few records,
+    # and load_graph accepted it
+    gpath, dpath = str(tmp_path / "g.txt"), str(tmp_path / "d.txt")
+    cg, mm, cd = (str(tmp_path / n) for n in ("c.txt", "m.txt", "cd.txt"))
+    assert main(["gen-grid", "--width", "4", "--height", "4", "--segments-per-block", "2",
+                 "--num-demos", "6", "--out-graph", gpath, "--out-demos", dpath]) == 0
+    assert main(["compress", "--graph", gpath, "--v-cap", "3", "--demos", dpath,
+                 "--out-graph", cg, "--out-merge-map", mm, "--out-demos", cd]) == 0
+    short = str(tmp_path / "short.txt")
+    save_graph(blocked_chain_graph(), str(tmp_path / "b.txt"))
+    assert main(["compress", "--graph", str(tmp_path / "b.txt"), "--v-cap", "2",
+                 "--out-graph", str(tmp_path / "bc.txt"), "--out-merge-map", short]) == 0
+    num_edges = load_graph(cg, merge_map=load_merge_map(mm)).num_edges
+    assert len(load_merge_map(short).edge_expansion) == 5 < num_edges
+    with pytest.raises(ValidationError,
+                       match=f"merge map describes 5 edges, the graph has {num_edges}"):
+        load_graph(cg, merge_map=load_merge_map(short))
+    rpath = str(tmp_path / "r.txt")
+    export_reward_table(np.full(num_edges, -1.0), rpath)
+    eval_argv = ["eval", "--graph", cg, "--demos", cd, "--rewards", rpath, "--merge-map"]
+    assert main(eval_argv + [mm]) == 0
+    capsys.readouterr()
+    assert main(eval_argv + [short]) == 2
+    assert "merge map describes 5 edges" in capsys.readouterr().err
 
 
 def test_malformed_numbers_exit_two(tmp_path, capsys):
@@ -324,7 +371,12 @@ def test_malformed_numbers_exit_two(tmp_path, capsys):
             (sweep + ["--timing-rounds", "0"], "--timing-rounds"),
             (sweep + ["--reps", "0"], "--reps"),
             (["train", "--graph", gpath, "--demos", dpath, "--config", str(cfg),
-              "--weights=-1,x", "--out", str(tmp_path / "run")], "--weights")):
+              "--weights=-1,x", "--out", str(tmp_path / "run")], "--weights"),
+            # these held out no demos and exited 0
+            (["train", "--graph", gpath, "--demos", dpath, "--config", str(cfg),
+              "--eval-fraction", "nan", "--out", str(tmp_path / "run")], "eval_fraction"),
+            (["train", "--graph", gpath, "--demos", dpath, "--config", str(cfg),
+              "--eval-fraction", "-0.5", "--out", str(tmp_path / "run")], "eval_fraction")):
         capsys.readouterr()
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
